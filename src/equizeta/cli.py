@@ -50,6 +50,8 @@ CSV_HEADER = "sigma_re,sigma_im,logR_re,logR_im,method,est_error,terms"
 
 DEFAULT_TOL = 1e-12
 
+_SIGMA_FLAGS = ("--sigma", "--sigma-start", "--sigma-end")
+
 
 class ConfigError(Exception):
     """Invalid CLI configuration; maps to exit code 1."""
@@ -335,22 +337,31 @@ def make_parser() -> _Parser:
     return parser
 
 
+def _bind_sigma_values(argv: list[str]) -> list[str]:
+    """Join each sigma flag to a following negative value (--sigma=-1+2i):
+    argparse takes a token like -1+2i or -1e-3 for an option string."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGMA_FLAGS and token.startswith("-"):
+            try:
+                parse_complex(token)
+            except ConfigError:  # not a value: argparse reports it missing
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_sigma_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
-    except ConfigError as exc:
-        _report_error_config(exc)
-        return EXIT_CONFIG
-    except EquizetaError as exc:
+    except (ConfigError, EquizetaError) as exc:
         _report_error(exc)
         return _code_for(exc)
-
-
-def _report_error_config(exc: Exception) -> None:
-    payload = {"error": "ConfigError", "code": EXIT_CONFIG, "message": str(exc)}
-    sys.stdout.write(json.dumps(payload) + "\n")
 
 
 if __name__ == "__main__":

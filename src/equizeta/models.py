@@ -15,17 +15,38 @@ Normalization conventions folded into the stored periods:
     (one fundamental translation cell split across the rotation subgroup);
   * spheres: period 2*pi with the conjugation-orbit measure normalized to
     unit volume, which makes log R(sigma) carry the overall factor pi.
+
+The model protocol: ``zeta`` asks a model everything geometry-specific
+through these FlowModel methods (base default in brackets).  A new geometry
+subclasses FlowModel and implements them.
+  * length_spectrum(g, window), orbit_contributions(g, l), validate(g):
+    orbit data and diagnostics [NotImplementedError]; infinite_spectrum [False]
+  * connection(): connection parameter along the flow [complex(self.alpha)]
+  * tail_bound(g, sigma, window): bound on the direct sum beyond the window
+    [0 for a finite spectrum, summed whole; NotImplementedError otherwise]
+  * log_closed(g, sigma): (log R, method, est_error, terms) by closed form or
+    continuation [DomainError]
+  * torsion(g): log of the torsion in closed form [DomainError]
+  * torsion_oracle(g, n_terms): the torsion by an independent second route,
+    a SeriesResult, or None where there is none [None]
+  * period_numeric(g, profile, quad): cutoff-primitive period [DomainError]
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NonConvergentError
+from .errors import (
+    DomainError,
+    NonConvergentError,
+    NotApplicableError,
+    SingularPointError,
+)
 from .rotations import (
     AxisRotation,
     adjoint_matrix_so,
@@ -34,7 +55,14 @@ from .rotations import (
     rotation_about_last_axis,
     solve_transverse,
 )
-from .series import alpha_in_two_pi_i_z
+from .series import (
+    BilateralSumParams,
+    SeriesResult,
+    alpha_in_two_pi_i_z,
+    atanh_of_exp,
+    bilateral_exp_sum_continued_result,
+    bilateral_exp_sum_resummed,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,7 +194,7 @@ def _window_multiples(base: float, window: float) -> list[float]:
 
 
 class FlowModel:
-    """Base class; concrete models implement the orbit-data interface."""
+    """Base class: the model protocol (see the module notes)."""
 
     name = "abstract"
     infinite_spectrum = False
@@ -180,10 +208,45 @@ class FlowModel:
     def validate(self, g) -> ModelDiagnostics:
         raise NotImplementedError
 
+    def connection(self) -> complex:
+        return complex(self.alpha)
+
+    def tail_bound(self, g, sigma: complex, window: float) -> float:
+        if self.infinite_spectrum:
+            raise NotImplementedError(f"{self!r} has no orbit-sum tail bound")
+        return 0.0
+
+    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+        raise DomainError(f"no closed form registered for {self!r}")
+
+    def torsion(self, g) -> complex:
+        raise DomainError(f"no torsion value registered for {self!r}")
+
+    def torsion_oracle(self, g, n_terms: int) -> SeriesResult | None:
+        return None
+
+    def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        raise DomainError(f"no cutoff-period rule for model {self!r}")
+
+    def _unitary_connection(self) -> complex:
+        alpha = self.connection()
+        if abs(alpha.real) > 1e-12:
+            raise DomainError("torsion values require purely imaginary alpha")
+        return alpha
+
     def _require_in_spectrum(self, g, l: float) -> None:
         spectrum = self.length_spectrum(g, abs(l) + 1.0)
         if not any(abs(l - s) <= 1e-9 for s in spectrum):
             raise DomainError(f"l = {l} is not in the delocalised length spectrum")
+
+
+def _converged(res: SeriesResult) -> SeriesResult:
+    if not res.converged:
+        raise NonConvergentError(
+            f"the continuation did not converge (est_error {res.est_error:.3e})",
+            partial=res.value,
+        )
+    return res
 
 
 @dataclass(frozen=True)
@@ -193,40 +256,8 @@ class LineModel(FlowModel):
     alpha: complex = 0j
     name = "line"
 
-    def length_spectrum(self, g: float, window: float) -> list[float]:
-        if window <= 0:
-            raise DomainError("window must be positive")
-        g = float(g)
-        if g == 0.0:
-            return []
-        return [g] if abs(g) <= window else []
-
-    def orbit_contributions(self, g: float, l: float) -> list[OrbitContribution]:
-        self._require_in_spectrum(g, l)
-        hol = complex(np.exp(self.alpha * float(g)))
-        return [OrbitContribution(l=l, sign=1, holonomy=hol, period=1.0)]
-
-    def validate(self, g=None) -> ModelDiagnostics:
-        return ModelDiagnostics(
-            nondegenerate=True,
-            witness="transverse space is zero-dimensional",
-            alpha_in_lattice=alpha_in_two_pi_i_z(complex(self.alpha)),
-            continuation_available=True,
-            laplacian_kernel_nonzero=False,
-        )
-
-
-@dataclass(frozen=True)
-class IntegerLatticeModel(FlowModel):
-    """Translation flow on the line, acted on by the integer lattice."""
-
-    alpha: complex = 0j
-    name = "lattice"
-
-    def _check_g(self, g) -> int:
-        if float(g) != int(g):
-            raise DomainError(f"lattice group element must be an integer, got {g}")
-        return int(g)
+    def _check_g(self, g):
+        return float(g)
 
     def length_spectrum(self, g, window: float) -> list[float]:
         if window <= 0:
@@ -250,6 +281,36 @@ class IntegerLatticeModel(FlowModel):
             continuation_available=True,
             laplacian_kernel_nonzero=False,
         )
+
+    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+        g = float(self._check_g(g))
+        value = cmath.exp(complex(self.alpha) * g - abs(g) * sigma) / (2.0 * abs(g)) if g else 0j
+        return value, "closed", 0.0, 1
+
+    def torsion(self, g) -> complex:
+        alpha = self._unitary_connection()
+        g = float(self._check_g(g))
+        if g == 0:
+            return 0.0 + 0j
+        return cmath.exp(alpha * g) / (2.0 * abs(g))
+
+    def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        return _period_line(profile, quad, lattice=False)
+
+
+@dataclass(frozen=True)
+class IntegerLatticeModel(LineModel):
+    """Translation flow on the line, acted on by the integer lattice."""
+
+    name = "lattice"
+
+    def _check_g(self, g) -> int:
+        if float(g) != int(g):
+            raise DomainError(f"lattice group element must be an integer, got {g}")
+        return int(g)
+
+    def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        return _period_line(profile, quad, lattice=True)
 
 
 @dataclass(frozen=True)
@@ -297,13 +358,73 @@ class CircleModel(FlowModel):
             laplacian_kernel_nonzero=in_lattice,
         )
 
+    def tail_bound(self, r0, sigma: complex, window: float) -> float:
+        q = math.exp(abs(complex(self.alpha).real) - sigma.real)
+        if q >= 1.0:
+            return float("inf")
+        return 2.0 * q ** window / (window * (1.0 - q))
+
+    def log_closed(self, r0, sigma: complex) -> tuple[complex, str, float, int]:
+        r0 = self._check_class(r0)
+        alpha = complex(self.alpha)
+        if r0 == 0.0:
+            # -(1/2)[log(1 - e^{alpha-sigma}) + log(1 - e^{-alpha-sigma})], branch
+            # by continuity from sigma -> +oo (principal logs never cross the
+            # cut for imaginary alpha and Re(sigma) >= 0).
+            w1, w2 = cmath.exp(alpha - sigma), cmath.exp(-alpha - sigma)
+            if min(abs(w1 - 1.0), abs(w2 - 1.0)) < 1e-10:
+                raise SingularPointError(
+                    f"sigma = {sigma} is a singular point of the identity-class closed form"
+                )
+            value = 0.5 * (-cmath.log(1.0 - w1) - cmath.log(1.0 - w2))
+        elif abs(r0 - 0.5) < 1e-12 and sigma.real > abs(alpha.real):
+            # tanh form: each atanh term is half a half-integer exponential series.
+            value = 0.5 * (
+                atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0)
+            )
+        else:
+            if alpha_in_two_pi_i_z(alpha) and abs(sigma) < 1e-10:
+                raise SingularPointError(
+                    "sigma = 0 lies on the excluded lattice when alpha is in 2*pi*i*Z"
+                )
+            params = BilateralSumParams(r=r0, alpha=alpha)
+            res = _converged(bilateral_exp_sum_continued_result(params, sigma))
+            return 0.5 * res.value, "continuation", 0.5 * res.est_error, res.terms_used
+        return value, "closed", 1e-15 * max(1.0, abs(value)), 2
+
+    def torsion(self, r0) -> complex:
+        """Non-identity classes evaluate the continued bilateral sum at 0."""
+        alpha = self._unitary_connection()
+        if alpha_in_two_pi_i_z(alpha):
+            raise DomainError("torsion needs alpha outside 2*pi*i*Z for circle classes")
+        r0 = self._check_class(r0)
+        if r0 == 0.0:
+            # (-(2 sinh(alpha/2))^2)^{-1/2} in log space equals the
+            # identity-class closed form at sigma = 0.
+            square = -((2.0 * cmath.sinh(alpha / 2.0)) ** 2)
+            return -0.5 * cmath.log(square)
+        params = BilateralSumParams(r=r0, alpha=alpha, unitary=True)
+        return 0.5 * _converged(bilateral_exp_sum_continued_result(params, 0.0)).value
+
+    def torsion_oracle(self, r0, n_terms: int) -> SeriesResult | None:
+        """Delayed iterated averaging of the symmetric partial sums of the
+        defining bilateral series at 0 (non-identity classes only)."""
+        r0 = self._check_class(r0)
+        if r0 == 0.0:
+            return None
+        alpha = self.connection()
+        params = BilateralSumParams(r=r0, alpha=alpha, unitary=abs(alpha.real) <= 1e-14)
+        res = bilateral_exp_sum_resummed(params, 0.0, n_terms=n_terms)
+        return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
+
+    def period_numeric(self, r0, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        return _period_circle(profile, quad)
+
 
 def _invariant_lattice_2d(order: int, spacing: float = 1.0) -> np.ndarray:
     """Generators (as rows) of a 2D lattice invariant under rotation by
     2*pi/order; only the crystallographic orders admit one."""
-    if order in (1, 2):
-        basis = np.array([[1.0, 0.0], [0.0, 1.0]])
-    elif order == 4:
+    if order in (1, 2, 4):
         basis = np.array([[1.0, 0.0], [0.0, 1.0]])
     elif order in (3, 6):
         basis = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -449,33 +570,53 @@ class EuclideanLatticeModel(FlowModel):
         try:
             kdim, _ = axis_and_kernel(rm)
         except DomainError as exc:
-            return ModelDiagnostics(
-                nondegenerate=False,
-                witness=f"kernel classification failed: {exc}",
-                alpha_in_lattice=alpha_in_two_pi_i_z(complex(self.alpha_v0)),
-                continuation_available=True,
-                laplacian_kernel_nonzero=False,
-            )
-        eigvals = np.linalg.eigvals(rm)
-        gapv = sorted(abs(ev - 1.0) for ev in eigvals)[1] if kdim == 1 else 0.0
+            kdim, witness = None, f"kernel classification failed: {exc}"
+        else:
+            eigvals = np.linalg.eigvals(rm)
+            gapv = sorted(abs(ev - 1.0) for ev in eigvals)[1] if kdim == 1 else 0.0
+            witness = f"dim ker(r^m - I) = {kdim}; next eigenvalue gap {gapv:.3e}"
         return ModelDiagnostics(
             nondegenerate=(kdim == 1),
-            witness=f"dim ker(r^m - I) = {kdim}; next eigenvalue gap {gapv:.3e}",
-            alpha_in_lattice=alpha_in_two_pi_i_z(complex(self.alpha_v0)),
+            witness=witness,
+            alpha_in_lattice=alpha_in_two_pi_i_z(self.connection()),
             continuation_available=True,
             laplacian_kernel_nonzero=False,
         )
 
+    def connection(self) -> complex:
+        return complex(self.alpha_v0)
+
+    def _axial_length(self, g) -> float:
+        l = self.translation_length(g)
+        if l == 0:
+            raise DomainError("group element must translate along the axis")
+        return l
+
+    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+        l = self._axial_length(g)
+        value = (self.a / self.order) * cmath.exp(
+            -abs(l) * sigma + l * complex(self.alpha_v0)
+        ) / abs(l)
+        return value, "closed", 0.0, 1
+
+    def torsion(self, g) -> complex:
+        alpha = self._unitary_connection()
+        l = self._axial_length(g)
+        return (self.a / self.order) * cmath.exp(l * alpha) / abs(l)
+
+    def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        return _period_euclidean(self, g, profile, quad)
+
 
 @dataclass(frozen=True)
-class Sphere2Model(FlowModel):
-    """Geodesic flow on the frame bundle of the 2-sphere; the group element
-    is a rotation angle theta.  Connection: trivial (the only invariant
-    flat Hermitian one)."""
+class _SphereModel(FlowModel):
+    """Geodesic flow on a sphere frame bundle.  The group element is a tuple
+    of rotation angles; each angle theta contributes the orbit family
+    +-theta + 2*pi*Z with unit holonomy and period 2*pi.  Connection:
+    trivial (the only invariant flat Hermitian one)."""
 
-    name = "sphere2"
-    infinite_spectrum = True
     alpha: complex = 0j  # kept for a uniform surface; must stay 0
+    infinite_spectrum = True
 
     def __post_init__(self):
         if self.alpha != 0:
@@ -483,17 +624,61 @@ class Sphere2Model(FlowModel):
                 "sphere models admit only the trivial flat invariant connection"
             )
 
-    def length_spectrum(self, theta, window: float) -> list[float]:
+    def _families(self, g, window: float) -> tuple[list[float], ...]:
+        return tuple(
+            sorted(_window_multiples(t, window) + _window_multiples(-t, window))
+            for t in self._angles(g)
+        )
+
+    def length_spectrum(self, g, window: float) -> list[float]:
         if window <= 0:
             raise DomainError("window must be positive")
-        theta = float(theta)
-        vals = _window_multiples(theta, window) + _window_multiples(-theta, window)
-        return sorted(_dedupe(vals)[0])
+        return _dedupe(sum(self._families(g, window), []))[0]
 
-    def orbit_contributions(self, theta, l: float) -> list[OrbitContribution]:
-        theta = float(theta)
-        self._require_in_spectrum(theta, l)
-        return [OrbitContribution(l=l, sign=1, holonomy=1.0 + 0j, period=TWO_PI)]
+    def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
+        # One orbit per family through l; membership tolerance 1e-10.
+        out = [
+            OrbitContribution(l=l, sign=1, holonomy=1.0 + 0j, period=TWO_PI)
+            for fam in self._families(g, abs(l) + 1.0)
+            if any(abs(l - v) <= 1e-10 for v in fam)
+        ]
+        if not out:
+            raise DomainError(f"l = {l} is not in the delocalised length spectrum")
+        return out
+
+    def tail_bound(self, g, sigma: complex, window: float) -> float:
+        # Each family is two arithmetic progressions of gap 2*pi.
+        s = sigma.real
+        families = 2 * len(self._angles(g))
+        q = math.exp(-TWO_PI * s)
+        return 2.0 * families * TWO_PI * math.exp(-window * s) / (window * (1.0 - q))
+
+    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+        raise NotApplicableError(
+            "sphere models carry the trivial connection; the orbit sum has "
+            "no analytic continuation to Re(sigma) <= 0"
+        )
+
+    def torsion(self, g) -> complex:
+        raise NotApplicableError("torsion comparison undefined: Laplacian kernel is nonzero")
+
+    def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        # Compact group, constant cutoff: the period is the primitive period.
+        steps = max(8, round(TWO_PI / quad.step))
+        h = TWO_PI / steps
+        t = h * (np.arange(steps) + 0.5)
+        return float(np.sum(np.ones_like(t)) * h)
+
+
+@dataclass(frozen=True)
+class Sphere2Model(_SphereModel):
+    """Geodesic flow on the frame bundle of the 2-sphere; the group element
+    is a rotation angle theta."""
+
+    name = "sphere2"
+
+    def _angles(self, theta) -> tuple[float]:
+        return (float(theta),)
 
     def validate(self, theta=1.0) -> ModelDiagnostics:
         theta = float(theta)
@@ -515,49 +700,24 @@ class Sphere2Model(FlowModel):
 
 
 @dataclass(frozen=True)
-class Sphere3Model(FlowModel):
+class Sphere3Model(_SphereModel):
     """Geodesic flow on the frame bundle of the 3-sphere; the group element
     is a pair of rotation angles (theta1, theta2)."""
 
     name = "sphere3"
-    infinite_spectrum = True
-    alpha: complex = 0j
 
-    def __post_init__(self):
-        if self.alpha != 0:
-            raise DomainError(
-                "sphere models admit only the trivial flat invariant connection"
-            )
-
-    @staticmethod
-    def _angles(g) -> tuple[float, float]:
+    def _angles(self, g) -> tuple[float, float]:
         t1, t2 = g
         return float(t1), float(t2)
 
     def family_values(self, g, window: float) -> tuple[list[float], list[float]]:
-        t1, t2 = self._angles(g)
-        fam1 = _window_multiples(t1, window) + _window_multiples(-t1, window)
-        fam2 = _window_multiples(t2, window) + _window_multiples(-t2, window)
-        return sorted(fam1), sorted(fam2)
+        """The theta1 and theta2 families inside the window, each sorted."""
+        fam1, fam2 = super()._families(g, window)
+        return fam1, fam2
 
-    def length_spectrum(self, g, window: float) -> list[float]:
-        if window <= 0:
-            raise DomainError("window must be positive")
-        fam1, fam2 = self.family_values(g, window)
-        vals, _ = _dedupe(fam1 + fam2)
-        return sorted(vals)
-
-    def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
-        fam1, fam2 = self.family_values(g, abs(l) + 1.0)
-        out = []
-        for fam in (fam1, fam2):
-            if any(abs(l - v) <= 1e-10 for v in fam):
-                out.append(
-                    OrbitContribution(l=l, sign=1, holonomy=1.0 + 0j, period=TWO_PI)
-                )
-        if not out:
-            raise DomainError(f"l = {l} is not in the delocalised length spectrum")
-        return out
+    def _families(self, g, window: float) -> tuple[list[float], list[float]]:
+        # Every lookup of the shared sphere code goes through the public name.
+        return self.family_values(g, window)
 
     def validate(self, g=(1.0, math.sqrt(2.0))) -> ModelDiagnostics:
         t1, t2 = self._angles(g)
@@ -645,24 +805,7 @@ def chi_primitive_period_numeric(
     error.  Expected values: 1 for the line, lattice and circle, a/k for
     the Euclidean lattice model, 2*pi for the spheres.
     """
-    chi_profile = chi_profile or CutoffProfile()
-    quad = quad or QuadratureSpec()
-
-    if isinstance(model, LineModel):
-        return _period_line(chi_profile, quad, lattice=False)
-    if isinstance(model, IntegerLatticeModel):
-        return _period_line(chi_profile, quad, lattice=True)
-    if isinstance(model, CircleModel):
-        return _period_circle(chi_profile, quad)
-    if isinstance(model, EuclideanLatticeModel):
-        return _period_euclidean(model, g, chi_profile, quad)
-    if isinstance(model, (Sphere2Model, Sphere3Model)):
-        # Compact group, constant cutoff: the period is the primitive period.
-        steps = max(8, round(TWO_PI / quad.step))
-        h = TWO_PI / steps
-        t = h * (np.arange(steps) + 0.5)
-        return float(np.sum(np.ones_like(t)) * h)
-    raise DomainError(f"no cutoff-period rule for model {model!r}")
+    return model.period_numeric(g, chi_profile or CutoffProfile(), quad or QuadratureSpec())
 
 
 def _period_line(profile: CutoffProfile, quad: QuadratureSpec, lattice: bool) -> float:
@@ -721,7 +864,7 @@ def _period_euclidean(
     g = model._coerce(g)
     rm, _ = model.motion_matrix(g)
     v0 = model._axis()
-    if not _kernel_dim_one(rm):
+    if axis_and_kernel(rm)[0] != 1:
         raise DomainError("element rotation must have a one-dimensional kernel")
     # Basepoint of the closed-up geodesic: (I - r) w = w_prime.
     w = solve_transverse(AxisRotation(matrix=rm, axis=v0), model._w_prime(g))
@@ -784,11 +927,6 @@ def _period_euclidean(
 
     chi = (numer / denom).reshape(len(gamma_pts), len(s))
     return float(np.sum(chi * s_weights[None, :]))
-
-
-def _kernel_dim_one(m: np.ndarray) -> bool:
-    kdim, _ = axis_and_kernel(m)
-    return kdim == 1
 
 
 # ---------------------------------------------------------------------------

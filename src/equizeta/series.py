@@ -376,8 +376,8 @@ def bilateral_exp_sum_resummed(
     transient first half, and applies ``depth`` rounds of running (Cesaro)
     averages to the trailing window.  This is the independent oracle for
     boundary evaluations (z on the imaginary axis, notably the torsion sum
-    at z = 0); it is never the production path.  The error estimate is the
-    spread against the same procedure at half the term count.
+    at z = 0) and the second route of the circle Fried check.  The error
+    estimate is the spread against the same procedure at half the term count.
     """
     z = _as_complex(z)
     if z.real < 0:

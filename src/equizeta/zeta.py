@@ -17,32 +17,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    NonConvergentError,
-    NotApplicableError,
-    SingularPointError,
-)
+from .errors import DomainError, NonConvergentError
 from .models import (
     CircleModel,
-    EuclideanLatticeModel,
     FlowModel,
     IntegerLatticeModel,
     LineModel,
-    Sphere2Model,
-    Sphere3Model,
     validate_model,
 )
-from .series import (
-    BilateralSumParams,
-    SeriesResult,
-    alpha_in_two_pi_i_z,
-    atanh_of_exp,
-    bilateral_exp_sum_continued_result,
-    bilateral_exp_sum_resummed,
-)
-
-TWO_PI = 2.0 * math.pi
+from .series import SeriesResult
 
 
 @dataclass(frozen=True)
@@ -119,7 +102,7 @@ def pair_with_test_function(measure: AtomicMeasure, psi) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# log R: direct orbit sums
+# log R: direct orbit sums, closed forms and continuation
 # ---------------------------------------------------------------------------
 
 def _direct_window(model: FlowModel, sigma: complex, tol: float) -> float:
@@ -128,51 +111,33 @@ def _direct_window(model: FlowModel, sigma: complex, tol: float) -> float:
     return max(50.0, -math.log(min(tol, 1e-2)) + 10.0) / sigma.real
 
 
-def _direct_tail_bound(model: FlowModel, g, sigma: complex, window: float) -> float:
-    """Geometric bound on the orbit-sum tail beyond the window."""
-    s = sigma.real
-    if not model.infinite_spectrum:
-        return 0.0
-    if isinstance(model, CircleModel):
-        alpha_re = abs(complex(model.alpha).real)
-        q = math.exp(alpha_re - s)
-        if q >= 1.0:
-            return float("inf")
-        return 2.0 * q ** window / (window * (1.0 - q))
-    # Spheres: families are arithmetic progressions of gap 2*pi with unit
-    # holonomy and period 2*pi.
-    families = 2 if isinstance(model, Sphere2Model) else 4
-    q = math.exp(-TWO_PI * s)
-    return 2.0 * families * TWO_PI * math.exp(-window * s) / (window * (1.0 - q))
-
-
 def ruelle_log_direct(
     model: FlowModel, g, sigma, tol: float = 1e-12, window: float | None = None
 ) -> ZetaEvaluation:
     """log R(sigma) by direct summation over the length spectrum.
 
     Requires Re(sigma) > 0 for models with infinite spectrum.  The window
-    defaults to one making the geometric tail far below tol; pass an
-    explicit window to match a flat-trace measure truncation exactly.
+    defaults to one making the geometric tail far below tol (a finite
+    spectrum is summed whole); pass an explicit window to match a
+    flat-trace measure truncation exactly.
     """
     sigma = complex(sigma)
     if model.infinite_spectrum and sigma.real <= 0:
         raise DomainError("direct evaluation needs Re(sigma) > 0 for this model")
     if window is None:
         window = _direct_window(model, sigma, tol)
-    finite_window = window if math.isfinite(window) else 1.0 + abs_translation(model, g)
-    if model.infinite_spectrum and finite_window > 5e6:
+    if model.infinite_spectrum and window > 5e6:
         raise NonConvergentError(
-            f"window {finite_window:.3g} would exceed the term cap; "
+            f"window {window:.3g} would exceed the term cap; "
             "Re(sigma) is too small for direct summation"
         )
     total = 0.0 + 0j
     terms = 0
-    for l in model.length_spectrum(g, finite_window):
+    for l in model.length_spectrum(g, window):
         weight = sum(c.weight for c in model.orbit_contributions(g, l))
         total += weight * (cmath.exp(-sigma * abs(l)) / abs(l))
         terms += 1
-    tail = _direct_tail_bound(model, g, sigma, finite_window)
+    tail = model.tail_bound(g, sigma, window)
     return ZetaEvaluation(
         sigma=sigma,
         log_R=0.5 * total,
@@ -182,195 +147,55 @@ def ruelle_log_direct(
     )
 
 
-def abs_translation(model: FlowModel, g) -> float:
-    """Largest |l| in a finite spectrum, used to bound default windows."""
-    if isinstance(model, (LineModel, IntegerLatticeModel)):
-        return abs(float(g)) if float(g) != 0 else 0.0
-    if isinstance(model, EuclideanLatticeModel):
-        return abs(model.translation_length(g))
-    return 0.0
-
-
-# ---------------------------------------------------------------------------
-# log R: closed forms and continuation
-# ---------------------------------------------------------------------------
-
-def _line_log_closed(alpha: complex, g: float, sigma: complex) -> complex:
-    if g == 0:
-        return 0.0 + 0j
-    return cmath.exp(alpha * g - abs(g) * sigma) / (2.0 * abs(g))
-
-
-def _circle_identity_log_closed(alpha: complex, sigma: complex) -> complex:
-    # -(1/2)[log(1 - e^{alpha-sigma}) + log(1 - e^{-alpha-sigma})], branch by
-    # continuity from sigma -> +oo (principal logs never cross the cut for
-    # imaginary alpha and Re(sigma) >= 0).
-    for sign in (1.0, -1.0):
-        if abs(cmath.exp(sign * alpha - sigma) - 1.0) < 1e-10:
-            raise SingularPointError(
-                f"sigma = {sigma} is a singular point of the identity-class closed form"
-            )
-    return 0.5 * (
-        log_one_minus_unrestricted(cmath.exp(alpha - sigma))
-        + log_one_minus_unrestricted(cmath.exp(-alpha - sigma))
-    )
-
-
-def log_one_minus_unrestricted(z: complex) -> complex:
-    """-log(1-z) without the |z| <= 1 guard (closed forms may wander out)."""
-    if abs(z - 1.0) < 1e-14:
-        raise SingularPointError("log(1-z) diverges at z = 1")
-    return -cmath.log(1.0 - z)
-
-
-def _circle_half_log_closed(alpha: complex, sigma: complex) -> complex:
-    """Closed tanh-type form for the class r0 = 1/2.
-
-    log R = atanh(e^{(alpha-sigma)/2}) + atanh(e^{(-alpha-sigma)/2}); each
-    term is half the corresponding half-integer exponential series, so this
-    needs Re(sigma) > |Re(alpha)|.
-    """
-    if not (sigma.real > abs(alpha.real)):
-        raise DomainError("tanh closed form needs Re(sigma) > |Re(alpha)|")
-    return 0.5 * (
-        atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0)
-    )
-
-
 def ruelle_log_closed(model: FlowModel, g, sigma) -> ZetaEvaluation:
-    """log R(sigma) by closed form or hypergeometric continuation.
+    """log R(sigma) by the model's closed form or continuation.
 
-    Line/lattice and Euclidean models have entire closed forms; circle
-    classes continue through the bilateral-sum engine (the class r0 = 1/2
-    additionally has a tanh form, used when Re(sigma) > 0); spheres have no
-    continuation (trivial connection) and raise NotApplicableError.
+    Spheres have none (trivial connection) and raise NotApplicableError.
     """
     sigma = complex(sigma)
-    if isinstance(model, (LineModel, IntegerLatticeModel)):
-        if isinstance(model, IntegerLatticeModel):
-            g = model._check_g(g)
-        return ZetaEvaluation(
-            sigma=sigma,
-            log_R=_line_log_closed(complex(model.alpha), float(g), sigma),
-            method="closed",
-            est_error=0.0,
-            terms=1,
-        )
-    if isinstance(model, EuclideanLatticeModel):
-        l = model.translation_length(g)
-        if l == 0:
-            raise DomainError("group element must translate along the axis")
-        value = (model.a / model.order) * cmath.exp(
-            -abs(l) * sigma + l * complex(model.alpha_v0)
-        ) / abs(l)
-        return ZetaEvaluation(sigma=sigma, log_R=value, method="closed", est_error=0.0, terms=1)
-    if isinstance(model, CircleModel):
-        r0 = CircleModel._check_class(g)
-        alpha = complex(model.alpha)
-        if r0 == 0.0:
-            value = _circle_identity_log_closed(alpha, sigma)
-            return ZetaEvaluation(
-                sigma=sigma, log_R=value, method="closed",
-                est_error=1e-15 * max(1.0, abs(value)), terms=2,
-            )
-        if abs(r0 - 0.5) < 1e-12 and sigma.real > abs(alpha.real):
-            value = _circle_half_log_closed(alpha, sigma)
-            return ZetaEvaluation(
-                sigma=sigma, log_R=value, method="closed",
-                est_error=1e-15 * max(1.0, abs(value)), terms=2,
-            )
-        if alpha_in_two_pi_i_z(alpha) and abs(sigma) < 1e-10:
-            raise SingularPointError(
-                "sigma = 0 lies on the excluded lattice when alpha is in 2*pi*i*Z"
-            )
-        params = BilateralSumParams(r=r0, alpha=alpha)
-        res = bilateral_exp_sum_continued_result(params, sigma)
-        return ZetaEvaluation(
-            sigma=sigma, log_R=0.5 * res.value, method="continuation",
-            est_error=0.5 * res.est_error, terms=res.terms_used,
-        )
-    if isinstance(model, (Sphere2Model, Sphere3Model)):
-        raise NotApplicableError(
-            "sphere models carry the trivial connection; the orbit sum has "
-            "no analytic continuation to Re(sigma) <= 0"
-        )
-    raise DomainError(f"no closed form registered for {model!r}")
+    log_R, method, est_error, terms = model.log_closed(g, sigma)
+    return ZetaEvaluation(
+        sigma=sigma, log_R=log_R, method=method, est_error=est_error, terms=terms
+    )
 
 
 # ---------------------------------------------------------------------------
 # Torsion and the Fried comparison
 # ---------------------------------------------------------------------------
 
+_ORACLE_TERMS = 10**6
+
+
 def torsion_log(model: FlowModel, g) -> complex:
     """log of the equivariant analytic torsion, from its closed forms.
 
-    Circle non-identity classes evaluate the continued bilateral sum at 0;
-    an independent resummation of the same conditionally convergent sum is
-    available via :func:`torsion_log_resummed` and is what the Fried check
-    compares against.  Spheres have a nonzero twisted-Laplacian kernel and
-    raise NotApplicableError.
+    Spheres have a nonzero twisted-Laplacian kernel and raise
+    NotApplicableError.
     """
-    if isinstance(model, (Sphere2Model, Sphere3Model)):
-        raise NotApplicableError("torsion comparison undefined: Laplacian kernel is nonzero")
-    alpha = _model_alpha(model)
-    if abs(alpha.real) > 1e-12:
-        raise DomainError("torsion values require purely imaginary alpha")
-    if isinstance(model, (LineModel, IntegerLatticeModel)):
-        g = float(g)
-        if g == 0:
-            return 0.0 + 0j
-        return cmath.exp(alpha * g) / (2.0 * abs(g))
-    if isinstance(model, EuclideanLatticeModel):
-        l = model.translation_length(g)
-        if l == 0:
-            raise DomainError("group element must translate along the axis")
-        return (model.a / model.order) * cmath.exp(l * alpha) / abs(l)
-    if isinstance(model, CircleModel):
-        if alpha_in_two_pi_i_z(alpha):
-            raise DomainError("torsion needs alpha outside 2*pi*i*Z for circle classes")
-        r0 = CircleModel._check_class(g)
-        if r0 == 0.0:
-            # (-(2 sinh(alpha/2))^2)^{-1/2} in log space equals the
-            # identity-class closed form at sigma = 0.
-            square = -((2.0 * cmath.sinh(alpha / 2.0)) ** 2)
-            return -0.5 * cmath.log(square)
-        params = BilateralSumParams(r=r0, alpha=alpha, unitary=True)
-        return 0.5 * bilateral_exp_sum_continued_result(params, 0.0).value
-    raise DomainError(f"no torsion value registered for {model!r}")
+    return model.torsion(g)
 
 
-def torsion_log_resummed(model: FlowModel, g, n_terms: int = 10**6) -> SeriesResult:
+def torsion_log_resummed(model: FlowModel, g, n_terms: int = _ORACLE_TERMS) -> SeriesResult:
     """Independent torsion evaluation for circle non-identity classes.
 
     Delayed iterated averaging of the symmetric partial sums of the
     defining bilateral series at 0; the oracle side of the two-route Fried
     consistency check.
     """
-    if not isinstance(model, CircleModel):
+    res = model.torsion_oracle(g, n_terms)
+    if res is None:
         raise DomainError("resummed torsion applies to circle non-identity classes")
-    r0 = CircleModel._check_class(g)
-    if r0 == 0.0:
-        raise DomainError("resummed torsion applies to non-identity classes")
-    alpha = _model_alpha(model)
-    params = BilateralSumParams(r=r0, alpha=alpha, unitary=abs(alpha.real) <= 1e-14)
-    res = bilateral_exp_sum_resummed(params, 0.0, n_terms=n_terms)
-    return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
-
-
-def _model_alpha(model: FlowModel) -> complex:
-    if isinstance(model, EuclideanLatticeModel):
-        return complex(model.alpha_v0)
-    return complex(model.alpha)
+    return res
 
 
 def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
     """log R(0) - log T with an applicability verdict.
 
     Applicable iff the twisted Laplacian has trivial kernel and the zeta
-    function continues to 0.  For circle non-identity classes the two sides
-    follow genuinely different routes (hypergeometric continuation vs
-    delayed-average resummation), so the residual is a real consistency
-    check rather than an algebraic identity.
+    function continues to 0.  Where the model has a second torsion route
+    (circle non-identity classes: continuation vs delayed-average
+    resummation) the residual is a real consistency check rather than an
+    algebraic identity; elsewhere it compares closed forms.
     """
     diag = validate_model(model, g)
     if diag.laplacian_kernel_nonzero or not diag.continuation_available:
@@ -384,11 +209,10 @@ def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
             applicable=False, reason="; ".join(reasons),
         )
     r_eval = ruelle_log_closed(model, g, 0.0)
-    two_route = isinstance(model, CircleModel) and CircleModel._check_class(g) != 0.0
-    if two_route:
-        t_res = torsion_log_resummed(model, g)
-        log_t = t_res.value
-        est = r_eval.est_error + t_res.est_error
+    oracle = model.torsion_oracle(g, _ORACLE_TERMS)
+    if oracle is not None:
+        log_t = oracle.value
+        est = r_eval.est_error + oracle.est_error
         reason = (
             "two-route check: continuation at sigma=0 against delayed-average "
             "resummation of the torsion series"
@@ -424,16 +248,15 @@ def product_decomposition_check(alpha, sigma, n_max: int):
         raise DomainError("the product decomposition needs Re(sigma) > 0")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
+    line = LineModel(alpha=alpha)
     terms = []
     for g in range(1, n_max + 1):
-        terms.append(2.0 * _line_log_closed(alpha, float(g), sigma))
-        terms.append(2.0 * _line_log_closed(alpha, float(-g), sigma))
+        terms.append(2.0 * line.log_closed(float(g), sigma)[0])
+        terms.append(2.0 * line.log_closed(float(-g), sigma)[0])
     lhs_re = math.fsum(t.real for t in terms)
     lhs_im = math.fsum(t.imag for t in terms)
     lhs = complex(lhs_re, lhs_im)
-    rhs = complex(
-        2.0 * _circle_identity_log_closed(alpha, sigma).real, 0.0
-    )
+    rhs = complex(2.0 * CircleModel(alpha=alpha).log_closed(0.0, sigma)[0].real, 0.0)
     return lhs, rhs, abs(lhs - rhs)
 
 

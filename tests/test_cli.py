@@ -120,6 +120,20 @@ class TestEval:
         assert code == 0
         assert "logR=" in out and "est_error=" in out
 
+    @pytest.mark.parametrize("sigma", ["-1+2i", "-1i", "-1e-3", "-3", "-.5"])
+    def test_negative_sigma_as_separate_token(self, capsys, sigma):
+        argv = ["eval", "--model", "circle", "--params", "r0=0.25,alpha=0.5i"]
+        code, out = run_cli(capsys, *argv, "--sigma", sigma)
+        assert code == 0
+        row = json.loads(out)
+        assert complex(row["sigma_re"], row["sigma_im"]) == parse_complex(sigma)
+        assert run_cli(capsys, *argv, f"--sigma={sigma}") == (code, out)
+
+    def test_missing_sigma_value_still_rejected(self, capsys):
+        code, out = run_cli(capsys, "eval", "--model", "line", "--params", "g=2", "--sigma")
+        assert code == 1
+        assert json.loads(out)["error"] == "ConfigError"
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "model.cfg"
         cfg.write_text("g=2\nalpha=0+1i\n")
@@ -165,6 +179,15 @@ class TestSweep:
                 for n in range(200)
             )
             assert abs(log_re - 0.5 * series) < 1e-12
+
+    def test_negative_complex_range_as_separate_tokens(self, capsys):
+        argv = ["sweep", "--model", "line", "--params", "g=2,alpha=1i", "--steps", "3"]
+        code, out = run_cli(capsys, *argv, "--sigma-start", "-0.5-2i", "--sigma-end", "-1e-3")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 3 and rows[0].startswith("-0.5,-2.0,")
+        same = run_cli(capsys, *argv, "--sigma-start=-0.5-2i", "--sigma-end=-1e-3")
+        assert same == (code, out)
 
     def test_trivial_element_rows(self, capsys):
         code, out = run_cli(

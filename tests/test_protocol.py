@@ -1,0 +1,108 @@
+"""The model protocol: a geometry defined outside the package, and the
+continuation's convergence flag reaching the caller."""
+
+import cmath
+import json
+from dataclasses import dataclass
+
+import pytest
+
+import equizeta.models as models
+from equizeta import (
+    CircleModel,
+    DomainError,
+    FlowModel,
+    ModelDiagnostics,
+    NonConvergentError,
+    OrbitContribution,
+    SeriesResult,
+    chi_primitive_period_numeric,
+    flat_trace_measure,
+    fried_residual,
+    pair_with_test_function,
+    ruelle_log_closed,
+    ruelle_log_direct,
+    torsion_log,
+    torsion_log_resummed,
+)
+from equizeta.cli import main
+
+
+@dataclass(frozen=True)
+class ProbeModel(FlowModel):
+    """Finite spectrum {-3, 3} with holonomy e^{alpha*l}; only the orbit
+    data and diagnostics are implemented, everything else is inherited."""
+
+    alpha: complex = 0.1 + 0.5j
+    name = "probe"
+
+    def length_spectrum(self, g, window):
+        return [l for l in (-3.0, 3.0) if abs(l) <= window]
+
+    def orbit_contributions(self, g, l):
+        return [OrbitContribution(l=l, sign=1, holonomy=cmath.exp(self.alpha * l), period=1.0)]
+
+    def validate(self, g=None):
+        return ModelDiagnostics(
+            nondegenerate=True,
+            witness="probe",
+            alpha_in_lattice=False,
+            continuation_available=True,
+            laplacian_kernel_nonzero=False,
+        )
+
+
+class TestProbeModel:
+    def test_direct_sums_the_whole_finite_spectrum(self):
+        model = ProbeModel()
+        sigma = 0.5
+        ev = ruelle_log_direct(model, None, sigma)
+        # 2 log R = sum over l = +-3 of e^{alpha l} e^{-3 sigma} / 3
+        want = cmath.exp(-3.0 * sigma) * cmath.cosh(3.0 * model.alpha) / 3.0
+        assert ev.terms == 2
+        assert abs(ev.log_R - want) < 1e-15
+        assert ev.est_error <= 1e-15
+
+    def test_flat_trace_pairing_identity(self):
+        model = ProbeModel()
+        sigma = 0.7 + 0.3j
+        measure = flat_trace_measure(model, None, 10.0)
+        assert [l for l, _ in measure.atoms] == [-3.0, 3.0]
+        paired = pair_with_test_function(
+            measure, lambda t: cmath.exp(-sigma * abs(t)) / abs(t)
+        )
+        assert paired == -2.0 * ruelle_log_direct(model, None, sigma, window=10.0).log_R
+
+    def test_base_protocol_errors(self):
+        model = ProbeModel()
+        with pytest.raises(DomainError, match="no closed form registered"):
+            ruelle_log_closed(model, None, 1.0)
+        with pytest.raises(DomainError, match="no closed form registered"):
+            fried_residual(model, None)
+        with pytest.raises(DomainError, match="no torsion value registered"):
+            torsion_log(model, None)
+        with pytest.raises(DomainError, match="resummed torsion"):
+            torsion_log_resummed(model, None)
+        with pytest.raises(DomainError, match="no cutoff-period rule"):
+            chi_primitive_period_numeric(model, None)
+
+
+class TestContinuationConvergenceFlag:
+    @pytest.fixture
+    def unconverged(self, monkeypatch):
+        def fake(params, z, tol=1e-14):
+            return SeriesResult(1.0 + 0j, 7, 1e-3, False)
+
+        monkeypatch.setattr(models, "bilateral_exp_sum_continued_result", fake)
+
+    def test_library_raises(self, unconverged):
+        model = CircleModel(alpha=1j)
+        with pytest.raises(NonConvergentError):
+            ruelle_log_closed(model, 0.25, 0.0)
+        with pytest.raises(NonConvergentError):
+            torsion_log(model, 0.25)
+
+    def test_cli_exit_code(self, unconverged, capsys):
+        code = main(["eval", "--model", "circle", "--params", "r0=0.25,alpha=1i", "--sigma", "0"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "NonConvergentError"
