@@ -21,6 +21,10 @@ through these FlowModel methods (base default in brackets).  A new geometry
 subclasses FlowModel and implements them.
   * length_spectrum(g, window), orbit_contributions(g, l), validate(g):
     orbit data and diagnostics [NotImplementedError]; infinite_spectrum [False]
+  * orbit_data(g, window): the spectrum inside the window as a float array and,
+    per length, the summed sign * holonomy * period as a complex array; the
+    direct sum and the flat trace read only this [built from length_spectrum
+    and orbit_contributions, one call per length]
   * connection(): connection parameter along the flow [complex(self.alpha)]
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
     [0 for a finite spectrum, summed whole; NotImplementedError otherwise]
@@ -65,6 +69,7 @@ from .series import (
 )
 
 TWO_PI = 2.0 * math.pi
+_FAMILY_TOL = 1e-10  # a sphere length belongs to a family within this distance
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,16 @@ def _rational_proxy(ratio: float, max_q: int = 10**4, tol: float = 1e-12):
     return ok, f"|{ratio:.12g} - {frac.numerator}/{frac.denominator}| = {err:.3e}"
 
 
+def _near(values: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """Per point: does some value of the sorted array lie within tol of it?"""
+    if len(values) == 0:
+        return np.zeros(len(points), dtype=bool)
+    i = np.searchsorted(values, points)
+    below = values[np.maximum(i - 1, 0)]
+    above = values[np.minimum(i, len(values) - 1)]
+    return (np.abs(points - below) <= tol) | (np.abs(points - above) <= tol)
+
+
 def _window_multiples(base: float, window: float) -> list[float]:
     """All values base + 2*pi*n with 0 < |value| <= window."""
     out = []
@@ -204,6 +219,11 @@ class FlowModel:
 
     def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
         raise NotImplementedError
+
+    def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+        lengths = self.length_spectrum(g, window)
+        weights = [sum(c.weight for c in self.orbit_contributions(g, l)) for l in lengths]
+        return np.array(lengths, dtype=float), np.array(weights, dtype=complex)
 
     def validate(self, g) -> ModelDiagnostics:
         raise NotImplementedError
@@ -347,6 +367,15 @@ class CircleModel(FlowModel):
         # l = n + r0 (or n itself for the identity class): holonomy e^{alpha*l}.
         hol = complex(np.exp(self.alpha * l))
         return [OrbitContribution(l=l, sign=1, holonomy=hol, period=1.0)]
+
+    def orbit_data(self, r0, window: float) -> tuple[np.ndarray, np.ndarray]:
+        lengths = np.array(self.length_spectrum(r0, window), dtype=float)
+        holonomy = np.exp(self.alpha * lengths).astype(complex)
+        # sum(c.weight for c in orbit_contributions(r0, l)) = 0 + 1 * hol * 1.0,
+        # with Python's complex operations in Python's order: the same floats,
+        # an overflowed holonomy's nan included (Python makes it silently).
+        with np.errstate(invalid="ignore"):
+            return lengths, 0 + 1 * holonomy * 1.0
 
     def validate(self, r0=0.0) -> ModelDiagnostics:
         in_lattice = alpha_in_two_pi_i_z(complex(self.alpha))
@@ -636,15 +665,32 @@ class _SphereModel(FlowModel):
         return _dedupe(sum(self._families(g, window), []))[0]
 
     def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
-        # One orbit per family through l; membership tolerance 1e-10.
+        # One orbit per family through l; membership tolerance _FAMILY_TOL.
         out = [
             OrbitContribution(l=l, sign=1, holonomy=1.0 + 0j, period=TWO_PI)
             for fam in self._families(g, abs(l) + 1.0)
-            if any(abs(l - v) <= 1e-10 for v in fam)
+            if any(abs(l - v) <= _FAMILY_TOL for v in fam)
         ]
         if not out:
             raise DomainError(f"l = {l} is not in the delocalised length spectrum")
         return out
+
+    def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+        if window <= 0:
+            raise DomainError("window must be positive")
+        # Families built once, a tolerance past the window: a family value
+        # just outside it still merges with a length just inside, as in
+        # orbit_contributions.  Cut to the window they give length_spectrum.
+        fams = [np.array(fam) for fam in self._families(g, window + _FAMILY_TOL)]
+        lengths = np.array(
+            _dedupe([v for fam in fams for v in fam.tolist() if abs(v) <= window])[0]
+        )
+        # orbit_contributions' weights (1 * (1 + 0j) * 2*pi per family through
+        # l), summed from 0 in family order.
+        weights = np.zeros(len(lengths), dtype=complex)
+        for fam in fams:
+            weights[_near(fam, lengths, _FAMILY_TOL)] += 1 * (1.0 + 0j) * TWO_PI
+        return lengths, weights
 
     def tail_bound(self, g, sigma: complex, window: float) -> float:
         # Each family is two arithmetic progressions of gap 2*pi.

@@ -86,11 +86,9 @@ def flat_trace_measure(model: FlowModel, g, window: float) -> AtomicMeasure:
     diag = validate_model(model, g)
     if not diag.nondegenerate:
         raise DomainError(f"model is degenerate at this element: {diag.witness}")
-    atoms = []
-    for l in model.length_spectrum(g, window):
-        coeff = -sum(c.weight for c in model.orbit_contributions(g, l))
-        atoms.append((l, complex(coeff)))
-    return AtomicMeasure(atoms=tuple(atoms), window=window)
+    lengths, weights = model.orbit_data(g, window)
+    atoms = tuple(zip(lengths.tolist(), [-w for w in weights.tolist()]))
+    return AtomicMeasure(atoms=atoms, window=window)
 
 
 def pair_with_test_function(measure: AtomicMeasure, psi) -> complex:
@@ -131,12 +129,13 @@ def ruelle_log_direct(
             f"window {window:.3g} would exceed the term cap; "
             "Re(sigma) is too small for direct summation"
         )
+    lengths, weights = model.orbit_data(g, window)
+    # Summed in spectrum order, term by term: pairing flat_trace_measure with
+    # psi_sigma repeats these operations, and matches -2 log R bit for bit.
     total = 0.0 + 0j
-    terms = 0
-    for l in model.length_spectrum(g, window):
-        weight = sum(c.weight for c in model.orbit_contributions(g, l))
+    for l, weight in zip(lengths.tolist(), weights.tolist()):
         total += weight * (cmath.exp(-sigma * abs(l)) / abs(l))
-        terms += 1
+    terms = len(lengths)
     tail = model.tail_bound(g, sigma, window)
     return ZetaEvaluation(
         sigma=sigma,
@@ -154,8 +153,11 @@ def ruelle_log_closed(model: FlowModel, g, sigma) -> ZetaEvaluation:
     """
     sigma = complex(sigma)
     log_R, method, est_error, terms = model.log_closed(g, sigma)
+    # The 2F1 routes may hand back numpy scalars; the CSV and plain formats
+    # print repr, which must read as a Python number.
     return ZetaEvaluation(
-        sigma=sigma, log_R=log_R, method=method, est_error=est_error, terms=terms
+        sigma=sigma, log_R=complex(log_R), method=method,
+        est_error=float(est_error), terms=terms,
     )
 
 

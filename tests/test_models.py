@@ -143,6 +143,51 @@ class TestOrbitContributions:
                 assert all(c.sign == 1 for c in orbit_contributions(model, g, l))
 
 
+# The theta1 family meets the theta2 family at 1 + 2*pi, one ulp apart: the
+# theta2 value lies just outside a window ending at the theta1 value.
+EDGE_THETA2 = math.nextafter(1.0 + TWO_PI, math.inf)
+
+
+class TestOrbitData:
+    """orbit_data is the array form of length_spectrum and orbit_contributions."""
+
+    @pytest.mark.parametrize(
+        "model, g, window",
+        [
+            (LineModel(alpha=0.3 + 1j), -2.5, 10.0),
+            (IntegerLatticeModel(alpha=-0.2 + 2j), 3, 10.0),
+            (CircleModel(alpha=0.3 + 2j), 0.25, 40.0),
+            (CircleModel(alpha=1j), 0.0, 40.0),
+            (CircleModel(alpha=-0.7), 0.5, 40.0),
+            (euclid_model(0.2 + 0.5j), EuclideanElement(l0=2), 10.0),
+            (Sphere2Model(), 1.0, 60.0),
+            (Sphere2Model(), math.pi, 60.0),  # +theta and -theta families meet
+            (Sphere3Model(), (1.0, math.sqrt(2.0)), 60.0),
+            (Sphere3Model(), (1.0, 1.0 + TWO_PI), 60.0),  # the families collide
+            (Sphere3Model(), (1.0, EDGE_THETA2), 1.0 + TWO_PI),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_matches_the_per_length_view(self, model, g, window):
+        lengths, weights = model.orbit_data(g, window)
+        assert lengths.tolist() == length_spectrum(model, g, window)
+        assert len(weights) == len(lengths)
+        for l, w in zip(lengths.tolist(), weights.tolist()):
+            assert w == sum(c.weight for c in orbit_contributions(model, g, l))
+
+    def test_sphere3_collisions_merge(self):
+        _, weights = Sphere3Model().orbit_data((1.0, 1.0 + TWO_PI), 60.0)
+        assert weights.tolist() == [2.0 * TWO_PI + 0j] * len(weights)
+        lengths, weights = Sphere3Model().orbit_data((1.0, EDGE_THETA2), 1.0 + TWO_PI)
+        assert lengths[-1] == 1.0 + TWO_PI and weights[-1] == 2.0 * TWO_PI
+
+    def test_empty_window_and_bad_window(self):
+        lengths, weights = CircleModel().orbit_data(0.25, 0.1)
+        assert lengths.size == 0 and weights.size == 0
+        with pytest.raises(DomainError):
+            Sphere2Model().orbit_data(1.0, 0.0)
+
+
 class TestChiPeriods:
     def test_line_gaussian(self):
         val = chi_primitive_period_numeric(

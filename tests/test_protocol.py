@@ -73,6 +73,16 @@ class TestProbeModel:
         )
         assert paired == -2.0 * ruelle_log_direct(model, None, sigma, window=10.0).log_R
 
+    def test_orbit_data_base_default(self):
+        model = ProbeModel()
+        lengths, weights = model.orbit_data(None, 10.0)
+        assert lengths.tolist() == model.length_spectrum(None, 10.0)
+        assert weights.tolist() == [
+            sum(c.weight for c in model.orbit_contributions(None, l)) for l in (-3.0, 3.0)
+        ]
+        lengths, weights = model.orbit_data(None, 1.0)
+        assert lengths.size == 0 and weights.size == 0
+
     def test_base_protocol_errors(self):
         model = ProbeModel()
         with pytest.raises(DomainError, match="no closed form registered"):

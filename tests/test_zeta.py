@@ -120,6 +120,49 @@ class TestDirect:
         assert abs(ev.log_R - math.exp(2.0) / 3.0) < 1e-12
 
 
+class TestLinearWork:
+    """The direct sum and the flat trace read the orbit data once: the number
+    of spectrum and family builds does not grow with the window."""
+
+    COUNTED = ("length_spectrum", "orbit_contributions", "_families", "family_values")
+
+    def calls(self, monkeypatch, model, run):
+        counts = {}
+        cls = type(model)
+        for name in self.COUNTED:
+            if not hasattr(cls, name):
+                continue
+
+            def counting(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+        run()
+        monkeypatch.undo()
+        return counts
+
+    @pytest.mark.parametrize(
+        "model, g",
+        [
+            (CircleModel(alpha=0.3 + 1j), 0.25),
+            (Sphere2Model(), 1.0),
+            (Sphere3Model(), (1.0, math.sqrt(2.0))),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_spectrum_builds_do_not_grow_with_the_window(self, monkeypatch, model, g):
+        for run in (
+            lambda w: ruelle_log_direct(model, g, 0.5, window=w),
+            lambda w: flat_trace_measure(model, g, w),
+        ):
+            small = self.calls(monkeypatch, model, lambda: run(50.0))
+            large = self.calls(monkeypatch, model, lambda: run(500.0))
+            assert small == large
+            assert sum(large.values()) <= 4
+            assert "orbit_contributions" not in large
+
+
 class TestClosed:
     def test_euclid_at_zero(self):
         ev = ruelle_log_closed(euclid_model(), EuclideanElement(l0=1), 0.0)
