@@ -4,10 +4,10 @@ Each model packages one equivariant flow: the translation flow on the line
 (acted on by R or by Z), the rotation flow on the circle, the geodesic flow
 on Euclidean space acted on by a crystallographic motion group, and the
 geodesic flows on the 2- and 3-sphere frame bundles.  A model produces, for
-a group element g and a window L, the delocalised length spectrum (the
-times at which some orbit closes up to g) and per-length orbit data: the
-sign of det(1-P), the holonomy trace, and the cutoff-primitive period with
-the coset integral over conjugators already folded in.
+a group element g and a window L, its closed-orbit families: the times at
+which some orbit closes up to g, with the holonomy trace of each.  The sign
+of det(1-P) is +1 throughout, and the cutoff-primitive period (the coset
+integral over conjugators folded in) is one number per model.
 
 Normalization conventions folded into the stored periods:
   * line/lattice/circle: period 1 (the cutoff integrates to 1);
@@ -17,14 +17,13 @@ Normalization conventions folded into the stored periods:
     unit volume, which makes log R(sigma) carry the overall factor pi.
 
 The model protocol: ``zeta`` asks a model everything geometry-specific
-through these FlowModel methods (base default in brackets).  A new geometry
+through these FlowModel members (base default in brackets).  A new geometry
 subclasses FlowModel and implements them.
-  * length_spectrum(g, window), orbit_contributions(g, l), validate(g):
-    orbit data and diagnostics [NotImplementedError]; infinite_spectrum [False]
-  * orbit_data(g, window): the spectrum inside the window as a float array and,
-    per length, the summed sign * holonomy * period as a complex array; the
-    direct sum and the flat trace read only this [built from length_spectrum
-    and orbit_contributions, one call per length]
+  * orbits(g, window): the closed-orbit families with 0 < |l| <= window, one
+    entry each, in any order, as (lengths, holonomy traces); every sign of
+    det(1-P) is +1 [NotImplementedError]
+  * period: the folded cutoff-primitive period of every orbit [1.0]
+  * validate(g): diagnostics [NotImplementedError]; infinite_spectrum [False]
   * connection(): connection parameter along the flow [complex(self.alpha)]
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
     [0 for a finite spectrum, summed whole; NotImplementedError otherwise]
@@ -34,6 +33,10 @@ subclasses FlowModel and implements them.
   * torsion_oracle(g, n_terms): the torsion by an independent second route,
     a SeriesResult, or None where there is none [None]
   * period_numeric(g, profile, quad): cutoff-primitive period [DomainError]
+FlowModel alone derives three views from orbits: orbit_data(g, window) (the
+spectrum as a float array and the summed sign * holonomy * period per length;
+the direct sum and the flat trace read only this), length_spectrum(g, window)
+and orbit_contributions(g, l).
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .series import (
 )
 
 TWO_PI = 2.0 * math.pi
-_FAMILY_TOL = 1e-10  # a sphere length belongs to a family within this distance
+_FAMILY_TOL = 1e-10  # orbits closer than this are one atom of the spectrum
 
 
 @dataclass(frozen=True)
@@ -186,26 +189,31 @@ def _rational_proxy(ratio: float, max_q: int = 10**4, tol: float = 1e-12):
     return ok, f"|{ratio:.12g} - {frac.numerator}/{frac.denominator}| = {err:.3e}"
 
 
-def _near(values: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
-    """Per point: does some value of the sorted array lie within tol of it?"""
-    if len(values) == 0:
-        return np.zeros(len(points), dtype=bool)
-    i = np.searchsorted(values, points)
-    below = values[np.maximum(i - 1, 0)]
-    above = values[np.minimum(i, len(values) - 1)]
-    return (np.abs(points - below) <= tol) | (np.abs(points - above) <= tol)
+def _angle_family(theta: float, window: float) -> np.ndarray:
+    """All values +-theta + 2*pi*n with 1e-12 < |value| <= window, sorted."""
+    n = np.arange(
+        math.floor((-window - theta) / TWO_PI) - 1, math.ceil((window - theta) / TWO_PI) + 2
+    )
+    vals = theta + TWO_PI * n
+    vals = vals[(np.abs(vals) > 1e-12) & (np.abs(vals) <= window)]
+    # -theta + 2*pi*(-n) is exactly -(theta + 2*pi*n): rounding is symmetric.
+    return np.sort(np.concatenate([vals, -vals]))
 
 
-def _window_multiples(base: float, window: float) -> list[float]:
-    """All values base + 2*pi*n with 0 < |value| <= window."""
-    out = []
-    n_min = math.floor((-window - base) / TWO_PI) - 1
-    n_max = math.ceil((window - base) / TWO_PI) + 1
-    for n in range(n_min, n_max + 1):
-        val = base + TWO_PI * n
-        if 0 < abs(val) <= window and abs(val) > 1e-12:
-            out.append(val)
-    return out
+def _merge(lengths: list, weights: list, inside: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted orbits closer than _FAMILY_TOL to the first in-window length of
+    their cluster become one atom there, weights summed in row order; a
+    cluster with no length inside the window is dropped."""
+    clusters = []  # [anchor, first in-window length, summed weight]
+    for l, w, ok in zip(lengths, weights, inside):
+        if not clusters or l - clusters[-1][0] > _FAMILY_TOL:
+            clusters.append([l, None, 0])
+        cluster = clusters[-1]
+        cluster[2] += w
+        if ok and cluster[1] is None:
+            cluster[0] = cluster[1] = l
+    kept = [c for c in clusters if c[1] is not None]
+    return np.array([c[1] for c in kept], dtype=float), np.array([c[2] for c in kept], dtype=complex)
 
 
 class FlowModel:
@@ -213,17 +221,42 @@ class FlowModel:
 
     name = "abstract"
     infinite_spectrum = False
+    period = 1.0
 
-    def length_spectrum(self, g, window: float) -> list[float]:
-        raise NotImplementedError
-
-    def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
+    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        lengths = self.length_spectrum(g, window)
-        weights = [sum(c.weight for c in self.orbit_contributions(g, l)) for l in lengths]
-        return np.array(lengths, dtype=float), np.array(weights, dtype=complex)
+        if window <= 0:
+            raise DomainError("window must be positive")
+        # Orbits a tolerance past the window: one just outside it still merges
+        # with a length just inside, as in orbit_contributions.
+        lengths, holonomies = self.orbits(g, window + _FAMILY_TOL)
+        lengths = np.asarray(lengths, dtype=float)
+        order = np.argsort(lengths, kind="stable")
+        lengths = lengths[order]
+        # 0 + sign * holonomy * period, with Python's complex operations in
+        # Python's order: the floats sum(c.weight for c in orbit_contributions)
+        # makes, an overflowed holonomy's nan included (Python makes it silently).
+        with np.errstate(invalid="ignore"):
+            weights = 0 + 1 * np.asarray(holonomies, dtype=complex)[order] * self.period
+        inside = np.abs(lengths) <= window
+        if np.all(lengths[1:] - lengths[:-1] > _FAMILY_TOL):
+            return lengths[inside], weights[inside]
+        return _merge(lengths.tolist(), weights.tolist(), inside.tolist())
+
+    def length_spectrum(self, g, window: float) -> list[float]:
+        return self.orbit_data(g, window)[0].tolist()
+
+    def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
+        lengths, holonomies = self.orbits(g, abs(l) + 1.0)
+        near = np.abs(np.asarray(lengths, dtype=float) - l) <= _FAMILY_TOL
+        if not near.any():
+            raise DomainError(f"l = {l} is not in the delocalised length spectrum")
+        return [
+            OrbitContribution(l=l, sign=1, holonomy=hol, period=self.period)
+            for hol in np.asarray(holonomies, dtype=complex)[near].tolist()
+        ]
 
     def validate(self, g) -> ModelDiagnostics:
         raise NotImplementedError
@@ -254,11 +287,6 @@ class FlowModel:
             raise DomainError("torsion values require purely imaginary alpha")
         return alpha
 
-    def _require_in_spectrum(self, g, l: float) -> None:
-        spectrum = self.length_spectrum(g, abs(l) + 1.0)
-        if not any(abs(l - s) <= 1e-9 for s in spectrum):
-            raise DomainError(f"l = {l} is not in the delocalised length spectrum")
-
 
 def _converged(res: SeriesResult) -> SeriesResult:
     if not res.converged:
@@ -279,19 +307,10 @@ class LineModel(FlowModel):
     def _check_g(self, g):
         return float(g)
 
-    def length_spectrum(self, g, window: float) -> list[float]:
-        if window <= 0:
-            raise DomainError("window must be positive")
+    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
         g = self._check_g(g)
-        if g == 0:
-            return []
-        return [float(g)] if abs(g) <= window else []
-
-    def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
-        g = self._check_g(g)
-        self._require_in_spectrum(g, l)
-        hol = complex(np.exp(self.alpha * g))
-        return [OrbitContribution(l=l, sign=1, holonomy=hol, period=1.0)]
+        lengths = np.array([g] if g != 0 and abs(g) <= window else [], dtype=float)
+        return lengths, np.exp(self.alpha * lengths)
 
     def validate(self, g=None) -> ModelDiagnostics:
         return ModelDiagnostics(
@@ -348,34 +367,12 @@ class CircleModel(FlowModel):
             raise DomainError(f"circle class must lie in [0, 1), got {r0}")
         return r0
 
-    def length_spectrum(self, r0, window: float) -> list[float]:
-        if window <= 0:
-            raise DomainError("window must be positive")
+    def orbits(self, r0, window: float) -> tuple[np.ndarray, np.ndarray]:
         r0 = self._check_class(r0)
-        lo = math.floor(-window - r0)
-        hi = math.ceil(window - r0)
-        out = []
-        for n in range(lo, hi + 1):
-            val = n + r0
-            if 0 < abs(val) <= window:
-                out.append(val)
-        return sorted(out)
-
-    def orbit_contributions(self, r0, l: float) -> list[OrbitContribution]:
-        r0 = self._check_class(r0)
-        self._require_in_spectrum(r0, l)
         # l = n + r0 (or n itself for the identity class): holonomy e^{alpha*l}.
-        hol = complex(np.exp(self.alpha * l))
-        return [OrbitContribution(l=l, sign=1, holonomy=hol, period=1.0)]
-
-    def orbit_data(self, r0, window: float) -> tuple[np.ndarray, np.ndarray]:
-        lengths = np.array(self.length_spectrum(r0, window), dtype=float)
-        holonomy = np.exp(self.alpha * lengths).astype(complex)
-        # sum(c.weight for c in orbit_contributions(r0, l)) = 0 + 1 * hol * 1.0,
-        # with Python's complex operations in Python's order: the same floats,
-        # an overflowed holonomy's nan included (Python makes it silently).
-        with np.errstate(invalid="ignore"):
-            return lengths, 0 + 1 * holonomy * 1.0
+        lengths = np.arange(math.floor(-window - r0), math.ceil(window - r0) + 1) + r0
+        lengths = lengths[(lengths != 0) & (np.abs(lengths) <= window)]
+        return lengths, np.exp(self.alpha * lengths)
 
     def validate(self, r0=0.0) -> ModelDiagnostics:
         in_lattice = alpha_in_two_pi_i_z(complex(self.alpha))
@@ -576,22 +573,17 @@ class EuclideanLatticeModel(FlowModel):
 
     # -- orbit data ----------------------------------------------------------
 
-    def length_spectrum(self, g, window: float) -> list[float]:
-        if window <= 0:
-            raise DomainError("window must be positive")
+    @property
+    def period(self) -> float:
+        return self.a / self.order
+
+    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
         g = self._coerce(g)
         if g.l0 == 0:
             raise DomainError("group element must translate along the axis (l0 != 0)")
         l = self.translation_length(g)
-        return sorted(val for val in (-l, l) if abs(val) <= window)
-
-    def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
-        g = self._coerce(g)
-        self._require_in_spectrum(g, l)
-        hol = complex(np.exp(self.translation_length(g) * self.alpha_v0))
-        return [
-            OrbitContribution(l=l, sign=1, holonomy=hol, period=self.a / self.order)
-        ]
+        lengths = np.array([val for val in (-l, l) if abs(val) <= window])
+        return lengths, np.full(len(lengths), np.exp(l * self.alpha_v0))
 
     def validate(self, g=None) -> ModelDiagnostics:
         g = self._coerce(g if g is not None else EuclideanElement(l0=1))
@@ -623,7 +615,7 @@ class EuclideanLatticeModel(FlowModel):
 
     def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
         l = self._axial_length(g)
-        value = (self.a / self.order) * cmath.exp(
+        value = self.period * cmath.exp(
             -abs(l) * sigma + l * complex(self.alpha_v0)
         ) / abs(l)
         return value, "closed", 0.0, 1
@@ -631,7 +623,7 @@ class EuclideanLatticeModel(FlowModel):
     def torsion(self, g) -> complex:
         alpha = self._unitary_connection()
         l = self._axial_length(g)
-        return (self.a / self.order) * cmath.exp(l * alpha) / abs(l)
+        return self.period * cmath.exp(l * alpha) / abs(l)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         return _period_euclidean(self, g, profile, quad)
@@ -646,6 +638,7 @@ class _SphereModel(FlowModel):
 
     alpha: complex = 0j  # kept for a uniform surface; must stay 0
     infinite_spectrum = True
+    period = TWO_PI
 
     def __post_init__(self):
         if self.alpha != 0:
@@ -653,44 +646,13 @@ class _SphereModel(FlowModel):
                 "sphere models admit only the trivial flat invariant connection"
             )
 
-    def _families(self, g, window: float) -> tuple[list[float], ...]:
-        return tuple(
-            sorted(_window_multiples(t, window) + _window_multiples(-t, window))
-            for t in self._angles(g)
+    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+        fams = [_angle_family(theta, window) for theta in self._angles(g)]
+        # +theta and -theta values that meet (theta near a multiple of pi) are one family.
+        lengths = np.concatenate(
+            [f[f - np.concatenate(([-np.inf], f[:-1])) > _FAMILY_TOL] for f in fams]
         )
-
-    def length_spectrum(self, g, window: float) -> list[float]:
-        if window <= 0:
-            raise DomainError("window must be positive")
-        return _dedupe(sum(self._families(g, window), []))[0]
-
-    def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
-        # One orbit per family through l; membership tolerance _FAMILY_TOL.
-        out = [
-            OrbitContribution(l=l, sign=1, holonomy=1.0 + 0j, period=TWO_PI)
-            for fam in self._families(g, abs(l) + 1.0)
-            if any(abs(l - v) <= _FAMILY_TOL for v in fam)
-        ]
-        if not out:
-            raise DomainError(f"l = {l} is not in the delocalised length spectrum")
-        return out
-
-    def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        if window <= 0:
-            raise DomainError("window must be positive")
-        # Families built once, a tolerance past the window: a family value
-        # just outside it still merges with a length just inside, as in
-        # orbit_contributions.  Cut to the window they give length_spectrum.
-        fams = [np.array(fam) for fam in self._families(g, window + _FAMILY_TOL)]
-        lengths = np.array(
-            _dedupe([v for fam in fams for v in fam.tolist() if abs(v) <= window])[0]
-        )
-        # orbit_contributions' weights (1 * (1 + 0j) * 2*pi per family through
-        # l), summed from 0 in family order.
-        weights = np.zeros(len(lengths), dtype=complex)
-        for fam in fams:
-            weights[_near(fam, lengths, _FAMILY_TOL)] += 1 * (1.0 + 0j) * TWO_PI
-        return lengths, weights
+        return lengths, np.ones(len(lengths), dtype=complex)
 
     def tail_bound(self, g, sigma: complex, window: float) -> float:
         # Each family is two arithmetic progressions of gap 2*pi.
@@ -756,15 +718,6 @@ class Sphere3Model(_SphereModel):
         t1, t2 = g
         return float(t1), float(t2)
 
-    def family_values(self, g, window: float) -> tuple[list[float], list[float]]:
-        """The theta1 and theta2 families inside the window, each sorted."""
-        fam1, fam2 = super()._families(g, window)
-        return fam1, fam2
-
-    def _families(self, g, window: float) -> tuple[list[float], list[float]]:
-        # Every lookup of the shared sphere code goes through the public name.
-        return self.family_values(g, window)
-
     def validate(self, g=(1.0, math.sqrt(2.0))) -> ModelDiagnostics:
         t1, t2 = self._angles(g)
         gm = np.zeros((4, 4))
@@ -783,7 +736,8 @@ class Sphere3Model(_SphereModel):
             ok, detail = _rational_proxy(ratio)
             ok_all = ok_all and ok
             checks.append(f"{label}: {detail}")
-        _, collisions = _dedupe(sum(self.family_values(g, 10.0 * TWO_PI), []))
+        values = np.sort(np.concatenate([_angle_family(t, 10.0 * TWO_PI) for t in (t1, t2)]))
+        distinct, _ = _merge(values.tolist(), [0] * len(values), [True] * len(values))
         return ModelDiagnostics(
             nondegenerate=(kdim == 2),
             witness=(
@@ -795,20 +749,8 @@ class Sphere3Model(_SphereModel):
             laplacian_kernel_nonzero=True,
             dense_powers_ok=ok_all,
             dense_powers_detail="; ".join(checks),
-            spectrum_collisions=collisions,
+            spectrum_collisions=len(values) - len(distinct),
         )
-
-
-def _dedupe(values: list[float], tol: float = 1e-10) -> tuple[list[float], int]:
-    """Collapse values closer than tol; returns (unique values, collisions)."""
-    out: list[float] = []
-    collisions = 0
-    for v in sorted(values):
-        if out and abs(v - out[-1]) <= tol:
-            collisions += 1
-        else:
-            out.append(v)
-    return out, collisions
 
 
 # ---------------------------------------------------------------------------

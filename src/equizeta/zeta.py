@@ -103,6 +103,11 @@ def pair_with_test_function(measure: AtomicMeasure, psi) -> complex:
 # log R: direct orbit sums, closed forms and continuation
 # ---------------------------------------------------------------------------
 
+# The most orbits one direct sum may build (about 110 bytes each); the circle,
+# the densest model, has 2 orbits per unit window.
+_ORBIT_BUDGET = 2 * 10**6
+
+
 def _direct_window(model: FlowModel, sigma: complex, tol: float) -> float:
     if not model.infinite_spectrum:
         return float("inf")
@@ -114,21 +119,25 @@ def ruelle_log_direct(
 ) -> ZetaEvaluation:
     """log R(sigma) by direct summation over the length spectrum.
 
-    Requires Re(sigma) > 0 for models with infinite spectrum.  The window
-    defaults to one making the geometric tail far below tol (a finite
-    spectrum is summed whole); pass an explicit window to match a
-    flat-trace measure truncation exactly.
+    Requires Re(sigma) > 0 for models with infinite spectrum, and raises
+    DomainError where the model has no finite tail bound (the sum does not
+    converge absolutely).  The window defaults to one making the geometric
+    tail far below tol (a finite spectrum is summed whole); pass an explicit
+    window to match a flat-trace measure truncation exactly.
     """
     sigma = complex(sigma)
     if model.infinite_spectrum and sigma.real <= 0:
         raise DomainError("direct evaluation needs Re(sigma) > 0 for this model")
     if window is None:
         window = _direct_window(model, sigma, tol)
-    if model.infinite_spectrum and window > 5e6:
+    if model.infinite_spectrum and 2 * window > _ORBIT_BUDGET:
         raise NonConvergentError(
             f"window {window:.3g} would exceed the term cap; "
             "Re(sigma) is too small for direct summation"
         )
+    tail = model.tail_bound(g, sigma, window)
+    if not math.isfinite(tail):
+        raise DomainError(f"the orbit sum does not converge absolutely at sigma = {sigma}")
     lengths, weights = model.orbit_data(g, window)
     # Summed in spectrum order, term by term: pairing flat_trace_measure with
     # psi_sigma repeats these operations, and matches -2 log R bit for bit.
@@ -136,7 +145,6 @@ def ruelle_log_direct(
     for l, weight in zip(lengths.tolist(), weights.tolist()):
         total += weight * (cmath.exp(-sigma * abs(l)) / abs(l))
     terms = len(lengths)
-    tail = model.tail_bound(g, sigma, window)
     return ZetaEvaluation(
         sigma=sigma,
         log_R=0.5 * total,

@@ -92,6 +92,16 @@ class TestEval:
         assert code == 2
         assert json.loads(out)["error"] == "NonConvergentError"
 
+    def test_divergent_direct_sum_exit_code(self, capsys):
+        # Re(alpha) = 1 >= Re(sigma) = 0.9: no finite tail bound, no result.
+        code, out = run_cli(
+            capsys,
+            "eval", "--model", "circle", "--params", "r0=0.3,alpha=1+1i",
+            "--sigma=0.9", "--method", "direct",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "DomainError"
+
     def test_missing_param(self, capsys):
         code, out = run_cli(capsys, "eval", "--model", "line", "--sigma", "1")
         assert code == 1

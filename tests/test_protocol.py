@@ -14,7 +14,6 @@ from equizeta import (
     FlowModel,
     ModelDiagnostics,
     NonConvergentError,
-    OrbitContribution,
     SeriesResult,
     chi_primitive_period_numeric,
     flat_trace_measure,
@@ -30,17 +29,15 @@ from equizeta.cli import main
 
 @dataclass(frozen=True)
 class ProbeModel(FlowModel):
-    """Finite spectrum {-3, 3} with holonomy e^{alpha*l}; only the orbit
-    data and diagnostics are implemented, everything else is inherited."""
+    """Finite spectrum {-3, 3} with holonomy e^{alpha*l}; only the orbits
+    and diagnostics are implemented, everything else is inherited."""
 
     alpha: complex = 0.1 + 0.5j
     name = "probe"
 
-    def length_spectrum(self, g, window):
-        return [l for l in (-3.0, 3.0) if abs(l) <= window]
-
-    def orbit_contributions(self, g, l):
-        return [OrbitContribution(l=l, sign=1, holonomy=cmath.exp(self.alpha * l), period=1.0)]
+    def orbits(self, g, window):
+        lengths = [l for l in (3.0, -3.0) if abs(l) <= window]
+        return lengths, [cmath.exp(self.alpha * l) for l in lengths]
 
     def validate(self, g=None):
         return ModelDiagnostics(
@@ -73,15 +70,19 @@ class TestProbeModel:
         )
         assert paired == -2.0 * ruelle_log_direct(model, None, sigma, window=10.0).log_R
 
-    def test_orbit_data_base_default(self):
+    def test_views_of_the_orbits_agree(self):
         model = ProbeModel()
         lengths, weights = model.orbit_data(None, 10.0)
-        assert lengths.tolist() == model.length_spectrum(None, 10.0)
+        assert lengths.tolist() == model.length_spectrum(None, 10.0) == [-3.0, 3.0]
         assert weights.tolist() == [
             sum(c.weight for c in model.orbit_contributions(None, l)) for l in (-3.0, 3.0)
         ]
+        assert weights.tolist() == [cmath.exp(model.alpha * l) for l in (-3.0, 3.0)]
         lengths, weights = model.orbit_data(None, 1.0)
         assert lengths.size == 0 and weights.size == 0
+        assert model.length_spectrum(None, 1.0) == []
+        with pytest.raises(DomainError, match="not in the delocalised length spectrum"):
+            model.orbit_contributions(None, 1.0)
 
     def test_base_protocol_errors(self):
         model = ProbeModel()
