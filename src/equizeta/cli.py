@@ -249,6 +249,8 @@ def cmd_fried(args) -> int:
 def cmd_trace(args) -> int:
     _tol_from(args)  # validates tolerance even though atoms need none
     model, g = build_model(args.model, parse_params(args.params, args.config))
+    if not math.isfinite(args.window):
+        raise ConfigError("window must be finite")
     if args.window <= 0:
         raise ConfigError("window must be positive")
     measure = flat_trace_measure(model, g, args.window)

@@ -37,6 +37,8 @@ FlowModel alone derives three views from orbits: orbit_data(g, window) (the
 spectrum as a float array and the summed sign * holonomy * period per length;
 the direct sum and the flat trace read only this), length_spectrum(g, window)
 and orbit_contributions(g, l).
+
+Eigenvalue-one and rotation-axis decisions are made only in ``rotations``.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ from .errors import (
 from .rotations import (
     AxisRotation,
     adjoint_matrix_so,
-    axis_and_kernel,
-    rot2,
+    block_rotation,
     rotation_about_last_axis,
     solve_transverse,
+    unit_eigenvalue_multiplicity,
 )
 from .series import (
     BilateralSumParams,
@@ -190,14 +192,17 @@ def _rational_proxy(ratio: float, max_q: int = 10**4, tol: float = 1e-12):
 
 
 def _angle_family(theta: float, window: float) -> np.ndarray:
-    """All values +-theta + 2*pi*n with 1e-12 < |value| <= window, sorted."""
+    """The orbit family of one angle: the values +-theta + 2*pi*n with
+    1e-12 < |value| <= window, sorted, where a +theta and a -theta value
+    that meet (theta near a multiple of pi) are one orbit."""
     n = np.arange(
         math.floor((-window - theta) / TWO_PI) - 1, math.ceil((window - theta) / TWO_PI) + 2
     )
     vals = theta + TWO_PI * n
     vals = vals[(np.abs(vals) > 1e-12) & (np.abs(vals) <= window)]
     # -theta + 2*pi*(-n) is exactly -(theta + 2*pi*n): rounding is symmetric.
-    return np.sort(np.concatenate([vals, -vals]))
+    fam = np.sort(np.concatenate([vals, -vals]))
+    return fam[fam - np.concatenate(([-np.inf], fam[:-1])) > _FAMILY_TOL]
 
 
 def _merge(lengths: list, weights: list, inside: list) -> tuple[np.ndarray, np.ndarray]:
@@ -554,13 +559,6 @@ class EuclideanLatticeModel(FlowModel):
         out[:, :2] = plane
         return out
 
-    def motion_matrix(self, g) -> tuple[np.ndarray, np.ndarray]:
-        """(rotation matrix r^m, translation vector) of the group element."""
-        g = self._coerce(g)
-        rm = np.linalg.matrix_power(self.rotation.matrix, g.m)
-        y = self.translation_length(g) * self._axis() + self._w_prime(g)
-        return rm, y
-
     def conjugate_element(self, g, lam: int, gamma_coeffs, j: int) -> EuclideanElement:
         """h g h^{-1} for h = (a*lam*v0 + gamma', r^j), gamma' in Gamma'."""
         g = self._coerce(g)
@@ -589,12 +587,11 @@ class EuclideanLatticeModel(FlowModel):
         g = self._coerce(g if g is not None else EuclideanElement(l0=1))
         rm = np.linalg.matrix_power(self.rotation.matrix, g.m)
         try:
-            kdim, _ = axis_and_kernel(rm)
+            kdim, gapv = unit_eigenvalue_multiplicity(np.linalg.eigvals(rm))
         except DomainError as exc:
             kdim, witness = None, f"kernel classification failed: {exc}"
         else:
-            eigvals = np.linalg.eigvals(rm)
-            gapv = sorted(abs(ev - 1.0) for ev in eigvals)[1] if kdim == 1 else 0.0
+            gapv = gapv if kdim == 1 else 0.0
             witness = f"dim ker(r^m - I) = {kdim}; next eigenvalue gap {gapv:.3e}"
         return ModelDiagnostics(
             nondegenerate=(kdim == 1),
@@ -646,13 +643,37 @@ class _SphereModel(FlowModel):
                 "sphere models admit only the trivial flat invariant connection"
             )
 
+    @staticmethod
+    def _families(angles, window: float) -> np.ndarray:
+        """Each angle's orbit family inside the window, one after another."""
+        return np.concatenate([_angle_family(theta, window) for theta in angles])
+
     def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        fams = [_angle_family(theta, window) for theta in self._angles(g)]
-        # +theta and -theta values that meet (theta near a multiple of pi) are one family.
-        lengths = np.concatenate(
-            [f[f - np.concatenate(([-np.inf], f[:-1])) > _FAMILY_TOL] for f in fams]
-        )
+        lengths = self._families(self._angles(g), window)
         return lengths, np.ones(len(lengths), dtype=complex)
+
+    def validate(self, g=None) -> ModelDiagnostics:
+        """Nondegenerate when the fixed space of Ad(g^-1) on so(dim) is the
+        torus of g's rotation planes, one direction per angle."""
+        angles = self._angles(self._default_g if g is None else g)
+        ad = adjoint_matrix_so(block_rotation(angles, self.dim))
+        try:
+            kdim, _ = unit_eigenvalue_multiplicity(np.linalg.eigvals(ad))
+        except DomainError as exc:
+            kdim, witness = None, f"kernel classification failed: {exc}"
+        else:
+            witness = (
+                f"dim ker(Ad(g^-1) - 1) = {kdim} on so({self.dim}), "
+                f"expected {len(angles)}{self._witness_note}"
+            )
+        return ModelDiagnostics(
+            nondegenerate=(kdim == len(angles)),
+            witness=witness,
+            alpha_in_lattice=True,
+            continuation_available=False,
+            laplacian_kernel_nonzero=True,
+            **self._angle_diagnostics(*angles),
+        )
 
     def tail_bound(self, g, sigma: complex, window: float) -> float:
         # Each family is two arithmetic progressions of gap 2*pi.
@@ -684,27 +705,16 @@ class Sphere2Model(_SphereModel):
     is a rotation angle theta."""
 
     name = "sphere2"
+    dim = 3
+    _default_g = 1.0
+    _witness_note = ""
 
     def _angles(self, theta) -> tuple[float]:
         return (float(theta),)
 
-    def validate(self, theta=1.0) -> ModelDiagnostics:
-        theta = float(theta)
-        ad = adjoint_matrix_so(np.block([
-            [rot2(theta), np.zeros((2, 1))],
-            [np.zeros((1, 2)), np.ones((1, 1))],
-        ]))
-        kdim = int(np.sum(np.abs(np.linalg.eigvals(ad) - 1.0) <= 1e-8))
+    def _angle_diagnostics(self, theta: float) -> dict:
         ok, detail = _rational_proxy(theta / TWO_PI)
-        return ModelDiagnostics(
-            nondegenerate=(kdim == 1),
-            witness=f"dim ker(Ad(g^-1) - 1) = {kdim} on so(3), expected 1",
-            alpha_in_lattice=True,
-            continuation_available=False,
-            laplacian_kernel_nonzero=True,
-            dense_powers_ok=ok,
-            dense_powers_detail=detail,
-        )
+        return {"dense_powers_ok": ok, "dense_powers_detail": detail}
 
 
 @dataclass(frozen=True)
@@ -713,18 +723,15 @@ class Sphere3Model(_SphereModel):
     is a pair of rotation angles (theta1, theta2)."""
 
     name = "sphere3"
+    dim = 4
+    _default_g = (1.0, math.sqrt(2.0))
+    _witness_note = " (the torus directions; one is quotiented by the isotropy)"
 
     def _angles(self, g) -> tuple[float, float]:
         t1, t2 = g
         return float(t1), float(t2)
 
-    def validate(self, g=(1.0, math.sqrt(2.0))) -> ModelDiagnostics:
-        t1, t2 = self._angles(g)
-        gm = np.zeros((4, 4))
-        gm[:2, :2] = rot2(t1)
-        gm[2:, 2:] = rot2(t2)
-        ad = adjoint_matrix_so(gm)
-        kdim = int(np.sum(np.abs(np.linalg.eigvals(ad) - 1.0) <= 1e-8))
+    def _angle_diagnostics(self, t1: float, t2: float) -> dict:
         checks = []
         ok_all = True
         for label, ratio in (
@@ -736,21 +743,14 @@ class Sphere3Model(_SphereModel):
             ok, detail = _rational_proxy(ratio)
             ok_all = ok_all and ok
             checks.append(f"{label}: {detail}")
-        values = np.sort(np.concatenate([_angle_family(t, 10.0 * TWO_PI) for t in (t1, t2)]))
+        # Values shared by the two families (each family merges its own).
+        values = np.sort(self._families((t1, t2), 10.0 * TWO_PI))
         distinct, _ = _merge(values.tolist(), [0] * len(values), [True] * len(values))
-        return ModelDiagnostics(
-            nondegenerate=(kdim == 2),
-            witness=(
-                f"dim ker(Ad(g^-1) - 1) = {kdim} on so(4), expected 2 "
-                "(the torus directions; one is quotiented by the isotropy)"
-            ),
-            alpha_in_lattice=True,
-            continuation_available=False,
-            laplacian_kernel_nonzero=True,
-            dense_powers_ok=ok_all,
-            dense_powers_detail="; ".join(checks),
-            spectrum_collisions=len(values) - len(distinct),
-        )
+        return {
+            "dense_powers_ok": ok_all,
+            "dense_powers_detail": "; ".join(checks),
+            "spectrum_collisions": len(values) - len(distinct),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +768,8 @@ def orbit_contributions(model: FlowModel, g, l: float) -> list[OrbitContribution
 
 
 def validate_model(model: FlowModel, g=None) -> ModelDiagnostics:
-    """Nondegeneracy and continuation diagnostics; reports, never gates."""
+    """Nondegeneracy and continuation diagnostics; flat_trace_measure and
+    fried_residual gate on these verdicts."""
     if g is None:
         return model.validate()
     return model.validate(g)
@@ -843,6 +844,14 @@ def _profile_reach(profile: CutoffProfile, tol: float) -> float:
     return profile.radius
 
 
+def _lattice_points(model: EuclideanLatticeModel, radius: float) -> np.ndarray:
+    """Points of Gamma' (rows): all within radius of the origin, and more."""
+    span = int(math.ceil(radius / model.lattice_spacing)) + 2
+    k = np.arange(-span, span + 1)
+    coeffs = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    return coeffs @ model.lattice_basis()
+
+
 def _period_euclidean(
     model: EuclideanLatticeModel, g, profile: CutoffProfile, quad: QuadratureSpec
 ) -> float:
@@ -850,11 +859,10 @@ def _period_euclidean(
     normalization: sum over Gamma' of the line integral of chi along the
     closed-up geodesic through (w, v0), with (I - r) w = w_prime."""
     g = model._coerce(g)
-    rm, _ = model.motion_matrix(g)
     v0 = model._axis()
-    if axis_and_kernel(rm)[0] != 1:
-        raise DomainError("element rotation must have a one-dimensional kernel")
-    # Basepoint of the closed-up geodesic: (I - r) w = w_prime.
+    rm = np.linalg.matrix_power(model.rotation.matrix, g.m)
+    # Basepoint of the closed-up geodesic: (I - r^m) w = w_prime; the rotation
+    # check refuses an r^m whose kernel is not the axis alone.
     w = solve_transverse(AxisRotation(matrix=rm, axis=v0), model._w_prime(g))
 
     reach = _profile_reach(profile, quad.tol * 1e-4)
@@ -864,12 +872,7 @@ def _period_euclidean(
             f"profile tail (needs {reach + float(np.linalg.norm(w)):.2f})"
         )
 
-    basis = model.lattice_basis()
-    span = int(math.ceil((reach + np.linalg.norm(w)) / model.lattice_spacing)) + 2
-    coeffs = np.array(
-        [(i, j) for i in range(-span, span + 1) for j in range(-span, span + 1)]
-    )
-    gamma_all = coeffs @ basis
+    gamma_all = _lattice_points(model, reach + np.linalg.norm(w))
     # Only cosets whose shifted orbit meets the profile support contribute.
     gamma_pts = gamma_all[np.linalg.norm(gamma_all + w, axis=1) <= reach + 1e-9]
 
@@ -894,22 +897,21 @@ def _period_euclidean(
     r_eval = float(np.max(np.linalg.norm(pts, axis=1))) + reach + 1e-9
     axis_reach = int(math.ceil(r_eval / model.a)) + 1
     axis_shifts = model.a * np.arange(-axis_reach, axis_reach + 1)
-    span_t = int(math.ceil(r_eval / model.lattice_spacing)) + 2
-    coeffs_t = np.array(
-        [(i, j) for i in range(-span_t, span_t + 1) for j in range(-span_t, span_t + 1)]
-    )
-    gamma_t = (coeffs_t @ basis)
     trans = (
-        axis_shifts[:, None, None] * v0[None, None, :] + gamma_t[None, :, :]
+        axis_shifts[:, None, None] * v0[None, None, :]
+        + _lattice_points(model, r_eval)[None, :, :]
     ).reshape(-1, 3)
     trans = trans[np.linalg.norm(trans, axis=1) <= r_eval]
 
+    # The normaliser sums the profile over the group translates r^j x + t. The
+    # profile is radial and Gamma is r-invariant, so f(|r^j x + t|) summed over
+    # t is the same sum for every power r^j (translates past r_eval lie beyond
+    # the profile's reach): sum it once and multiply by the order.
     denom = np.zeros(pts.shape[0])
-    for j in range(model.order):
-        rotated = pts @ np.linalg.matrix_power(model.rotation.matrix, j).T
-        for chunk in np.array_split(trans, max(1, len(trans) // 256)):
-            diffs = rotated[:, None, :] + chunk[None, :, :]
-            denom += profile(np.einsum("ijk,ijk->ij", diffs, diffs)).sum(axis=1)
+    for chunk in np.array_split(trans, max(1, len(trans) // 256)):
+        diffs = pts[:, None, :] + chunk[None, :, :]
+        denom += profile(np.einsum("ijk,ijk->ij", diffs, diffs)).sum(axis=1)
+    denom *= model.order
     if np.any(denom <= 0):
         raise NonConvergentError("translate sum vanished inside the quadrature ball")
 
@@ -922,12 +924,15 @@ def _period_euclidean(
 # ---------------------------------------------------------------------------
 
 def parse_complex(text: str) -> complex:
-    """Parse the a+bi parameter syntax (plain reals and bare 'i' included)."""
+    """Parse the a+bi parameter syntax (plain reals and bare 'i'; no inf or nan)."""
     cleaned = str(text).strip().replace(" ", "").replace("I", "i").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise DomainError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"complex number {text!r} must be finite")
+    return value
 
 
 def model_from_params(name: str, params: dict) -> tuple[FlowModel, object]:
@@ -943,9 +948,12 @@ def model_from_params(name: str, params: dict) -> tuple[FlowModel, object]:
                 raise DomainError(f"model {name!r} requires parameter {key!r}")
             return default
         try:
-            return float(params[key])
+            value = float(params[key])
         except (TypeError, ValueError) as exc:
             raise DomainError(f"parameter {key!r} must be a real number") from exc
+        if not math.isfinite(value):
+            raise DomainError(f"parameter {key!r} must be finite")
+        return value
 
     if name == "line":
         return LineModel(alpha=parse_complex(params.get("alpha", "0"))), fget("g")

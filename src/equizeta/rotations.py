@@ -4,9 +4,10 @@ Covers exactly what the worked geometries need: 2x2 rotation blocks,
 axis/kernel extraction for SO(n), transverse linear solves against (I-r),
 the Euclidean closed-up-to-g condition, the block Poincare determinant,
 the signed exterior-power trace identity, and the SO(4) periodic-point
-classifier used by the 3-sphere model.  Eigenvalue-multiplicity decisions
-use a relative gap of 1e-8 and reject borderline inputs instead of
-coercing them.
+classifier used by the 3-sphere model.  This module is the only place that
+decides whether an eigenvalue is 1 (``unit_eigenvalue_multiplicity``: a gap
+of 1e-8, borderline inputs rejected instead of coerced) and the only place
+that derives a rotation axis (``axis_and_kernel``, once per AxisRotation).
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ def rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def block_rotation(angles, n: int) -> np.ndarray:
+    """diag(r(theta_1), ..., r(theta_k), 1, ..., 1) in SO(n)."""
+    m = np.eye(n)
+    for j, theta in enumerate(angles):
+        m[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = rot2(theta)
+    return m
+
+
 @dataclass(frozen=True)
 class RotationBlock:
     """A plane rotation by ``theta``, normalized to (-pi, pi]."""
@@ -62,6 +71,20 @@ def _check_special_orthogonal(m: np.ndarray, tol: float) -> None:
         raise DomainError("matrix must have determinant +1")
 
 
+def unit_eigenvalue_multiplicity(eigvals, tol: float = EIG_GAP) -> tuple[int, float]:
+    """Multiplicity of the eigenvalue 1 among ``eigvals`` (within max(1e-8,
+    tol)) and the distance from 1 of the next eigenvalue (inf if none); an
+    eigenvalue in the dead band up to 1e-6 raises DomainError."""
+    dist = np.sort(np.abs(np.asarray(eigvals) - 1.0))
+    gap = max(EIG_GAP, tol)
+    if np.any((dist > gap) & (dist < EIG_REJECT_BAND)):
+        raise DomainError(
+            "eigenvalue too close to 1 to classify reliably; refusing to coerce"
+        )
+    mult = int(np.sum(dist <= gap))
+    return mult, float(dist[mult]) if mult < len(dist) else math.inf
+
+
 def axis_and_kernel(r: np.ndarray, tol: float = 1e-10):
     """Multiplicity of the eigenvalue 1 of an SO(n) matrix, plus the axis.
 
@@ -71,14 +94,7 @@ def axis_and_kernel(r: np.ndarray, tol: float = 1e-10):
     """
     r = np.asarray(r, dtype=float)
     _check_special_orthogonal(r, max(tol, 1e-10))
-    eigvals = np.linalg.eigvals(r)
-    dist = np.abs(eigvals - 1.0)
-    gap = max(EIG_GAP, tol)
-    if np.any((dist > gap) & (dist < EIG_REJECT_BAND)):
-        raise DomainError(
-            "eigenvalue too close to 1 to classify reliably; refusing to coerce"
-        )
-    kernel_dim = int(np.sum(dist <= gap))
+    kernel_dim, _ = unit_eigenvalue_multiplicity(np.linalg.eigvals(r), tol)
     if kernel_dim != 1:
         return kernel_dim, None
     # Null vector of r - I via SVD; the smallest singular vector is the axis.
@@ -98,7 +114,9 @@ class AxisRotation:
     """An SO(n) matrix together with its rotation axis, when unique.
 
     ``axis`` is the unit vector spanning ker(matrix - I) and is present
-    exactly when that kernel is one-dimensional.
+    exactly when that kernel is one-dimensional.  The matrix is classified
+    once, at construction: a given axis is checked against it, a missing one
+    is derived from it.
     """
 
     matrix: np.ndarray
@@ -110,30 +128,27 @@ class AxisRotation:
         _check_special_orthogonal(m, 1e-12)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n", m.shape[0])
+        kdim, v0 = axis_and_kernel(m)
         if self.axis is not None:
-            v = np.asarray(self.axis, dtype=float)
-            v = v / np.linalg.norm(v)
-            kdim, v0 = axis_and_kernel(m)
             if kdim != 1:
                 raise DomainError(f"axis given but ker(r - I) has dimension {kdim}")
-            if np.linalg.norm(m @ v - v) > 1e-10:
+            v0 = np.asarray(self.axis, dtype=float)
+        if v0 is not None:
+            v0 = v0 / np.linalg.norm(v0)
+            if np.linalg.norm(m @ v0 - v0) > 1e-10:
                 raise DomainError("axis is not fixed by the rotation")
-            object.__setattr__(self, "axis", v)
+        object.__setattr__(self, "axis", v0)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "AxisRotation":
-        kdim, v0 = axis_and_kernel(np.asarray(m, dtype=float))
-        return cls(matrix=np.asarray(m, dtype=float), axis=v0 if kdim == 1 else None)
+        return cls(matrix=m)
 
 
 def rotation_about_last_axis(n: int, theta: float) -> AxisRotation:
     """Block rotation diag(r(theta), ..., 1) in SO(n) fixing e_n (n odd)."""
     if n < 3 or n % 2 == 0:
         raise DomainError(f"a one-dimensional rotation axis needs odd n >= 3, got {n}")
-    m = np.eye(n)
-    for j in range(0, n - 1, 2):
-        m[j : j + 2, j : j + 2] = rot2(theta)
-    return AxisRotation.from_matrix(m)
+    return AxisRotation.from_matrix(block_rotation([theta] * (n // 2), n))
 
 
 @dataclass(frozen=True)
@@ -168,11 +183,10 @@ class PoincareData:
             raise DomainError("det_abs must be positive (nondegeneracy)")
 
 
-def _transverse_basis(v0: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to v0, as columns."""
-    n = v0.shape[0]
-    full = np.linalg.svd(np.eye(n) - np.outer(v0, v0))[0]
-    return full[:, : n - 1]
+def _transverse(r: AxisRotation) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (columns) orthogonal to the axis, and I - r on it."""
+    basis = np.linalg.svd(np.eye(r.n) - np.outer(r.axis, r.axis))[0][:, : r.n - 1]
+    return basis, basis.T @ (np.eye(r.n) - r.matrix) @ basis
 
 
 def solve_transverse(r: AxisRotation, w_prime: np.ndarray) -> np.ndarray:
@@ -183,8 +197,7 @@ def solve_transverse(r: AxisRotation, w_prime: np.ndarray) -> np.ndarray:
     v0 = r.axis
     if abs(float(w_prime @ v0)) > 1e-10 * max(1.0, float(np.linalg.norm(w_prime))):
         raise DomainError("w_prime must be orthogonal to the rotation axis")
-    basis = _transverse_basis(v0)
-    a = basis.T @ (np.eye(r.n) - r.matrix) @ basis
+    basis, a = _transverse(r)
     rhs = basis.T @ w_prime
     if abs(np.linalg.det(a)) < 1e-12:
         raise SingularMatrixError(
@@ -227,9 +240,8 @@ def poincare_determinant_euclidean(r: AxisRotation, l: float) -> PoincareData:
     """
     if r.axis is None:
         raise DomainError("Poincare determinant needs a one-dimensional kernel")
-    basis = _transverse_basis(r.axis)
+    basis, i_minus_r = _transverse(r)
     n1 = r.n - 1
-    i_minus_r = basis.T @ (np.eye(r.n) - r.matrix) @ basis
     restricted = float(np.linalg.det(i_minus_r)) ** 2
 
     r_t = basis.T @ r.matrix @ basis
@@ -256,20 +268,14 @@ def signed_wedge_trace(a: np.ndarray, tol: float = 1e-8):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
     eigvals = np.linalg.eigvals(a)
-    dist = np.abs(eigvals - 1.0)
-    gap = max(EIG_GAP, tol)
-    if np.any((dist > gap) & (dist < EIG_REJECT_BAND)):
-        raise DomainError("eigenvalue too close to 1 to classify reliably")
-    mult = int(np.sum(dist <= gap))
+    mult, _ = unit_eigenvalue_multiplicity(eigvals, tol)
     if mult != 1:
         raise DomainError(f"eigenvalue 1 must be simple, found multiplicity {mult}")
-    # Char poly of A: coeffs[k] = (-1)^k e_k(eigvals).
+    # Char poly of A: coeffs[j] = (-1)^j e_j(eigvals), so (-1)^j j e_j = j coeffs[j].
     coeffs = np.poly(eigvals)
-    n = a.shape[0]
     total = 0.0 + 0j
-    for j in range(1, n + 1):
-        e_j = (-1) ** j * coeffs[j]
-        total += (-1) ** j * j * e_j
+    for j in range(1, a.shape[0] + 1):
+        total += j * coeffs[j]
     if np.isrealobj(a) and abs(total.imag) < 1e-9 * max(1.0, abs(total.real)):
         return float(total.real)
     return complex(total)
@@ -302,10 +308,6 @@ class SphereFixClass:
 NOT_PERIODIC = SphereFixClass(kind="not_periodic")
 
 
-def _in_angle_class(l: float, base: float, tol: float) -> bool:
-    return abs(math.remainder(l - base, 2.0 * math.pi)) <= tol
-
-
 def sphere_fixed_classifier(x: np.ndarray, thetas, l: float, tol: float = 1e-9) -> SphereFixClass:
     """Classify a candidate SO(4) point of the 3-sphere frame flow.
 
@@ -328,9 +330,7 @@ def sphere_fixed_classifier(x: np.ndarray, thetas, l: float, tol: float = 1e-9) 
     if not (diag_like or antidiag_like):
         return NOT_PERIODIC
 
-    g = np.zeros((4, 4))
-    g[:2, :2] = rot2(theta1)
-    g[2:, 2:] = rot2(theta2)
+    g = block_rotation((theta1, theta2), 4)
     conj = x.T @ g @ x
     off = max(np.max(np.abs(conj[:2, 2:])), np.max(np.abs(conj[2:, :2])))
     target = rot2(l)
@@ -340,17 +340,12 @@ def sphere_fixed_classifier(x: np.ndarray, thetas, l: float, tol: float = 1e-9) 
     if np.max(np.abs(h.T @ h - np.eye(2))) > 1e-8 or np.linalg.det(h) < 0:
         return NOT_PERIODIC
 
-    if diag_like:
-        eps = 1 if np.linalg.det(a) > 0 else -1
-        if not _in_angle_class(l, eps * theta1, max(tol, 1e-9)):
-            return NOT_PERIODIC
-        w = W_PLUS if eps == 1 else W_MINUS
-        return SphereFixClass(kind="type1", epsilon=eps, first=a @ w, second=d @ w)
-    eps = 1 if np.linalg.det(b) > 0 else -1
-    if not _in_angle_class(l, eps * theta2, max(tol, 1e-9)):
+    kind, theta, first, second = ("type1", theta1, a, d) if diag_like else ("type2", theta2, b, c)
+    eps = 1 if np.linalg.det(first) > 0 else -1
+    if not abs(math.remainder(l - eps * theta, 2.0 * math.pi)) <= max(tol, 1e-9):
         return NOT_PERIODIC
     w = W_PLUS if eps == 1 else W_MINUS
-    return SphereFixClass(kind="type2", epsilon=eps, first=b @ w, second=c @ w)
+    return SphereFixClass(kind=kind, epsilon=eps, first=first @ w, second=second @ w)
 
 
 def adjoint_matrix_so(g: np.ndarray) -> np.ndarray:

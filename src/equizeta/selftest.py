@@ -31,6 +31,7 @@ from .models import (
 from .rotations import (
     AxisRotation,
     EuclideanMotion,
+    block_rotation,
     euclidean_fixed_condition,
     poincare_determinant_euclidean,
     rot2,
@@ -214,26 +215,19 @@ def _suite_fixed_condition_equivariance(rng):
 
 def _suite_classifier_consistency(rng):
     thetas = (1.0, math.sqrt(2.0))
-    g = np.zeros((4, 4))
-    g[:2, :2] = rot2(thetas[0])
-    g[2:, 2:] = rot2(thetas[1])
+    g = block_rotation(thetas, 4)
     hits = 0
     for _ in range(40):
         kind = rng.integers(0, 3)
-        if kind == 0:
+        if kind < 2:
+            # kind 0: block-diagonal x (type 1); kind 1: block-antidiagonal (type 2).
             x = np.zeros((4, 4))
             w = np.eye(2) if rng.integers(0, 2) else np.array([[0.0, 1.0], [1.0, 0.0]])
-            x[:2, :2] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
-            x[2:, 2:] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
+            top, bottom = (slice(0, 2), slice(2, 4)) if kind == 0 else (slice(2, 4), slice(0, 2))
+            x[:2, top] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
+            x[2:, bottom] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
             eps = 1 if np.allclose(w, np.eye(2)) else -1
-            l = eps * thetas[0] + 2.0 * math.pi * int(rng.integers(-2, 3))
-        elif kind == 1:
-            x = np.zeros((4, 4))
-            w = np.eye(2) if rng.integers(0, 2) else np.array([[0.0, 1.0], [1.0, 0.0]])
-            x[:2, 2:] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
-            x[2:, :2] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
-            eps = 1 if np.allclose(w, np.eye(2)) else -1
-            l = eps * thetas[1] + 2.0 * math.pi * int(rng.integers(-2, 3))
+            l = eps * thetas[kind] + 2.0 * math.pi * int(rng.integers(-2, 3))
         else:
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             if np.linalg.det(q) < 0:

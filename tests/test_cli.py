@@ -106,6 +106,26 @@ class TestEval:
         code, out = run_cli(capsys, "eval", "--model", "line", "--sigma", "1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "trace --model sphere2 --params theta=inf --window 5",
+            "eval --model sphere2 --params theta=nan --sigma 1",
+            "trace --model circle --params r0=0.2,alpha=1i --window inf",
+            "trace --model circle --params r0=0.2,alpha=1i --window nan",
+            "eval --model sphere3 --params theta1=1,theta2=inf --sigma 1 --method direct",
+            "eval --model line --params g=inf,alpha=1i --sigma 1",
+            "eval --model line --params g=2,alpha=1e400i --sigma 1",
+            "trace --model line --params g=2 --window inf",
+            "eval --model circle --params r0=0.25,alpha=1i --sigma nan",
+        ],
+    )
+    def test_non_finite_input_refused(self, capsys, argv):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["code"] == 1
+
     def test_env_tol_override(self, capsys, monkeypatch):
         monkeypatch.setenv("EQUIZETA_TOL", "5")
         code, out = run_cli(capsys, "eval", "--model", "line", "--params", "g=2", "--sigma", "1")
@@ -306,6 +326,20 @@ class TestTrace:
         atoms = json.loads(out)["atoms"]
         assert [a["l"] for a in atoms] == [-2.0, -1.0, 1.0, 2.0]
         assert all(a["coeff_re"] == -1.0 for a in atoms)
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("sphere2", f"theta={1e-7!r}"),
+            ("sphere2", f"theta={2 * math.pi + 3e-7!r}"),
+            ("sphere3", f"theta1=1,theta2={1 + 1e-7!r}"),
+        ],
+    )
+    def test_dead_band_sphere_refused(self, capsys, model, params):
+        # An eigenvalue of Ad(g) between 1e-8 and 1e-6 from 1 is not classified.
+        code, out = run_cli(capsys, "trace", "--model", model, "--params", params, "--window", "5")
+        assert code == 1
+        assert "kernel classification failed" in json.loads(out)["message"]
 
 
 class TestSelftestAndDeterminism:

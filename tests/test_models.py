@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equizeta import (
+    AxisRotation,
     CircleModel,
     CutoffProfile,
     DomainError,
@@ -22,6 +23,7 @@ from equizeta import (
     orbit_contributions,
     validate_model,
 )
+from equizeta import models, rotations
 
 TWO_PI = 2.0 * math.pi
 
@@ -280,6 +282,27 @@ class TestValidate:
         d = validate_model(Sphere3Model(), (1.0, math.sqrt(2.0)))
         assert d.nondegenerate
 
+    @pytest.mark.parametrize(
+        "model, g",
+        [
+            (Sphere2Model(), 1e-7),
+            (Sphere2Model(), TWO_PI + 3e-7),
+            (Sphere3Model(), (1.0, 1.0 + 1e-7)),
+        ],
+    )
+    def test_sphere_dead_band_is_degenerate(self, model, g):
+        d = validate_model(model, g)
+        assert not d.nondegenerate
+        assert d.witness.startswith("kernel classification failed")
+
+    @pytest.mark.parametrize(
+        "g, collisions",
+        [((math.pi, math.sqrt(2.0)), 0), ((0.0, math.sqrt(2.0)), 0), ((1.0, 1.0), 40)],
+    )
+    def test_sphere3_collisions_are_between_families(self, g, collisions):
+        # +theta and -theta values that meet are one family, not a collision.
+        assert validate_model(Sphere3Model(), g).spectrum_collisions == collisions
+
     def test_sphere_rejects_nontrivial_connection(self):
         with pytest.raises(DomainError):
             Sphere2Model(alpha=1j)
@@ -290,6 +313,16 @@ class TestValidate:
         m = EuclideanLatticeModel.from_angle(3, 1.0, TWO_PI / 5.0, 5, 0j)
         with pytest.raises(DomainError):
             m.lattice_basis()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    def test_lattice_is_rotation_invariant(self, order):
+        # The Euclidean period sums its translate lattice once for all powers
+        # of r, which needs r to map Gamma' onto itself.
+        m = EuclideanLatticeModel.from_angle(3, 1.0, TWO_PI / order, order, 0j)
+        basis = m.lattice_basis()
+        rotated = basis @ m.rotation.matrix.T
+        coeffs = np.round(rotated[:, :2] @ np.linalg.inv(basis[:, :2]))
+        assert np.max(np.abs(coeffs @ basis - rotated)) < 1e-12
 
     def test_angle_quantization(self):
         # decimal flag angles snap to the exact finite-order multiple
@@ -351,3 +384,37 @@ class TestConjugationInvariance:
                 c1 = orbit_contributions(m, conj, l)[0]
                 assert abs(c0.holonomy - c1.holonomy) < 1e-14
                 assert c0.period == c1.period
+
+
+class TestOneClassification:
+    """An AxisRotation classifies its matrix once: axis_and_kernel runs once
+    per model construction and once per Euclidean cutoff period."""
+
+    def calls(self, monkeypatch, run):
+        calls = []
+        for mod in (rotations, models):
+            original = getattr(mod, "axis_and_kernel", None)
+            if original is None:
+                continue
+
+            def counting(*args, _fn=original, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "axis_and_kernel", counting)
+        run()
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_from_angle(self, monkeypatch):
+        assert self.calls(monkeypatch, euclid_model) == 1
+
+    def test_period(self, monkeypatch):
+        m = euclid_model()
+        profile = CutoffProfile(kind="raised_cosine", radius=1.3)
+        run = lambda: chi_primitive_period_numeric(m, EuclideanElement(l0=1), chi_profile=profile)
+        assert self.calls(monkeypatch, run) == 1
+
+    def test_axis_derived_without_from_matrix(self):
+        rot = AxisRotation(matrix=np.eye(3)[[1, 2, 0]])
+        assert np.allclose(rot.axis, np.ones(3) / math.sqrt(3.0))

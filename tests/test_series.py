@@ -169,6 +169,35 @@ class TestBilateralContinued:
         with pytest.raises(DomainError):
             bilateral_exp_sum_continued(BilateralSumParams(0.5, 0j), 0.0)
 
+    def test_certificate_against_lerchphi(self):
+        # F(z) = e^{r(alpha-z)} Phi(e^{alpha-z}, 1, r)
+        #      + e^{-(1-r)(alpha+z)} Phi(e^{-alpha-z}, 1, 1-r), by mpmath.lerchphi,
+        # at seeded points of r in [0.02, 0.98], Re alpha in [-1.5, 1.5],
+        # Im alpha in [-6, 6], Re z in [-4, 4], Im z in [-8, 8], kept 0.05 off
+        # the excluded lattice +-alpha + 2*pi*i*Z.
+        from equizeta.series import bilateral_exp_sum_continued_result
+
+        rng = np.random.default_rng(2023)
+        checked = 0
+        while checked < 20:
+            r = float(rng.uniform(0.02, 0.98))
+            alpha = complex(rng.uniform(-1.5, 1.5), rng.uniform(-6.0, 6.0))
+            z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-8.0, 8.0))
+            lattice_gap = min(
+                abs(z - sgn * alpha - 2j * math.pi * round((z - sgn * alpha).imag / (2 * math.pi)))
+                for sgn in (1, -1)
+            )
+            if lattice_gap < 0.05:
+                continue
+            res = bilateral_exp_sum_continued_result(BilateralSumParams(r, alpha), z)
+            with mp.workdps(20):  # the errors checked are ~1e-15; 20 digits halve the cost
+                a, w = mp.mpc(alpha), mp.mpc(z)
+                ref = mp.exp(r * (a - w)) * mp.lerchphi(mp.exp(a - w), 1, r) + mp.exp(
+                    -(1 - r) * (a + w)
+                ) * mp.lerchphi(mp.exp(-a - w), 1, 1 - r)
+            assert abs(res.value - complex(ref)) <= 10.0 * res.est_error, (r, alpha, z)
+            checked += 1
+
     def test_grid_agreement_budgeted(self):
         rng = np.random.default_rng(3)
         from equizeta.series import bilateral_exp_sum_continued_result
