@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -693,10 +694,7 @@ class _SphereModel(FlowModel):
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         # Compact group, constant cutoff: the period is the primitive period.
-        steps = max(8, round(TWO_PI / quad.step))
-        h = TWO_PI / steps
-        t = h * (np.arange(steps) + 0.5)
-        return float(np.sum(np.ones_like(t)) * h)
+        return self.period
 
 
 @dataclass(frozen=True)
@@ -792,7 +790,8 @@ def chi_primitive_period_numeric(
     groups) or integral (continuous groups), which enforces the partition
     property; the result must then be profile-independent up to quadrature
     error.  Expected values: 1 for the line, lattice and circle, a/k for
-    the Euclidean lattice model, 2*pi for the spheres.
+    the Euclidean lattice model, 2*pi for the spheres.  ``orbit_id`` is
+    accepted and ignored: every orbit of a model has the same period.
     """
     return model.period_numeric(g, chi_profile or CutoffProfile(), quad or QuadratureSpec())
 
@@ -844,12 +843,9 @@ def _profile_reach(profile: CutoffProfile, tol: float) -> float:
     return profile.radius
 
 
-def _lattice_points(model: EuclideanLatticeModel, radius: float) -> np.ndarray:
-    """Points of Gamma' (rows): all within radius of the origin, and more."""
-    span = int(math.ceil(radius / model.lattice_spacing)) + 2
-    k = np.arange(-span, span + 1)
-    coeffs = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    return coeffs @ model.lattice_basis()
+# Profile evaluations one Euclidean cutoff period may spend, checked before any
+# array is built; every default-QuadratureSpec period at a >= 0.5 fits (<= 7e7).
+_PERIOD_BUDGET = 10**8
 
 
 def _period_euclidean(
@@ -857,7 +853,14 @@ def _period_euclidean(
 ) -> float:
     """Coset-summed period over the transverse lattice, per the trace-formula
     normalization: sum over Gamma' of the line integral of chi along the
-    closed-up geodesic through (w, v0), with (I - r) w = w_prime."""
+    closed-up geodesic through (w, v0), with (I - r) w = w_prime.
+
+    chi = f / D, with D(x) the profile summed over the translates r^j x + t,
+    t in Gamma = a Z v0 + Gamma'.  f is radial and Gamma r-invariant, so each
+    r^j gives the same sum; D is Gamma-periodic, so at x = w + gamma + s v0 it
+    depends on s alone: D(s) = order * sum_k N(s + k a), with
+    N(t) = sum_gamma f(|w + gamma + t v0|^2) the numerator summed over cosets.
+    """
     g = model._coerce(g)
     v0 = model._axis()
     rm = np.linalg.matrix_power(model.rotation.matrix, g.m)
@@ -872,51 +875,46 @@ def _period_euclidean(
             f"profile tail (needs {reach + float(np.linalg.norm(w)):.2f})"
         )
 
-    gamma_all = _lattice_points(model, reach + np.linalg.norm(w))
+    # The nodes have |s| < reach + panel, so the shifts |k a| <= 2 reach +
+    # panel cover every translate within reach of a node.
+    span = math.ceil((reach + float(np.linalg.norm(w))) / model.lattice_spacing) + 2
+    panel = min(quad.panel, profile.width / 2.0)
+    if not panel > 0:
+        raise DomainError("the profile width and the quadrature panel must be positive")
+    shift_reach = math.ceil((2.0 * reach + panel) / model.a)
+    work = (2 * span + 1) ** 2 * 12 * math.ceil(2.0 * reach / panel + 1) * (2 * shift_reach + 2)
+    if work > _PERIOD_BUDGET:
+        raise NonConvergentError(
+            f"the cutoff period needs about {work:.2e} profile evaluations, "
+            f"over the budget of {_PERIOD_BUDGET:.0e}"
+        )
+
+    k = np.arange(-span, span + 1)
+    coeffs = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    gamma_all = coeffs @ model.lattice_basis()
     # Only cosets whose shifted orbit meets the profile support contribute.
     gamma_pts = gamma_all[np.linalg.norm(gamma_all + w, axis=1) <= reach + 1e-9]
 
     # Composite Gauss-Legendre in the flow parameter s.
     nodes, weights = np.polynomial.legendre.leggauss(12)
-    panel = min(quad.panel, profile.width / 2.0)
     edges = np.arange(-reach, reach + panel, panel)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     s = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
     s_weights = (half[:, None] * weights[None, :]).ravel()
 
-    pts = (
-        w[None, None, :]
-        + gamma_pts[:, None, :]
-        + s[None, :, None] * v0[None, None, :]
-    ).reshape(-1, 3)
-    numer = profile(np.einsum("ij,ij->i", pts, pts))
+    # v0 is orthogonal to Gamma' and to w: |w + gamma + t v0|^2 = rho^2 + t^2.
+    rho2 = np.einsum("ij,ij->i", gamma_pts + w, gamma_pts + w)
 
-    # Translate lattice Gamma = a Z v0 + Gamma' large enough to normalize at
-    # every sample point: |t| <= max|x| + reach.
-    r_eval = float(np.max(np.linalg.norm(pts, axis=1))) + reach + 1e-9
-    axis_reach = int(math.ceil(r_eval / model.a)) + 1
-    axis_shifts = model.a * np.arange(-axis_reach, axis_reach + 1)
-    trans = (
-        axis_shifts[:, None, None] * v0[None, None, :]
-        + _lattice_points(model, r_eval)[None, :, :]
-    ).reshape(-1, 3)
-    trans = trans[np.linalg.norm(trans, axis=1) <= r_eval]
+    def numerator(t: np.ndarray) -> np.ndarray:
+        return profile(rho2[:, None] + t[None, :] ** 2).sum(axis=0)
 
-    # The normaliser sums the profile over the group translates r^j x + t. The
-    # profile is radial and Gamma is r-invariant, so f(|r^j x + t|) summed over
-    # t is the same sum for every power r^j (translates past r_eval lie beyond
-    # the profile's reach): sum it once and multiply by the order.
-    denom = np.zeros(pts.shape[0])
-    for chunk in np.array_split(trans, max(1, len(trans) // 256)):
-        diffs = pts[:, None, :] + chunk[None, :, :]
-        denom += profile(np.einsum("ijk,ijk->ij", diffs, diffs)).sum(axis=1)
-    denom *= model.order
+    denom = model.order * sum(
+        numerator(s + shift * model.a) for shift in range(-shift_reach, shift_reach + 1)
+    )
     if np.any(denom <= 0):
         raise NonConvergentError("translate sum vanished inside the quadrature ball")
-
-    chi = (numer / denom).reshape(len(gamma_pts), len(s))
-    return float(np.sum(chi * s_weights[None, :]))
+    return float(np.sum(s_weights * numerator(s) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +923,8 @@ def _period_euclidean(
 
 def parse_complex(text: str) -> complex:
     """Parse the a+bi parameter syntax (plain reals and bare 'i'; no inf or nan)."""
-    cleaned = str(text).strip().replace(" ", "").replace("I", "i").replace("i", "j")
+    # Only an i that ends a term is the imaginary unit; the i of inf is not.
+    cleaned = re.sub(r"i(?=[-+)]|$)", "j", str(text).strip().replace(" ", "").lower())
     try:
         value = complex(cleaned)
     except ValueError as exc:

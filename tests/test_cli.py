@@ -23,6 +23,8 @@ class TestParseComplex:
         assert parse_complex("1i") == 1j
         assert parse_complex("-0.5-2i") == -0.5 - 2j
         assert parse_complex("3.14159i") == 3.14159j
+        assert parse_complex("(1+2I)") == 1 + 2j
+        assert parse_complex("i") == 1j
 
     def test_rejects_garbage(self):
         from equizeta.cli import ConfigError
@@ -118,6 +120,9 @@ class TestEval:
             "eval --model line --params g=2,alpha=1e400i --sigma 1",
             "trace --model line --params g=2 --window inf",
             "eval --model circle --params r0=0.25,alpha=1i --sigma nan",
+            "eval --model line --params g=2,alpha=inf --sigma 1",
+            "eval --model line --params g=2,alpha=infi --sigma 1",
+            "eval --model line --params g=2 --sigma inf",
         ],
     )
     def test_non_finite_input_refused(self, capsys, argv):
@@ -125,6 +130,7 @@ class TestEval:
         assert code == 1
         assert len(out.splitlines()) == 1
         assert json.loads(out)["code"] == 1
+        assert "must be finite" in json.loads(out)["message"]
 
     def test_env_tol_override(self, capsys, monkeypatch):
         monkeypatch.setenv("EQUIZETA_TOL", "5")

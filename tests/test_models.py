@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from equizeta import (
     EuclideanLatticeModel,
     IntegerLatticeModel,
     LineModel,
+    NonConvergentError,
     QuadratureSpec,
     Sphere2Model,
     Sphere3Model,
@@ -209,15 +211,67 @@ class TestChiPeriods:
         )
         assert abs(val - 1.0) < 1e-8
 
-    def test_euclid_two_profiles(self):
-        m = euclid_model()
-        g = EuclideanElement(l0=1)
+    @pytest.mark.parametrize("element", ["plain", "offset"])
+    @pytest.mark.parametrize("a", [0.7, 1.0, 1.5])
+    @pytest.mark.parametrize("order", [2, 3, 4, 6])
+    def test_euclid_two_profiles(self, order, a, element):
+        m = EuclideanLatticeModel.from_angle(3, a, TWO_PI / order, order, 0j)
+        if element == "offset":
+            g = EuclideanElement(l0=-2, w_prime=m.lattice_basis()[0])
+        else:
+            g = EuclideanElement(l0=1)
         for profile in (
             CutoffProfile(kind="smoothed_indicator", width=0.5, radius=1.4),
             CutoffProfile(kind="raised_cosine", radius=1.3),
         ):
             val = chi_primitive_period_numeric(m, g, chi_profile=profile)
-            assert abs(val - 1.0 / 3.0) < 1e-6
+            assert abs(val - a / order) < 1e-6
+
+    def test_euclid_wide_raised_cosine(self):
+        # Lattice points, nodes and axis shifts all grow with the radius, so
+        # the cost grows like radius^4; radius 6 runs in a fraction of a second.
+        val = chi_primitive_period_numeric(
+            euclid_model(), EuclideanElement(l0=1),
+            chi_profile=CutoffProfile(kind="raised_cosine", radius=6.0),
+        )
+        assert abs(val - 1.0 / 3.0) < 1e-6
+
+    @pytest.mark.parametrize(
+        "profile, quad",
+        [
+            # the panel is min(quad.panel, width / 2): ~6e10 nodes
+            (CutoffProfile(kind="raised_cosine", width=1e-9), QuadratureSpec()),
+            # a ~4e8-point transverse lattice
+            (CutoffProfile(kind="raised_cosine", radius=1e4), QuadratureSpec(radius=1e4)),
+        ],
+        ids=["narrow-panel", "wide-lattice"],
+    )
+    def test_euclid_work_budget(self, profile, quad):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonConvergentError, match="budget"):
+                chi_primitive_period_numeric(
+                    euclid_model(), EuclideanElement(l0=1), chi_profile=profile, quad=quad
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    @pytest.mark.parametrize(
+        "profile, quad",
+        [
+            (CutoffProfile(kind="raised_cosine", width=-1.0), QuadratureSpec()),
+            (CutoffProfile(kind="raised_cosine"), QuadratureSpec(panel=0.0)),
+        ],
+        ids=["negative-width", "zero-panel"],
+    )
+    def test_euclid_nonpositive_panel(self, profile, quad):
+        # An empty node set would otherwise integrate to a silent 0.
+        with pytest.raises(DomainError, match="positive"):
+            chi_primitive_period_numeric(
+                euclid_model(), EuclideanElement(l0=1), chi_profile=profile, quad=quad
+            )
 
     def test_euclid_gaussian_and_offset_element(self):
         m = euclid_model()
@@ -316,8 +370,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     def test_lattice_is_rotation_invariant(self, order):
-        # The Euclidean period sums its translate lattice once for all powers
-        # of r, which needs r to map Gamma' onto itself.
+        # The Euclidean period's normaliser is one translate sum for all
+        # powers of r, which needs r to map Gamma' onto itself.
         m = EuclideanLatticeModel.from_angle(3, 1.0, TWO_PI / order, order, 0j)
         basis = m.lattice_basis()
         rotated = basis @ m.rotation.matrix.T
