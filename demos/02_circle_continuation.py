@@ -6,7 +6,8 @@ sum F(sigma; r0, alpha).  For Re(sigma) > 0 the sum converges absolutely;
 reaching sigma = 0 (the torsion comparison point) takes the hypergeometric
 continuation, which exists whenever alpha is not in 2*pi*i*Z.  The value at
 0 is then cross-checked against a delayed-averaging resummation of the
-conditionally convergent boundary series: two genuinely different routes.
+conditionally convergent boundary series, and the Fried residual compares
+it with the spectral torsion by Ewald's split: genuinely different routes.
 """
 
 import math

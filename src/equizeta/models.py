@@ -29,9 +29,10 @@ subclasses FlowModel and implements them.
     [0 for a finite spectrum, summed whole; NotImplementedError otherwise]
   * log_closed(g, sigma): (log R, method, est_error, terms) by closed form or
     continuation [DomainError]
-  * torsion(g): log of the torsion in closed form [DomainError]
-  * torsion_oracle(g, n_terms): the torsion by an independent second route,
-    a SeriesResult, or None where there is none [None]
+  * torsion(g): log of the torsion as a SeriesResult, by closed form
+    (est_error 0) or a spectral series [DomainError]
+  * torsion_oracle(g, n_terms): the torsion by delayed-average resummation,
+    for torsion_log_resummed only, or None where there is none [None]
   * period_numeric(g, profile, quad): cutoff-primitive period [DomainError]
 FlowModel alone derives three views from orbits: orbit_data(g, window) (the
 spectrum as a float array and the summed sign * holonomy * period per length;
@@ -71,6 +72,7 @@ from .series import (
     alpha_in_two_pi_i_z,
     atanh_of_exp,
     bilateral_exp_sum_continued_result,
+    bilateral_exp_sum_ewald,
     bilateral_exp_sum_resummed,
 )
 
@@ -278,7 +280,7 @@ class FlowModel:
     def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
         raise DomainError(f"no closed form registered for {self!r}")
 
-    def torsion(self, g) -> complex:
+    def torsion(self, g) -> SeriesResult:
         raise DomainError(f"no torsion value registered for {self!r}")
 
     def torsion_oracle(self, g, n_terms: int) -> SeriesResult | None:
@@ -292,6 +294,10 @@ class FlowModel:
         if abs(alpha.real) > 1e-12:
             raise DomainError("torsion values require purely imaginary alpha")
         return alpha
+
+
+def _closed(value: complex) -> SeriesResult:
+    return SeriesResult(value, 1, 0.0, True)
 
 
 def _converged(res: SeriesResult) -> SeriesResult:
@@ -332,12 +338,10 @@ class LineModel(FlowModel):
         value = cmath.exp(complex(self.alpha) * g - abs(g) * sigma) / (2.0 * abs(g)) if g else 0j
         return value, "closed", 0.0, 1
 
-    def torsion(self, g) -> complex:
+    def torsion(self, g) -> SeriesResult:
         alpha = self._unitary_connection()
         g = float(self._check_g(g))
-        if g == 0:
-            return 0.0 + 0j
-        return cmath.exp(alpha * g) / (2.0 * abs(g))
+        return _closed(cmath.exp(alpha * g) / (2.0 * abs(g)) if g else 0j)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         return _period_line(profile, quad, lattice=False)
@@ -424,8 +428,8 @@ class CircleModel(FlowModel):
             return 0.5 * res.value, "continuation", 0.5 * res.est_error, res.terms_used
         return value, "closed", 1e-15 * max(1.0, abs(value)), 2
 
-    def torsion(self, r0) -> complex:
-        """Non-identity classes evaluate the continued bilateral sum at 0."""
+    def torsion(self, r0) -> SeriesResult:
+        """The spectral torsion: Ewald's split off the identity class, else a closed form."""
         alpha = self._unitary_connection()
         if alpha_in_two_pi_i_z(alpha):
             raise DomainError("torsion needs alpha outside 2*pi*i*Z for circle classes")
@@ -433,10 +437,9 @@ class CircleModel(FlowModel):
         if r0 == 0.0:
             # (-(2 sinh(alpha/2))^2)^{-1/2} in log space equals the
             # identity-class closed form at sigma = 0.
-            square = -((2.0 * cmath.sinh(alpha / 2.0)) ** 2)
-            return -0.5 * cmath.log(square)
-        params = BilateralSumParams(r=r0, alpha=alpha, unitary=True)
-        return 0.5 * _converged(bilateral_exp_sum_continued_result(params, 0.0)).value
+            return _closed(-0.5 * cmath.log(-((2.0 * cmath.sinh(alpha / 2.0)) ** 2)))
+        res = bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha, unitary=True))
+        return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
 
     def torsion_oracle(self, r0, n_terms: int) -> SeriesResult | None:
         """Delayed iterated averaging of the symmetric partial sums of the
@@ -618,10 +621,10 @@ class EuclideanLatticeModel(FlowModel):
         ) / abs(l)
         return value, "closed", 0.0, 1
 
-    def torsion(self, g) -> complex:
+    def torsion(self, g) -> SeriesResult:
         alpha = self._unitary_connection()
         l = self._axial_length(g)
-        return self.period * cmath.exp(l * alpha) / abs(l)
+        return _closed(self.period * cmath.exp(l * alpha) / abs(l))
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         return _period_euclidean(self, g, profile, quad)
@@ -689,7 +692,7 @@ class _SphereModel(FlowModel):
             "no analytic continuation to Re(sigma) <= 0"
         )
 
-    def torsion(self, g) -> complex:
+    def torsion(self, g) -> SeriesResult:
         raise NotApplicableError("torsion comparison undefined: Laplacian kernel is nonzero")
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:

@@ -383,7 +383,7 @@ def _suite_fried_applicability(rng):
     for model, g in ok_cases:
         rep = fried_residual(model, g)
         assert rep.applicable, f"{model.name} unexpectedly not applicable"
-        assert abs(rep.residual) < 1e-8, f"{model.name} residual {abs(rep.residual):.2e}"
+        assert abs(rep.residual) < 1e-12, f"{model.name} residual {abs(rep.residual):.2e}"
     for model, g in ((Sphere2Model(), 1.0), (Sphere3Model(), (1.0, math.sqrt(2.0)))):
         rep = fried_residual(model, g)
         assert not rep.applicable, f"{model.name} should not be applicable"

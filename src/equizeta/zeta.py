@@ -173,25 +173,19 @@ def ruelle_log_closed(model: FlowModel, g, sigma) -> ZetaEvaluation:
 # Torsion and the Fried comparison
 # ---------------------------------------------------------------------------
 
-_ORACLE_TERMS = 10**6
-
-
 def torsion_log(model: FlowModel, g) -> complex:
-    """log of the equivariant analytic torsion, from its closed forms.
+    """log of the equivariant analytic torsion, the value of ``model.torsion``.
 
     Spheres have a nonzero twisted-Laplacian kernel and raise
     NotApplicableError.
     """
-    return model.torsion(g)
+    return model.torsion(g).value
 
 
-def torsion_log_resummed(model: FlowModel, g, n_terms: int = _ORACLE_TERMS) -> SeriesResult:
-    """Independent torsion evaluation for circle non-identity classes.
-
-    Delayed iterated averaging of the symmetric partial sums of the
-    defining bilateral series at 0; the oracle side of the two-route Fried
-    consistency check.
-    """
+def torsion_log_resummed(model: FlowModel, g, n_terms: int = 10**6) -> SeriesResult:
+    """Circle non-identity classes: delayed iterated averaging of the
+    symmetric partial sums of the torsion series, a slow third route (its
+    est_error is at least 5e-10) that the Fried check does not use."""
     res = model.torsion_oracle(g, n_terms)
     if res is None:
         raise DomainError("resummed torsion applies to circle non-identity classes")
@@ -202,10 +196,10 @@ def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
     """log R(0) - log T with an applicability verdict.
 
     Applicable iff the twisted Laplacian has trivial kernel and the zeta
-    function continues to 0.  Where the model has a second torsion route
-    (circle non-identity classes: continuation vs delayed-average
-    resummation) the residual is a real consistency check rather than an
-    algebraic identity; elsewhere it compares closed forms.
+    function continues to 0.  Compares ``ruelle_log_closed`` at 0 with
+    ``model.torsion``; est_error sums their certificates.  Where log R(0) is
+    a continuation (circle non-identity classes) log T is the spectral
+    torsion by Ewald's split, so the residual is a two-route check.
     """
     diag = validate_model(model, g)
     if diag.laplacian_kernel_nonzero or not diag.continuation_available:
@@ -219,25 +213,16 @@ def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
             applicable=False, reason="; ".join(reasons),
         )
     r_eval = ruelle_log_closed(model, g, 0.0)
-    oracle = model.torsion_oracle(g, _ORACLE_TERMS)
-    if oracle is not None:
-        log_t = oracle.value
-        est = r_eval.est_error + oracle.est_error
-        reason = (
-            "two-route check: continuation at sigma=0 against delayed-average "
-            "resummation of the torsion series"
-        )
-    else:
-        log_t = torsion_log(model, g)
-        est = r_eval.est_error
-        reason = "closed-form comparison"
+    torsion = model.torsion(g)
+    reason = "closed-form comparison" if r_eval.method == "closed" else (
+        "two-route check: continuation at sigma=0 against the Ewald split of the spectral torsion")
     return FriedReport(
         log_R_at_0=r_eval.log_R,
-        log_T=log_t,
-        residual=r_eval.log_R - log_t,
+        log_T=torsion.value,
+        residual=r_eval.log_R - torsion.value,
         applicable=True,
         reason=reason,
-        est_error=est,
+        est_error=r_eval.est_error + torsion.est_error,
     )
 
 

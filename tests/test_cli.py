@@ -291,6 +291,16 @@ class TestFried:
         assert code == 3
         assert json.loads(out)["applicable"] is False
 
+    def test_non_unitary_circle_class(self, capsys):
+        # A non-unitary class has no torsion value: exit 1 with the error
+        # object, as on the line, not a traceback.
+        code, out = run_cli(capsys, "fried", "--model", "circle", "--params", "r0=0.25,alpha=0.3+1i")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "DomainError", "code": 1,
+            "message": "torsion values require purely imaginary alpha",
+        }
+
     def test_violation_exit_code(self, capsys):
         # an absurdly tight tolerance turns the tiny two-route residual into
         # a reported violation: exit 4, not an error object

@@ -111,7 +111,7 @@ class TestContinuationConvergenceFlag:
         with pytest.raises(NonConvergentError):
             ruelle_log_closed(model, 0.25, 0.0)
         with pytest.raises(NonConvergentError):
-            torsion_log(model, 0.25)
+            fried_residual(model, 0.25)
 
     def test_cli_exit_code(self, unconverged, capsys):
         code = main(["eval", "--model", "circle", "--params", "r0=0.25,alpha=1i", "--sigma", "0"])

@@ -23,6 +23,8 @@ from equizeta import (
     hyp2f1,
     log_one_minus,
 )
+from equizeta import series
+from equizeta.series import bilateral_exp_sum_continued_result, bilateral_exp_sum_ewald
 
 mp.mp.dps = 30
 
@@ -155,6 +157,12 @@ class TestBilateralContinued:
         cont = bilateral_exp_sum_continued(p, 1.0)
         assert abs(direct.value - cont) < 1e-10
 
+    def test_resummation_refuses_non_unitary_alpha(self):
+        # |Re alpha| > Re z: the partial sums grow like e^{|Re alpha| N} and
+        # overflow long before the default 1e6 terms.
+        with pytest.raises(DomainError, match="resummation needs"):
+            bilateral_exp_sum_resummed(BilateralSumParams(0.25, 0.3 + 1j), 0.0)
+
     def test_boundary_value_matches_resummation(self):
         p = BilateralSumParams(1.0 / 3.0, 1j, unitary=True)
         cont = bilateral_exp_sum_continued(p, 0.0)
@@ -211,6 +219,52 @@ class TestBilateralContinued:
             cont = bilateral_exp_sum_continued_result(p, z)
             gap = abs(direct.value - cont.value)
             assert gap < 10.0 * (direct.est_error + cont.est_error) + 1e-11
+
+
+class TestBilateralEwald:
+    """The torsion series F(0; r, i*beta) by Ewald's split."""
+
+    @staticmethod
+    def unitary_points(seed, n, beta_max):
+        rng = np.random.default_rng(seed)
+        while n:
+            r, beta = float(rng.uniform(0.02, 0.98)), float(rng.uniform(-beta_max, beta_max))
+            if abs(beta - 2 * math.pi * round(beta / (2 * math.pi))) >= 0.05:
+                n -= 1
+                yield BilateralSumParams(r, 1j * beta, unitary=True)
+
+    def test_certificate_against_lerchphi(self):
+        # |beta| up to 120 sits ~19 spectral terms off k = 0: a window not
+        # centred on round(beta / 2 pi) misses the leading E1 terms.
+        for p in self.unitary_points(2026, 40, 120.0):
+            res = bilateral_exp_sum_ewald(p)
+            a, r = mp.mpc(p.alpha), mp.mpf(p.r)
+            ref = mp.exp(r * a) * mp.lerchphi(mp.exp(a), 1, r) + mp.exp(
+                -(1 - r) * a
+            ) * mp.lerchphi(mp.exp(-a), 1, 1 - r)
+            assert abs(res.value - complex(ref)) <= res.est_error, (p, res)
+
+    def test_agrees_with_continuation(self):
+        # beta over the continuation lock-in range: past |beta| ~ 10 the
+        # continuation's own est_error is not a bound (it misses rounding in
+        # its phases), whatever the second route.
+        for p in self.unitary_points(7, 200, 6.0):
+            ewald = bilateral_exp_sum_ewald(p)
+            cont = bilateral_exp_sum_continued_result(p, 0.0)
+            assert abs(ewald.value - cont.value) <= ewald.est_error + cont.est_error, p
+
+    def test_value_independent_of_eta(self, monkeypatch):
+        points = list(self.unitary_points(11, 30, 40.0))
+        default = [bilateral_exp_sum_ewald(p).value for p in points]
+        monkeypatch.setattr(series, "EWALD_ETA", 1.0)
+        for p, value in zip(points, default):
+            assert abs(bilateral_exp_sum_ewald(p).value - value) < 1e-13, p
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            bilateral_exp_sum_ewald(BilateralSumParams(0.25, 0.3 + 1j))
+        with pytest.raises(DomainError):
+            bilateral_exp_sum_ewald(BilateralSumParams(0.25, 2j * math.pi, unitary=True))
 
 
 class TestElementary:

@@ -263,6 +263,13 @@ class TestTorsion:
         assert abs(prod - oracle.value) < 1e-6
         assert abs(prod - oracle.value) > 0.0  # genuinely different routes
 
+    def test_non_unitary_circle_class_refused(self):
+        # Off the unitary line both routes refuse with the library's error.
+        with pytest.raises(DomainError):
+            torsion_log_resummed(CircleModel(alpha=0.3 + 1j), 0.25)
+        with pytest.raises(DomainError, match="purely imaginary"):
+            torsion_log(CircleModel(alpha=0.3 + 1j), 0.25)
+
 
 class TestFried:
     def test_line_exact(self):
@@ -273,8 +280,9 @@ class TestFried:
     def test_circle_two_route(self):
         rep = fried_residual(CircleModel(alpha=1j), 1.0 / 3.0)
         assert rep.applicable
-        assert abs(rep.residual) < 1e-8
-        assert "resummation" in rep.reason
+        assert abs(rep.residual) < 1e-12
+        assert abs(rep.residual) <= rep.est_error
+        assert "Ewald split" in rep.reason
 
     def test_circle_identity(self):
         rep = fried_residual(CircleModel(alpha=1j), 0.0)
