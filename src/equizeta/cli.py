@@ -11,8 +11,8 @@ plain key=value pairs (comma-separated on the flag, or one per line via
     4  Fried comparison applicable but residual above tolerance
 
 Errors are emitted as a single-line JSON object so callers can parse them.
-Output is deterministic: identical configuration (including the seed)
-yields byte-identical JSON/CSV.
+Output is deterministic: identical arguments yield byte-identical JSON/CSV,
+and selftest's --seed fixes the inputs its suites sample.
 """
 
 from __future__ import annotations
@@ -305,7 +305,6 @@ def make_parser() -> _Parser:
         p.add_argument("--config", default=None, help="file of key=value lines")
         p.add_argument("--tol", default=None, help="tolerance in (0, 1e-2]")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
 
     p_eval = sub.add_parser("eval", help="evaluate log R at one sigma")
     common(p_eval)

@@ -10,7 +10,7 @@ of det(1-P) is +1 throughout, and the cutoff-primitive period (the coset
 integral over conjugators folded in) is one number per model.
 
 Normalization conventions folded into the stored periods:
-  * line/lattice/circle: period 1 (the cutoff integrates to 1);
+  * line/lattice/circle: period 1 (the normalized cutoff integrates to 1);
   * Euclidean lattice: period a/k for a cyclic rotation factor of order k
     (one fundamental translation cell split across the rotation subgroup);
   * spheres: period 2*pi with the conjugation-orbit measure normalized to
@@ -33,7 +33,8 @@ subclasses FlowModel and implements them.
     (est_error 0) or a spectral series [DomainError]
   * torsion_oracle(g, n_terms): the torsion by delayed-average resummation,
     for torsion_log_resummed only, or None where there is none [None]
-  * period_numeric(g, profile, quad): cutoff-primitive period [DomainError]
+  * period_numeric(g, profile, quad): the cutoff-primitive period once
+    ``_admissible_reach`` admits the profile; only Euclid integrates [DomainError]
 FlowModel alone derives three views from orbits: orbit_data(g, window) (the
 spectrum as a float array and the summed sign * holonomy * period per length;
 the direct sum and the flat trace read only this), length_spectrum(g, window)
@@ -67,6 +68,7 @@ from .rotations import (
     unit_eigenvalue_multiplicity,
 )
 from .series import (
+    UNITARY_TOL,
     BilateralSumParams,
     SeriesResult,
     alpha_in_two_pi_i_z,
@@ -122,9 +124,9 @@ class EuclideanElement:
 class CutoffProfile:
     """A named nonnegative bump used to realise the cutoff function.
 
-    The partition property (group translates summing/integrating to one) is
-    enforced numerically by dividing by the computed translate sum, so any
-    member of these families is admissible.
+    The cutoff is the profile divided by its group-translate sum (or
+    integral), which makes the translates sum to one.  A profile is used
+    only once ``_admissible_reach`` accepts it for the model's group.
     """
 
     kind: str = "gaussian"
@@ -154,14 +156,11 @@ class CutoffProfile:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature controls for cutoff-period integrals.
+    """Quadrature controls of the Euclidean cutoff period, the only period
+    integrated: ``panel`` drives the composite Gauss-Legendre rule along the
+    orbit, ``radius`` caps the lattice truncation and ``tol`` is the tail
+    certificate target (the other models read only ``tol``)."""
 
-    ``step`` drives the midpoint rules on the line and circle, ``panel``
-    the composite Gauss-Legendre rule along Euclidean orbits, ``radius``
-    caps the lattice truncation and ``tol`` is the tail certificate target.
-    """
-
-    step: float = 1e-3
     panel: float = 0.12
     radius: float = 9.0
     tol: float = 1e-8
@@ -291,7 +290,7 @@ class FlowModel:
 
     def _unitary_connection(self) -> complex:
         alpha = self.connection()
-        if abs(alpha.real) > 1e-12:
+        if abs(alpha.real) > UNITARY_TOL:
             raise DomainError("torsion values require purely imaginary alpha")
         return alpha
 
@@ -344,7 +343,8 @@ class LineModel(FlowModel):
         return _closed(cmath.exp(alpha * g) / (2.0 * abs(g)) if g else 0j)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        return _period_line(profile, quad, lattice=False)
+        _admissible_reach(profile, quad.tol)
+        return self.period
 
 
 @dataclass(frozen=True)
@@ -359,7 +359,9 @@ class IntegerLatticeModel(LineModel):
         return int(g)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        return _period_line(profile, quad, lattice=True)
+        # The integer translates of the line itself: rho = 0, spacing 1.
+        _admissible_reach(profile, quad.tol, spacing=1.0)
+        return self.period
 
 
 @dataclass(frozen=True)
@@ -448,12 +450,13 @@ class CircleModel(FlowModel):
         if r0 == 0.0:
             return None
         alpha = self.connection()
-        params = BilateralSumParams(r=r0, alpha=alpha, unitary=abs(alpha.real) <= 1e-14)
+        params = BilateralSumParams(r=r0, alpha=alpha, unitary=abs(alpha.real) <= UNITARY_TOL)
         res = bilateral_exp_sum_resummed(params, 0.0, n_terms=n_terms)
         return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
 
     def period_numeric(self, r0, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        return _period_circle(profile, quad)
+        _admissible_reach(profile, quad.tol, compact=True)
+        return self.period
 
 
 def _invariant_lattice_2d(order: int, spacing: float = 1.0) -> np.ndarray:
@@ -696,7 +699,7 @@ class _SphereModel(FlowModel):
         raise NotApplicableError("torsion comparison undefined: Laplacian kernel is nonzero")
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        # Compact group, constant cutoff: the period is the primitive period.
+        _admissible_reach(profile, quad.tol, compact=True)
         return self.period
 
 
@@ -787,62 +790,50 @@ def chi_primitive_period_numeric(
     chi_profile: CutoffProfile | None = None,
     quad: QuadratureSpec | None = None,
 ) -> float:
-    """Cutoff-primitive period by quadrature against a normalized profile.
-
-    The profile is normalized by its computed group-translate sum (discrete
-    groups) or integral (continuous groups), which enforces the partition
-    property; the result must then be profile-independent up to quadrature
-    error.  Expected values: 1 for the line, lattice and circle, a/k for
-    the Euclidean lattice model, 2*pi for the spheres.  ``orbit_id`` is
-    accepted and ignored: every orbit of a model has the same period.
+    """Cutoff-primitive period for the profile normalized by its
+    group-translate sum (or integral), which makes the period independent
+    of the profile.  The line, lattice and circle (period 1) and the
+    spheres (2*pi) report ``model.period`` once ``_admissible_reach``
+    admits the profile: there the normalized cutoff integrates to the
+    period by construction.  The Euclidean model integrates it along the
+    closed-up geodesic over the transverse cosets, to a/k up to the
+    quadrature error; that checks the quadrature, not the coset geometry
+    (the 1-D periodisation unfolds to a/k for any coset set).  ``orbit_id``
+    is ignored: every orbit of a model has the same period.
     """
     return model.period_numeric(g, chi_profile or CutoffProfile(), quad or QuadratureSpec())
 
 
-def _period_line(profile: CutoffProfile, quad: QuadratureSpec, lattice: bool) -> float:
-    radius = quad.radius
-    if profile.kind == "gaussian":
-        tail = math.exp(-(radius**2) / (2.0 * profile.width**2))
-        if tail > quad.tol:
-            raise NonConvergentError(
-                f"truncation radius {radius} cannot certify tail {tail:.3e} < {quad.tol}"
-            )
-    elif radius < profile.radius:
-        raise NonConvergentError("truncation radius smaller than profile support")
+def _admissible_reach(
+    profile: CutoffProfile, tol: float, compact: bool = False, spacing: float = 0.0, rho2=(0.0,)
+) -> float:
+    """The cutoff-admissibility rule of every period: the radius beyond which
+    an admissible profile is below tol (0 outside its support).
 
-    if lattice:
-        # chi(x) = f(x) / sum_n f(x+n); integral over the line is then 1.
-        xs = np.arange(-radius, radius, quad.step) + 0.5 * quad.step
-        shifts = np.arange(-math.ceil(2 * radius), math.ceil(2 * radius) + 1)
-        norm = profile((xs[None, :] + shifts[:, None]) ** 2).sum(axis=0)
-        chi = profile(xs**2) / norm
-        return float(np.sum(chi) * quad.step)
-    # Continuous translations: the normalizer is the full integral, computed
-    # on a deliberately different grid from the period quadrature.
-    fine = quad.step / 3.0
-    xs_norm = np.arange(-radius, radius, fine) + 0.5 * fine
-    total = float(np.sum(profile(xs_norm**2)) * fine)
-    xs = np.arange(-radius, radius, quad.step) + 0.5 * quad.step
-    return float(np.sum(profile(xs**2) / total) * quad.step)
-
-
-def _period_circle(profile: CutoffProfile, quad: QuadratureSpec) -> float:
-    # chi on R/Z; normalizer is the circle integral of the profile.
-    fine = quad.step / 3.0
-    xs_norm = np.arange(0.0, 1.0, fine) + 0.5 * fine
-    vals = profile(np.minimum(xs_norm, 1.0 - xs_norm) ** 2)
-    total = float(np.sum(vals) * fine)
-    xs = np.arange(0.0, 1.0, quad.step) + 0.5 * quad.step
-    chi = profile(np.minimum(xs, 1.0 - xs) ** 2) / total
-    return float(np.sum(chi) * quad.step)
-
-
-def _profile_reach(profile: CutoffProfile, tol: float) -> float:
-    """Radius beyond which the profile is certified below tol (0 outside)."""
-    if profile.kind == "gaussian":
-        return profile.width * math.sqrt(2.0 * math.log(1.0 / max(tol, 1e-300)))
+    Admissible means the group translates sum (or integrate) to a positive
+    function along the orbit.  DomainError refuses an unknown kind, a
+    nonpositive width or radius, a constant profile on a noncompact group,
+    and a compact support whose translates leave gaps: the nearest coset
+    (squared distance min(rho2)) meets it for flow times |t| <
+    sqrt(radius^2 - min(rho2)), which must pass spacing / 2, the half-step
+    of the translates along the orbit (0 for a continuous group).
+    """
+    if profile.kind not in ("gaussian", "raised_cosine", "smoothed_indicator", "constant"):
+        raise DomainError(f"unknown cutoff profile kind {profile.kind!r}")
+    if not (profile.width > 0 and profile.radius > 0):
+        raise DomainError("the cutoff profile width and radius must be positive")
     if profile.kind == "constant":
-        raise DomainError("a constant profile has no decay on a noncompact group")
+        if not compact:
+            raise DomainError("a constant profile has no decay on a noncompact group")
+        return math.inf
+    if profile.kind == "gaussian":
+        if not 0 < tol < 1:
+            raise DomainError(f"the tail target tol must lie in (0, 1), got {tol}")
+        return profile.width * math.sqrt(2.0 * math.log(1.0 / tol))
+    if not profile.radius**2 - np.min(rho2, initial=math.inf) > spacing**2 / 4.0:
+        raise DomainError(
+            f"the translates of a radius-{profile.radius} cutoff leave gaps along the orbit"
+        )
     return profile.radius
 
 
@@ -871,7 +862,7 @@ def _period_euclidean(
     # check refuses an r^m whose kernel is not the axis alone.
     w = solve_transverse(AxisRotation(matrix=rm, axis=v0), model._w_prime(g))
 
-    reach = _profile_reach(profile, quad.tol * 1e-4)
+    reach = _admissible_reach(profile, quad.tol * 1e-4)
     if reach + float(np.linalg.norm(w)) > quad.radius:
         raise NonConvergentError(
             f"lattice truncation radius {quad.radius} cannot certify the "
@@ -883,7 +874,7 @@ def _period_euclidean(
     span = math.ceil((reach + float(np.linalg.norm(w))) / model.lattice_spacing) + 2
     panel = min(quad.panel, profile.width / 2.0)
     if not panel > 0:
-        raise DomainError("the profile width and the quadrature panel must be positive")
+        raise DomainError("the quadrature panel must be positive")
     shift_reach = math.ceil((2.0 * reach + panel) / model.a)
     work = (2 * span + 1) ** 2 * 12 * math.ceil(2.0 * reach / panel + 1) * (2 * shift_reach + 2)
     if work > _PERIOD_BUDGET:
@@ -897,6 +888,10 @@ def _period_euclidean(
     gamma_all = coeffs @ model.lattice_basis()
     # Only cosets whose shifted orbit meets the profile support contribute.
     gamma_pts = gamma_all[np.linalg.norm(gamma_all + w, axis=1) <= reach + 1e-9]
+    # v0 is orthogonal to Gamma' and to w: |w + gamma + t v0|^2 = rho^2 + t^2.
+    rho2 = np.einsum("ij,ij->i", gamma_pts + w, gamma_pts + w)
+    # The cosets are known only now: their translates must cover the orbit.
+    _admissible_reach(profile, quad.tol * 1e-4, spacing=model.a, rho2=rho2)
 
     # Composite Gauss-Legendre in the flow parameter s.
     nodes, weights = np.polynomial.legendre.leggauss(12)
@@ -905,9 +900,6 @@ def _period_euclidean(
     half = 0.5 * (edges[1:] - edges[:-1])
     s = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
     s_weights = (half[:, None] * weights[None, :]).ravel()
-
-    # v0 is orthogonal to Gamma' and to w: |w + gamma + t v0|^2 = rho^2 + t^2.
-    rho2 = np.einsum("ij,ij->i", gamma_pts + w, gamma_pts + w)
 
     def numerator(t: np.ndarray) -> np.ndarray:
         return profile(rho2[:, None] + t[None, :] ** 2).sum(axis=0)

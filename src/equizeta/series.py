@@ -38,6 +38,9 @@ from .errors import DomainError, NonConvergentError, SingularPointError
 TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2*pi - TWO_PI
 
+# The largest |Re(alpha)| of a unitary (purely imaginary) connection, for every torsion.
+UNITARY_TOL = 1e-14
+
 # Ewald splitting parameter: eta = pi gives both torsion sums one Gaussian decay.
 EWALD_ETA = math.pi
 
@@ -78,7 +81,7 @@ class BilateralSumParams:
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise DomainError(f"offset r must lie in (0, 1), got {self.r}")
-        if self.unitary and abs(self.alpha.real) > 1e-14:
+        if self.unitary and abs(self.alpha.real) > UNITARY_TOL:
             raise DomainError(
                 f"unitary flag requires Re(alpha)=0, got Re={self.alpha.real}"
             )
@@ -401,7 +404,7 @@ def bilateral_exp_sum_ewald(p: BilateralSumParams) -> SeriesResult:
     spectral window.  est_error: the tails, by erfc(t) <= e^{-t^2}/(t sqrt(pi))
     and E1(t) <= e^{-t}/t, plus 8 ulp of the summed term moduli.
     """
-    if abs(p.alpha.real) > 1e-14 or alpha_in_two_pi_i_z(p.alpha):
+    if abs(p.alpha.real) > UNITARY_TOL or alpha_in_two_pi_i_z(p.alpha):
         raise DomainError(f"the Ewald split needs alpha in i*R off 2*pi*i*Z, got {p.alpha}")
     rem = math.remainder(p.alpha.imag, TWO_PI)
     m = round((p.alpha.imag - rem) / TWO_PI)

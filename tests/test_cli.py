@@ -132,6 +132,19 @@ class TestEval:
         assert json.loads(out)["code"] == 1
         assert "must be finite" in json.loads(out)["message"]
 
+    @pytest.mark.parametrize("verb", [
+        "eval --model line --params g=2,alpha=1i --sigma 1",
+        "sweep --model line --params g=2,alpha=1i --sigma-start 1 --sigma-end 2 --steps 2",
+        "fried --model line --params g=2,alpha=1i",
+        "trace --model line --params g=2 --window 5",
+    ])
+    def test_seed_only_on_selftest(self, capsys, verb):
+        # Only selftest samples inputs; the other verbs take no --seed.
+        code, out = run_cli(capsys, *verb.split(), "--seed", "7")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert "--seed" in json.loads(out)["message"]
+
     def test_env_tol_override(self, capsys, monkeypatch):
         monkeypatch.setenv("EQUIZETA_TOL", "5")
         code, out = run_cli(capsys, "eval", "--model", "line", "--params", "g=2", "--sigma", "1")
@@ -295,6 +308,17 @@ class TestFried:
         # A non-unitary class has no torsion value: exit 1 with the error
         # object, as on the line, not a traceback.
         code, out = run_cli(capsys, "fried", "--model", "circle", "--params", "r0=0.25,alpha=0.3+1i")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "DomainError", "code": 1,
+            "message": "torsion values require purely imaginary alpha",
+        }
+
+    def test_tiny_real_part_is_not_unitary(self, capsys):
+        # The circle refuses a real part of 1e-13 with the line's message.
+        code, out = run_cli(
+            capsys, "fried", "--model", "circle", "--params", "r0=0.25,alpha=1e-13+1i"
+        )
         assert code == 1
         assert json.loads(out) == {
             "error": "DomainError", "code": 1,

@@ -296,6 +296,78 @@ class TestChiPeriods:
         val = chi_primitive_period_numeric(Sphere2Model(), 1.0)
         assert abs(val - TWO_PI) < 1e-12
 
+    PROFILES = {
+        "default": CutoffProfile(),
+        "constant": CutoffProfile(kind="constant"),
+        "cosine-radius-minus-1": CutoffProfile(kind="raised_cosine", radius=-1.0),
+        "cosine-radius-0.3": CutoffProfile(kind="raised_cosine", radius=0.3),
+        "bogus-kind": CutoffProfile(kind="bogus"),
+        "gaussian-width-minus-0.3": CutoffProfile(kind="gaussian", width=-0.3),
+    }
+    # The profiles each group admits; every other one raises DomainError.
+    ADMITS = {
+        "line": {"default", "cosine-radius-0.3"},
+        "lattice": {"default"},
+        "circle": {"default", "constant", "cosine-radius-0.3"},
+        "sphere2": {"default", "constant", "cosine-radius-0.3"},
+        "sphere3": {"default", "constant", "cosine-radius-0.3"},
+        "euclid": {"default"},
+    }
+    MODELS = {
+        "line": lambda: (LineModel(), 2.0),
+        "lattice": lambda: (IntegerLatticeModel(), 2),
+        "circle": lambda: (CircleModel(), 0.25),
+        "sphere2": lambda: (Sphere2Model(), 1.0),
+        "sphere3": lambda: (Sphere3Model(), (1.0, math.sqrt(2.0))),
+        "euclid": lambda: (euclid_model(), EuclideanElement(l0=1)),
+    }
+
+    @pytest.mark.parametrize("model_name", list(MODELS))
+    @pytest.mark.parametrize("profile_name", list(PROFILES))
+    def test_admissibility_table(self, profile_name, model_name):
+        model, g = self.MODELS[model_name]()
+        profile = self.PROFILES[profile_name]
+        if profile_name not in self.ADMITS[model_name]:
+            with pytest.raises(DomainError):
+                chi_primitive_period_numeric(model, g, chi_profile=profile)
+        elif model_name == "euclid":
+            # The one period that is integrated: a/k up to the quadrature.
+            val = chi_primitive_period_numeric(model, g, chi_profile=profile)
+            assert abs(val - 1.0 / 3.0) < 1e-12
+        else:
+            assert chi_primitive_period_numeric(model, g, chi_profile=profile) == model.period
+
+    @pytest.mark.parametrize("radius, admitted", [(0.5, False), (0.55, True)])
+    def test_gap_boundary(self, radius, admitted):
+        # Translates spaced 1 along the orbit cover it when the support's
+        # half-length (the radius, at rho = 0) passes 1/2.
+        profile = CutoffProfile(kind="raised_cosine", radius=radius)
+        for model, g in ((euclid_model(), EuclideanElement(l0=1)), (IntegerLatticeModel(), 1)):
+            if admitted:
+                val = chi_primitive_period_numeric(model, g, chi_profile=profile)
+                assert abs(val - model.period) < 1e-6
+            else:
+                with pytest.raises(DomainError, match="gaps"):
+                    chi_primitive_period_numeric(model, g, chi_profile=profile)
+
+    @pytest.mark.parametrize("model_name, tol", [
+        ("line", 0.0), ("line", 2.0), ("circle", 2.0), ("euclid", 0.0),
+    ])
+    def test_gaussian_tail_target(self, model_name, tol):
+        # The Gaussian reach is the radius where it falls below tol.
+        model, g = self.MODELS[model_name]()
+        with pytest.raises(DomainError, match="tail target"):
+            chi_primitive_period_numeric(model, g, quad=QuadratureSpec(tol=tol))
+
+    def test_profile_meeting_no_coset(self):
+        # The offset element's orbit lies 1/sqrt(3) from every coset.
+        m = euclid_model()
+        g = EuclideanElement(l0=1, w_prime=m.lattice_basis()[0])
+        with pytest.raises((DomainError, NonConvergentError)):
+            chi_primitive_period_numeric(
+                m, g, chi_profile=CutoffProfile(kind="raised_cosine", radius=0.3)
+            )
+
 
 class TestValidate:
     def test_euclid_nondegenerate(self):

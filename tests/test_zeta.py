@@ -270,6 +270,15 @@ class TestTorsion:
         with pytest.raises(DomainError, match="purely imaginary"):
             torsion_log(CircleModel(alpha=0.3 + 1j), 0.25)
 
+    @pytest.mark.parametrize("model, g", [
+        (CircleModel, 0.25), (CircleModel, 0.0), (LineModel, 2.0),
+    ])
+    def test_one_unitarity_threshold(self, model, g):
+        # Every model draws the unitary line at the same |Re(alpha)|.
+        with pytest.raises(DomainError, match="purely imaginary"):
+            torsion_log(model(alpha=1e-13 + 1j), g)
+        assert cmath.isfinite(torsion_log(model(alpha=1e-15 + 1j), g))
+
 
 class TestFried:
     def test_line_exact(self):
