@@ -8,9 +8,10 @@ plain key=value pairs (comma-separated on the flag, or one per line via
     1  invalid configuration or arguments
     2  a series or quadrature did not converge
     3  not applicable / singular point requested
-    4  Fried comparison applicable but residual above tolerance
+    4  Fried comparison applicable but |residual| + est_error not below tol
 
 Errors are emitted as a single-line JSON object so callers can parse them.
+JSON output is strict: a non-finite number ends in that error object (exit 1).
 Output is deterministic: identical arguments yield byte-identical JSON/CSV,
 and selftest's --seed fixes the inputs its suites sample.
 """
@@ -105,11 +106,8 @@ def build_model(name: str, params: dict[str, str]):
 
 def _tol_from(args) -> float:
     raw = args.tol if args.tol is not None else os.environ.get("EQUIZETA_TOL")
-    tol = DEFAULT_TOL if raw is None else _parse_tol(raw)
-    return tol
-
-
-def _parse_tol(raw) -> float:
+    if raw is None:
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except (TypeError, ValueError) as exc:
@@ -119,28 +117,41 @@ def _parse_tol(raw) -> float:
     return tol
 
 
+def _json(payload: dict) -> str:
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError("the result is not a finite number; JSON cannot carry it") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _evaluate(model, g, sigma: complex, method: str, tol: float):
-    if method == "closed":
-        return ruelle_log_closed(model, g, sigma)
-    if method == "direct":
-        return ruelle_log_direct(model, g, sigma, tol=tol)
-    # auto: prefer the closed/continued route, fall back to direct sums.
     try:
-        return ruelle_log_closed(model, g, sigma)
-    except NotApplicableError:
+        if method != "direct":
+            # auto: prefer the closed/continued route, fall back to direct sums.
+            try:
+                return ruelle_log_closed(model, g, sigma)
+            except NotApplicableError:
+                if method == "closed":
+                    raise
         return ruelle_log_direct(model, g, sigma, tol=tol)
+    except OverflowError as exc:
+        raise DomainError(f"log R at sigma = {sigma} overflows a float") from exc
+
+
+def _modulus(ev) -> float:
+    try:
+        return math.exp(ev.log_R.real)
+    except OverflowError:  # |R| past the largest float; log R itself is finite
+        return math.inf
 
 
 def _row_dict(ev) -> dict:
@@ -149,7 +160,7 @@ def _row_dict(ev) -> dict:
         "sigma_im": ev.sigma.imag,
         "logR_re": ev.log_R.real,
         "logR_im": ev.log_R.imag,
-        "R_modulus": math.exp(ev.log_R.real),
+        "R_modulus": None if _modulus(ev) == math.inf else _modulus(ev),
         "method": ev.method,
         "est_error": ev.est_error,
         "terms": ev.terms,
@@ -176,7 +187,7 @@ def cmd_eval(args) -> int:
     sigma = parse_complex(args.sigma)
     ev = _evaluate(model, g, sigma, args.method, tol)
     if args.format == "json":
-        _emit(json.dumps(_row_dict(ev)), args.output)
+        _emit(_json(_row_dict(ev)), args.output)
     elif args.format == "csv":
         _emit(CSV_HEADER + "\n" + _row_csv(ev), args.output)
     else:
@@ -186,7 +197,7 @@ def cmd_eval(args) -> int:
                 repr(ev.log_R.real),
                 "+" if ev.log_R.imag >= 0 else "-",
                 repr(abs(ev.log_R.imag)),
-                repr(math.exp(ev.log_R.real)),
+                repr(_modulus(ev)),
                 ev.method,
                 repr(ev.est_error),
                 ev.terms,
@@ -201,15 +212,13 @@ def cmd_sweep(args) -> int:
     model, g = build_model(args.model, parse_params(args.params, args.config))
     start = parse_complex(args.sigma_start)
     end = parse_complex(args.sigma_end)
-    steps = args.steps
-    if steps < 2:
+    if args.steps < 2:
         raise ConfigError("sweep needs steps >= 2")
     if start == end:
         raise ConfigError("sweep needs sigma start != end")
     lines = [CSV_HEADER]
-    exit_code = EXIT_OK
-    for k in range(steps):
-        sigma = start + (end - start) * (k / (steps - 1))
+    for k in range(args.steps):
+        sigma = start + (end - start) * (k / (args.steps - 1))
         try:
             ev = _evaluate(model, g, sigma, args.method, tol)
         except EquizetaError as exc:
@@ -218,7 +227,7 @@ def cmd_sweep(args) -> int:
             return _code_for(exc)
         lines.append(_row_csv(ev))
     _emit("\n".join(lines), args.output)
-    return exit_code
+    return EXIT_OK
 
 
 def cmd_fried(args) -> int:
@@ -238,21 +247,18 @@ def cmd_fried(args) -> int:
         "est_error": report.est_error,
         "tol": tol,
     }
-    _emit(json.dumps(payload), args.output)
+    _emit(_json(payload), args.output)
     if not report.applicable:
         return EXIT_NOT_APPLICABLE
-    if abs(report.residual) >= tol:
+    if not abs(report.residual) + report.est_error < tol:
         return EXIT_FRIED_VIOLATION
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    _tol_from(args)  # validates tolerance even though atoms need none
     model, g = build_model(args.model, parse_params(args.params, args.config))
     if not math.isfinite(args.window):
         raise ConfigError("window must be finite")
-    if args.window <= 0:
-        raise ConfigError("window must be positive")
     measure = flat_trace_measure(model, g, args.window)
     payload = {
         "atoms": [
@@ -260,12 +266,11 @@ def cmd_trace(args) -> int:
         ],
         "window": measure.window,
     }
-    _emit(json.dumps(payload), args.output)
+    _emit(_json(payload), args.output)
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    _tol_from(args)
     results = run_selftest(seed=args.seed)
     failed = 0
     for res in results:
@@ -292,18 +297,19 @@ def _report_error(exc: Exception) -> None:
         "code": _code_for(exc),
         "message": str(exc),
     }
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(_json(payload) + "\n")
 
 
 def make_parser() -> _Parser:
     parser = _Parser(prog="equizeta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=True):
         p.add_argument("--model", required=True)
         p.add_argument("--params", default=None, help="comma-separated key=value pairs")
         p.add_argument("--config", default=None, help="file of key=value lines")
-        p.add_argument("--tol", default=None, help="tolerance in (0, 1e-2]")
+        if tol:  # trace atoms need no tolerance
+            p.add_argument("--tol", default=None, help="tolerance in (0, 1e-2]")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p_eval = sub.add_parser("eval", help="evaluate log R at one sigma")
@@ -326,13 +332,12 @@ def make_parser() -> _Parser:
     p_fried.set_defaults(func=cmd_fried)
 
     p_trace = sub.add_parser("trace", help="dump flat-trace atoms in a window")
-    common(p_trace)
+    common(p_trace, tol=False)
     p_trace.add_argument("--window", type=float, required=True)
     p_trace.set_defaults(func=cmd_trace)
 
     p_self = sub.add_parser("selftest", help="run the invariant suites")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--tol", default=None)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -19,6 +19,9 @@ Normalization conventions folded into the stored periods:
 The model protocol: ``zeta`` asks a model everything geometry-specific
 through these FlowModel members (base default in brackets).  A new geometry
 subclasses FlowModel and implements them.
+  * element(g): the one check of a group element, called by every method
+    that reads g [none]; integer inputs (lattice g, Euclidean l0, m, n and
+    order) all go through ``_integer``, which refuses and never truncates
   * orbits(g, window): the closed-orbit families with 0 < |l| <= window, one
     entry each, in any order, as (lengths, holonomy traces); every sign of
     det(1-P) is +1 [NotImplementedError]
@@ -82,6 +85,16 @@ TWO_PI = 2.0 * math.pi
 _FAMILY_TOL = 1e-10  # orbits closer than this are one atom of the spectrum
 
 
+def _integer(name: str, value) -> int:
+    """The one integer rule: a real equal to an integer as that int, else DomainError."""
+    try:
+        if float(value) == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value}")
+
+
 @dataclass(frozen=True)
 class OrbitContribution:
     """One closed-up orbit at time l: sign of det(1-P), holonomy trace,
@@ -115,9 +128,8 @@ class EuclideanElement:
     w_prime: np.ndarray | None = None
 
     def __post_init__(self):
-        if int(self.l0) != self.l0:
-            raise DomainError("l0 must be an integer")
-        object.__setattr__(self, "l0", int(self.l0))
+        object.__setattr__(self, "l0", _integer("l0", self.l0))
+        object.__setattr__(self, "m", _integer("m", self.m))
 
 
 @dataclass(frozen=True)
@@ -314,12 +326,13 @@ class LineModel(FlowModel):
 
     alpha: complex = 0j
     name = "line"
+    _spacing = 0.0  # of the translates along the orbit (0: a continuous group)
 
-    def _check_g(self, g):
+    def element(self, g):
         return float(g)
 
     def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        g = self._check_g(g)
+        g = self.element(g)
         lengths = np.array([g] if g != 0 and abs(g) <= window else [], dtype=float)
         return lengths, np.exp(self.alpha * lengths)
 
@@ -333,17 +346,18 @@ class LineModel(FlowModel):
         )
 
     def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
-        g = float(self._check_g(g))
+        g = float(self.element(g))
         value = cmath.exp(complex(self.alpha) * g - abs(g) * sigma) / (2.0 * abs(g)) if g else 0j
         return value, "closed", 0.0, 1
 
     def torsion(self, g) -> SeriesResult:
         alpha = self._unitary_connection()
-        g = float(self._check_g(g))
+        g = float(self.element(g))
         return _closed(cmath.exp(alpha * g) / (2.0 * abs(g)) if g else 0j)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        _admissible_reach(profile, quad.tol)
+        self.element(g)
+        _admissible_reach(profile, quad.tol, spacing=self._spacing)
         return self.period
 
 
@@ -352,16 +366,10 @@ class IntegerLatticeModel(LineModel):
     """Translation flow on the line, acted on by the integer lattice."""
 
     name = "lattice"
+    _spacing = 1.0  # the integer translates of the line itself (rho = 0)
 
-    def _check_g(self, g) -> int:
-        if float(g) != int(g):
-            raise DomainError(f"lattice group element must be an integer, got {g}")
-        return int(g)
-
-    def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        # The integer translates of the line itself: rho = 0, spacing 1.
-        _admissible_reach(profile, quad.tol, spacing=1.0)
-        return self.period
+    def element(self, g) -> int:
+        return _integer("lattice group element", g)
 
 
 @dataclass(frozen=True)
@@ -372,15 +380,14 @@ class CircleModel(FlowModel):
     name = "circle"
     infinite_spectrum = True
 
-    @staticmethod
-    def _check_class(r0: float) -> float:
+    def element(self, r0) -> float:
         r0 = float(r0)
         if not (0.0 <= r0 < 1.0):
             raise DomainError(f"circle class must lie in [0, 1), got {r0}")
         return r0
 
     def orbits(self, r0, window: float) -> tuple[np.ndarray, np.ndarray]:
-        r0 = self._check_class(r0)
+        r0 = self.element(r0)
         # l = n + r0 (or n itself for the identity class): holonomy e^{alpha*l}.
         lengths = np.arange(math.floor(-window - r0), math.ceil(window - r0) + 1) + r0
         lengths = lengths[(lengths != 0) & (np.abs(lengths) <= window)]
@@ -403,7 +410,7 @@ class CircleModel(FlowModel):
         return 2.0 * q ** window / (window * (1.0 - q))
 
     def log_closed(self, r0, sigma: complex) -> tuple[complex, str, float, int]:
-        r0 = self._check_class(r0)
+        r0 = self.element(r0)
         alpha = complex(self.alpha)
         if r0 == 0.0:
             # -(1/2)[log(1 - e^{alpha-sigma}) + log(1 - e^{-alpha-sigma})], branch
@@ -435,43 +442,40 @@ class CircleModel(FlowModel):
         alpha = self._unitary_connection()
         if alpha_in_two_pi_i_z(alpha):
             raise DomainError("torsion needs alpha outside 2*pi*i*Z for circle classes")
-        r0 = self._check_class(r0)
+        r0 = self.element(r0)
         if r0 == 0.0:
             # (-(2 sinh(alpha/2))^2)^{-1/2} in log space equals the
             # identity-class closed form at sigma = 0.
             return _closed(-0.5 * cmath.log(-((2.0 * cmath.sinh(alpha / 2.0)) ** 2)))
-        res = bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha, unitary=True))
+        res = bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha))
         return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
 
     def torsion_oracle(self, r0, n_terms: int) -> SeriesResult | None:
         """Delayed iterated averaging of the symmetric partial sums of the
         defining bilateral series at 0 (non-identity classes only)."""
-        r0 = self._check_class(r0)
+        r0 = self.element(r0)
         if r0 == 0.0:
             return None
-        alpha = self.connection()
-        params = BilateralSumParams(r=r0, alpha=alpha, unitary=abs(alpha.real) <= UNITARY_TOL)
+        params = BilateralSumParams(r=r0, alpha=self.connection())
         res = bilateral_exp_sum_resummed(params, 0.0, n_terms=n_terms)
         return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
 
     def period_numeric(self, r0, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        self.element(r0)
         _admissible_reach(profile, quad.tol, compact=True)
         return self.period
 
 
-def _invariant_lattice_2d(order: int, spacing: float = 1.0) -> np.ndarray:
+def _invariant_lattice_2d(order: int) -> np.ndarray:
     """Generators (as rows) of a 2D lattice invariant under rotation by
     2*pi/order; only the crystallographic orders admit one."""
     if order in (1, 2, 4):
-        basis = np.array([[1.0, 0.0], [0.0, 1.0]])
-    elif order in (3, 6):
-        basis = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    else:
-        raise DomainError(
-            f"no rotation-invariant plane lattice of order {order} "
-            "(crystallographic restriction)"
-        )
-    return spacing * basis
+        return np.array([[1.0, 0.0], [0.0, 1.0]])
+    if order in (3, 6):
+        return np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+    raise DomainError(
+        f"no rotation-invariant plane lattice of order {order} (crystallographic restriction)"
+    )
 
 
 @dataclass(frozen=True)
@@ -490,10 +494,19 @@ class EuclideanLatticeModel(FlowModel):
     rotation: AxisRotation = None
     order: int = 3
     alpha_v0: complex = 0j
-    lattice_spacing: float = 1.0
     name = "euclid"
 
+    @staticmethod
+    def _dimensions(n, order) -> tuple[int, int]:
+        n, order = _integer("n", n), _integer("order", order)
+        if order < 1:
+            raise DomainError("order must be a positive integer")
+        return n, order
+
     def __post_init__(self):
+        n, order = self._dimensions(self.n, self.order)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", order)
         if self.rotation is None:
             raise DomainError("EuclideanLatticeModel needs a rotation")
         if self.a <= 0:
@@ -522,8 +535,7 @@ class EuclideanLatticeModel(FlowModel):
         multiple of 2*pi/order is quantized to it; decimal flag values like
         theta=2.0943951 then still produce an exact order-3 rotation.
         """
-        if order < 1:
-            raise DomainError("order must be a positive integer")
+        n, order = cls._dimensions(n, order)
         exact = TWO_PI * round(theta * order / TWO_PI) / order
         if abs(theta - exact) <= 1e-6:
             theta = exact
@@ -537,11 +549,11 @@ class EuclideanLatticeModel(FlowModel):
 
     # -- group plumbing -----------------------------------------------------
 
-    def _coerce(self, g) -> EuclideanElement:
+    def element(self, g) -> EuclideanElement:
         if isinstance(g, EuclideanElement):
             return g
         if isinstance(g, (int, float)):
-            return EuclideanElement(l0=int(g))
+            return EuclideanElement(l0=g)
         raise DomainError(f"cannot interpret {g!r} as a Euclidean group element")
 
     def _w_prime(self, g: EuclideanElement) -> np.ndarray:
@@ -553,22 +565,18 @@ class EuclideanLatticeModel(FlowModel):
             raise DomainError("w_prime must be orthogonal to the rotation axis")
         return w
 
-    def translation_length(self, g) -> float:
-        g = self._coerce(g)
-        return self.a * g.l0
-
     def lattice_basis(self) -> np.ndarray:
         """Rows: generators of Gamma' embedded in the axis complement (n=3)."""
         if self.n != 3:
             raise DomainError("explicit transverse lattices are built for n = 3 only")
-        plane = _invariant_lattice_2d(self.order, self.lattice_spacing)
+        plane = _invariant_lattice_2d(self.order)
         out = np.zeros((2, 3))
         out[:, :2] = plane
         return out
 
     def conjugate_element(self, g, lam: int, gamma_coeffs, j: int) -> EuclideanElement:
         """h g h^{-1} for h = (a*lam*v0 + gamma', r^j), gamma' in Gamma'."""
-        g = self._coerce(g)
+        g = self.element(g)
         basis = self.lattice_basis()
         gamma = np.asarray(gamma_coeffs, dtype=float) @ basis
         rm = np.linalg.matrix_power(self.rotation.matrix, g.m)
@@ -583,15 +591,12 @@ class EuclideanLatticeModel(FlowModel):
         return self.a / self.order
 
     def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        g = self._coerce(g)
-        if g.l0 == 0:
-            raise DomainError("group element must translate along the axis (l0 != 0)")
-        l = self.translation_length(g)
+        l = self._axial_length(g)
         lengths = np.array([val for val in (-l, l) if abs(val) <= window])
         return lengths, np.full(len(lengths), np.exp(l * self.alpha_v0))
 
     def validate(self, g=None) -> ModelDiagnostics:
-        g = self._coerce(g if g is not None else EuclideanElement(l0=1))
+        g = self.element(g if g is not None else EuclideanElement(l0=1))
         rm = np.linalg.matrix_power(self.rotation.matrix, g.m)
         try:
             kdim, gapv = unit_eigenvalue_multiplicity(np.linalg.eigvals(rm))
@@ -612,9 +617,10 @@ class EuclideanLatticeModel(FlowModel):
         return complex(self.alpha_v0)
 
     def _axial_length(self, g) -> float:
-        l = self.translation_length(g)
+        """a * l0, the length of g's closed orbits; l0 = 0 closes none."""
+        l = self.a * self.element(g).l0
         if l == 0:
-            raise DomainError("group element must translate along the axis")
+            raise DomainError("group element must translate along the axis (l0 != 0)")
         return l
 
     def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
@@ -630,7 +636,8 @@ class EuclideanLatticeModel(FlowModel):
         return _closed(self.period * cmath.exp(l * alpha) / abs(l))
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        return _period_euclidean(self, g, profile, quad)
+        self._axial_length(g)
+        return _period_euclidean(self, self.element(g), profile, quad)
 
 
 @dataclass(frozen=True)
@@ -656,13 +663,13 @@ class _SphereModel(FlowModel):
         return np.concatenate([_angle_family(theta, window) for theta in angles])
 
     def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        lengths = self._families(self._angles(g), window)
+        lengths = self._families(self.element(g), window)
         return lengths, np.ones(len(lengths), dtype=complex)
 
     def validate(self, g=None) -> ModelDiagnostics:
         """Nondegenerate when the fixed space of Ad(g^-1) on so(dim) is the
         torus of g's rotation planes, one direction per angle."""
-        angles = self._angles(self._default_g if g is None else g)
+        angles = self.element(self._default_g if g is None else g)
         ad = adjoint_matrix_so(block_rotation(angles, self.dim))
         try:
             kdim, _ = unit_eigenvalue_multiplicity(np.linalg.eigvals(ad))
@@ -685,7 +692,7 @@ class _SphereModel(FlowModel):
     def tail_bound(self, g, sigma: complex, window: float) -> float:
         # Each family is two arithmetic progressions of gap 2*pi.
         s = sigma.real
-        families = 2 * len(self._angles(g))
+        families = 2 * len(self.element(g))
         q = math.exp(-TWO_PI * s)
         return 2.0 * families * TWO_PI * math.exp(-window * s) / (window * (1.0 - q))
 
@@ -699,6 +706,7 @@ class _SphereModel(FlowModel):
         raise NotApplicableError("torsion comparison undefined: Laplacian kernel is nonzero")
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
+        self.element(g)
         _admissible_reach(profile, quad.tol, compact=True)
         return self.period
 
@@ -713,7 +721,7 @@ class Sphere2Model(_SphereModel):
     _default_g = 1.0
     _witness_note = ""
 
-    def _angles(self, theta) -> tuple[float]:
+    def element(self, theta) -> tuple[float]:
         return (float(theta),)
 
     def _angle_diagnostics(self, theta: float) -> dict:
@@ -731,7 +739,7 @@ class Sphere3Model(_SphereModel):
     _default_g = (1.0, math.sqrt(2.0))
     _witness_note = " (the torus directions; one is quotiented by the isotropy)"
 
-    def _angles(self, g) -> tuple[float, float]:
+    def element(self, g) -> tuple[float, float]:
         t1, t2 = g
         return float(t1), float(t2)
 
@@ -774,8 +782,6 @@ def orbit_contributions(model: FlowModel, g, l: float) -> list[OrbitContribution
 def validate_model(model: FlowModel, g=None) -> ModelDiagnostics:
     """Nondegeneracy and continuation diagnostics; flat_trace_measure and
     fried_residual gate on these verdicts."""
-    if g is None:
-        return model.validate()
     return model.validate(g)
 
 
@@ -843,7 +849,7 @@ _PERIOD_BUDGET = 10**8
 
 
 def _period_euclidean(
-    model: EuclideanLatticeModel, g, profile: CutoffProfile, quad: QuadratureSpec
+    model: EuclideanLatticeModel, g: EuclideanElement, profile: CutoffProfile, quad: QuadratureSpec
 ) -> float:
     """Coset-summed period over the transverse lattice, per the trace-formula
     normalization: sum over Gamma' of the line integral of chi along the
@@ -855,7 +861,6 @@ def _period_euclidean(
     depends on s alone: D(s) = order * sum_k N(s + k a), with
     N(t) = sum_gamma f(|w + gamma + t v0|^2) the numerator summed over cosets.
     """
-    g = model._coerce(g)
     v0 = model._axis()
     rm = np.linalg.matrix_power(model.rotation.matrix, g.m)
     # Basepoint of the closed-up geodesic: (I - r^m) w = w_prime; the rotation
@@ -871,7 +876,7 @@ def _period_euclidean(
 
     # The nodes have |s| < reach + panel, so the shifts |k a| <= 2 reach +
     # panel cover every translate within reach of a node.
-    span = math.ceil((reach + float(np.linalg.norm(w))) / model.lattice_spacing) + 2
+    span = math.ceil(reach + float(np.linalg.norm(w))) + 2
     panel = min(quad.panel, profile.width / 2.0)
     if not panel > 0:
         raise DomainError("the quadrature panel must be positive")
@@ -952,24 +957,18 @@ def model_from_params(name: str, params: dict) -> tuple[FlowModel, object]:
     if name == "line":
         return LineModel(alpha=parse_complex(params.get("alpha", "0"))), fget("g")
     if name == "lattice":
-        g = fget("g")
-        if g != int(g):
-            raise DomainError("lattice group element g must be an integer")
-        return IntegerLatticeModel(alpha=parse_complex(params.get("alpha", "0"))), int(g)
+        return IntegerLatticeModel(alpha=parse_complex(params.get("alpha", "0"))), fget("g")
     if name == "circle":
         return CircleModel(alpha=parse_complex(params.get("alpha", "0"))), fget("r0")
     if name == "euclid":
         model = EuclideanLatticeModel.from_angle(
-            n=int(fget("n", 3.0)),
+            n=fget("n", 3.0),
             a=fget("a", 1.0),
             theta=fget("theta"),
-            order=int(fget("order")),
+            order=fget("order"),
             alpha_v0=parse_complex(params.get("alpha_v0", "0")),
         )
-        l0 = fget("l0")
-        if l0 != int(l0):
-            raise DomainError("euclid parameter l0 must be an integer")
-        return model, EuclideanElement(l0=int(l0), m=int(fget("m", 1.0)))
+        return model, EuclideanElement(l0=fget("l0"), m=fget("m", 1.0))
     if name == "sphere2":
         return Sphere2Model(), fget("theta")
     if name == "sphere3":

@@ -13,7 +13,7 @@ that derives a rotation axis (``axis_and_kernel``, once per AxisRotation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,13 +121,11 @@ class AxisRotation:
 
     matrix: np.ndarray
     axis: np.ndarray | None = None
-    n: int = field(default=0)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         _check_special_orthogonal(m, 1e-12)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n", m.shape[0])
         kdim, v0 = axis_and_kernel(m)
         if self.axis is not None:
             if kdim != 1:
@@ -138,6 +136,10 @@ class AxisRotation:
             if np.linalg.norm(m @ v0 - v0) > 1e-10:
                 raise DomainError("axis is not fixed by the rotation")
         object.__setattr__(self, "axis", v0)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "AxisRotation":

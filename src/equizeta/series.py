@@ -359,12 +359,12 @@ def bilateral_exp_sum_continued(p: BilateralSumParams, z) -> complex:
 
 
 def bilateral_exp_sum_resummed(
-    p: BilateralSumParams, z=0.0, n_terms: int = 10**6, depth: int = 3
+    p: BilateralSumParams, z=0.0, n_terms: int = 10**6
 ) -> SeriesResult:
     """Conditionally convergent evaluation by delayed iterated averaging.
 
     Forms the symmetric partial sums S_N over n in [-N, N], drops the
-    transient first half, and applies ``depth`` rounds of running (Cesaro)
+    transient first half, and applies three rounds of running (Cesaro)
     averages to the trailing window: an independent oracle for boundary
     evaluations (z on the imaginary axis, the torsion sum at z = 0), with
     the spread against half the term count as its error estimate.
@@ -383,7 +383,7 @@ def bilateral_exp_sum_resummed(
         sums = np.cumsum(t[mid:]).astype(complex)
         sums[1:] += np.cumsum(t[:mid][::-1])[: N]
         window = sums[N // 2 :]
-        for _ in range(depth):
+        for _ in range(3):
             window = np.cumsum(window) / np.arange(1, len(window) + 1)
         return complex(window[-1])
 

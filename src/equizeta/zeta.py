@@ -195,19 +195,21 @@ def torsion_log_resummed(model: FlowModel, g, n_terms: int = 10**6) -> SeriesRes
 def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
     """log R(0) - log T with an applicability verdict.
 
-    Applicable iff the twisted Laplacian has trivial kernel and the zeta
-    function continues to 0.  Compares ``ruelle_log_closed`` at 0 with
-    ``model.torsion``; est_error sums their certificates.  Where log R(0) is
-    a continuation (circle non-identity classes) log T is the spectral
-    torsion by Ewald's split, so the residual is a two-route check.
+    Applicable iff the flow is nondegenerate at g, the twisted Laplacian has
+    trivial kernel and the zeta function continues to 0.  Compares
+    ``ruelle_log_closed`` at 0 with ``model.torsion``; est_error sums their
+    certificates.  Where log R(0) is a continuation (circle non-identity
+    classes) log T is the spectral torsion by Ewald's split, so the residual
+    is a two-route check.  The report does not depend on ``tol``; a caller
+    compares |residual| + est_error with its own tolerance.
     """
     diag = validate_model(model, g)
-    if diag.laplacian_kernel_nonzero or not diag.continuation_available:
-        reasons = []
-        if diag.laplacian_kernel_nonzero:
-            reasons.append("the twisted Laplacian has nonzero kernel")
-        if not diag.continuation_available:
-            reasons.append("log R has no continuation to sigma = 0")
+    reasons = [text for failed, text in (
+        (not diag.nondegenerate, f"the flow is degenerate at this element: {diag.witness}"),
+        (diag.laplacian_kernel_nonzero, "the twisted Laplacian has nonzero kernel"),
+        (not diag.continuation_available, "log R has no continuation to sigma = 0"),
+    ) if failed]
+    if reasons:
         return FriedReport(
             log_R_at_0=None, log_T=None, residual=None,
             applicable=False, reason="; ".join(reasons),
@@ -262,10 +264,10 @@ def subgroup_power_check(g, alpha, sigma):
     for integer g; that the exponent is 1 reflects the unit covolume of the
     lattice in its centraliser.
     """
-    if float(g) != int(g) or int(g) == 0:
+    lattice = IntegerLatticeModel(alpha=complex(alpha))
+    if lattice.element(g) == 0:
         raise DomainError("subgroup check needs a nonzero integer g")
-    alpha = complex(alpha)
     sigma = complex(sigma)
-    lhs = ruelle_log_closed(LineModel(alpha=alpha), float(g), sigma).log_R
-    rhs = ruelle_log_closed(IntegerLatticeModel(alpha=alpha), int(g), sigma).log_R
+    lhs = ruelle_log_closed(LineModel(alpha=lattice.alpha), float(g), sigma).log_R
+    rhs = ruelle_log_closed(lattice, g, sigma).log_R
     return lhs, rhs, abs(lhs - rhs)

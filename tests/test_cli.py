@@ -15,6 +15,17 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def strict_json(line):
+    """json.loads that refuses the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+EUCLID = "n=3,a=1,theta=2.0943951,order=3,l0=2,alpha_v0=0.25i"
+
+
 class TestParseComplex:
     def test_forms(self):
         assert parse_complex("1") == 1.0
@@ -194,6 +205,47 @@ class TestEval:
         want = cmath.exp(2j - 2.0) / 4.0
         assert abs(json.loads(out)["logR_im"] - want.imag) < 1e-12
 
+    @pytest.mark.parametrize("model, params, name, value", [
+        ("euclid", "n=3,a=1,theta=2.0943951,order=3,l0=2,m=1.5", "m", "1.5"),
+        ("euclid", "n=3,a=1,theta=2.0943951,order=3.5,l0=2", "order", "3.5"),
+        ("euclid", "n=3.7,a=1,theta=2.0943951,order=3,l0=2", "n", "3.7"),
+        ("euclid", "n=3,a=1,theta=2.0943951,order=3,l0=2.5", "l0", "2.5"),
+        ("lattice", "g=2.5", "lattice group element", "2.5"),
+    ])
+    def test_non_integer_parameter_refused(self, capsys, model, params, name, value):
+        # An integer input is refused with the model's message, never truncated.
+        code, out = run_cli(capsys, "eval", "--model", model, "--params", params, "--sigma", "0.3")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["message"] == f"{name} must be an integer, got {value}"
+
+    def test_modulus_past_the_largest_float(self, capsys):
+        # log R = 6276.9 is finite; |R| = e^{6276.9} is not a float.
+        argv = ["eval", "--model", "sphere2", "--params", "theta=1e-3", "--sigma", "1"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        row = strict_json(out)
+        assert row["R_modulus"] is None
+        assert 6276 < row["logR_re"] < 6278
+        code, out = run_cli(capsys, *argv, "--format", "plain")
+        assert code == 0
+        assert " |R|=inf " in out
+
+    @pytest.mark.parametrize("argv", [
+        "eval --model line --params g=2 --sigma=-400",
+        "eval --model line --params g=2 --sigma=-400 --method direct",
+        f"eval --model euclid --params {EUCLID} --sigma=-400",
+        f"eval --model euclid --params {EUCLID} --sigma=-400 --method direct",
+        "eval --model circle --params r0=0,alpha=1i --sigma=-800",
+        "eval --model line --params g=2,alpha=400 --sigma 1",
+    ])
+    def test_overflowing_log_r_is_a_domain_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["error"] == "DomainError"
+        assert "overflows a float" in strict_json(out)["message"]
+
 
 class TestSweep:
     def test_sphere_monotone(self, capsys):
@@ -276,6 +328,18 @@ class TestSweep:
         assert len(lines) >= 2  # partial rows plus the error object
         assert "error" in lines[-1]
 
+    def test_overflowing_row_ends_in_a_domain_error(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "sweep", "--model", "line", "--params", "g=2",
+            "--sigma-start", "1", "--sigma-end=-1000", "--steps", "3",
+        )
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 3 and lines[1].startswith("1.0,0.0,")
+        assert strict_json(lines[2])["error"] == "DomainError"
+
 
 class TestFried:
     def test_line_ok(self, capsys):
@@ -336,6 +400,27 @@ class TestFried:
         assert code == 4
         assert json.loads(out)["applicable"] is True
 
+    def test_certificate_must_meet_tol(self, capsys):
+        # |residual| 4.4e-16 is below tol, but residual + est_error 4.1e-15 is not.
+        code, out = run_cli(
+            capsys,
+            "fried", "--model", "circle", "--params", "r0=0.25,alpha=1i", "--tol", "1e-15",
+        )
+        assert code == 4
+        rep = strict_json(out)
+        assert rep["residual_abs"] < 1e-15 <= rep["residual_abs"] + rep["est_error"]
+
+    def test_degenerate_element_not_applicable(self, capsys):
+        # r = I: ker(r - I) is all of R^3, and trace refuses the element too.
+        params = "n=3,a=1,theta=0,order=1,l0=1"
+        code, out = run_cli(capsys, "fried", "--model", "euclid", "--params", params)
+        assert code == 3
+        rep = strict_json(out)
+        assert rep["applicable"] is False
+        assert rep["reason"].startswith("the flow is degenerate at this element: dim ker")
+        code, out = run_cli(capsys, "trace", "--model", "euclid", "--params", params, "--window", "5")
+        assert code == 1
+
 
 class TestTrace:
     def test_line_atom(self, capsys):
@@ -380,6 +465,35 @@ class TestTrace:
         code, out = run_cli(capsys, "trace", "--model", model, "--params", params, "--window", "5")
         assert code == 1
         assert "kernel classification failed" in json.loads(out)["message"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_non_finite_atom_is_a_domain_error(self, capsys):
+        # The holonomy e^{800} overflows to inf; JSON has no token for it.
+        code, out = run_cli(
+            capsys, "trace", "--model", "line", "--params", "g=2,alpha=400", "--window", "5"
+        )
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("verb", [
+        "trace --model line --params g=2 --window 5",
+        "selftest",
+    ])
+    def test_tol_only_where_read(self, capsys, verb):
+        # Trace atoms and the selftest suites read no tolerance.
+        code, out = run_cli(capsys, *verb.split(), "--tol", "1e-8")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert "--tol" in json.loads(out)["message"]
+
+    def test_env_tol_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("EQUIZETA_TOL", "5")
+        code, out = run_cli(
+            capsys, "trace", "--model", "line", "--params", "g=2", "--window", "5"
+        )
+        assert code == 0
+        assert [a["l"] for a in json.loads(out)["atoms"]] == [2.0]
 
 
 class TestSelftestAndDeterminism:

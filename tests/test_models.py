@@ -191,6 +191,35 @@ class TestOrbitData:
         with pytest.raises(DomainError):
             Sphere2Model().orbit_data(1.0, 0.0)
 
+    def test_euclid_non_integer_element_refused(self):
+        # 2.7 was read as l0 = 2; -0.3 was refused as a pure rotation.
+        m = euclid_model()
+        for g in (2.7, -0.3):
+            want = f"l0 must be an integer, got {g}"
+            with pytest.raises(DomainError, match=want):
+                m.orbits(g, 10.0)
+            with pytest.raises(DomainError, match=want):
+                m.log_closed(g, 0.3)
+            with pytest.raises(DomainError, match=want):
+                chi_primitive_period_numeric(m, g)
+
+    def test_integer_fields_raise_domain_error(self):
+        # Each was a numpy TypeError ("exponent must be an integer") or a truncation.
+        with pytest.raises(DomainError, match="m must be an integer, got 1.5"):
+            EuclideanElement(l0=2, m=1.5)
+        with pytest.raises(DomainError, match="order must be an integer, got 3.5"):
+            EuclideanLatticeModel.from_angle(3, 1.0, TWO_PI / 3.0, 3.5)
+        with pytest.raises(DomainError, match="n must be an integer, got 3.7"):
+            EuclideanLatticeModel.from_angle(3.7, 1.0, TWO_PI / 3.0, 3)
+        rotation = euclid_model().rotation
+        with pytest.raises(DomainError, match="order must be an integer, got 3.5"):
+            EuclideanLatticeModel(rotation=rotation, order=3.5)
+        with pytest.raises(DomainError, match="order must be a positive integer"):
+            EuclideanLatticeModel(rotation=rotation, order=0)
+        with pytest.raises(TypeError):
+            EuclideanLatticeModel(rotation=rotation, lattice_spacing=2.0)
+        assert EuclideanElement(l0=2.0, m=-1.0) == EuclideanElement(l0=2, m=-1)
+
 
 class TestChiPeriods:
     def test_line_gaussian(self):
@@ -210,6 +239,22 @@ class TestChiPeriods:
             IntegerLatticeModel(), 2, chi_profile=CutoffProfile(kind="gaussian", width=0.4)
         )
         assert abs(val - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("model, g", [
+        (LineModel(), "x"),
+        (IntegerLatticeModel(), 0.5),
+        (CircleModel(), 1.5),
+        (euclid_model(), 2.7),
+        (Sphere2Model(), "x"),
+        (Sphere3Model(), (1.0,)),
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_period_reads_the_element_as_orbits_does(self, model, g):
+        # The period returned 1.0, 2*pi or a/k for these elements.
+        with pytest.raises(Exception) as from_orbits:
+            model.orbits(g, 10.0)
+        with pytest.raises(from_orbits.type) as from_period:
+            chi_primitive_period_numeric(model, g)
+        assert str(from_period.value) == str(from_orbits.value)
 
     @pytest.mark.parametrize("element", ["plain", "offset"])
     @pytest.mark.parametrize("a", [0.7, 1.0, 1.5])

@@ -80,6 +80,13 @@ class TestAxisAndKernel:
         kdim, v0 = axis_and_kernel(so3_about_e3(1.0))
         assert v0[2] > 0
 
+    def test_dimension_is_read_from_the_matrix(self):
+        # n was a field that construction overwrote; it takes no value now.
+        m = so3_about_e3(1.0)
+        with pytest.raises(TypeError):
+            AxisRotation(matrix=m, n=7)
+        assert AxisRotation(matrix=m).n == 3
+
 
 class TestSolveTransverse:
     def test_zero(self):

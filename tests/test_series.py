@@ -163,6 +163,11 @@ class TestBilateralContinued:
         with pytest.raises(DomainError, match="resummation needs"):
             bilateral_exp_sum_resummed(BilateralSumParams(0.25, 0.3 + 1j), 0.0)
 
+    def test_resummation_takes_no_depth(self):
+        # Three averaging rounds, fixed; no caller ever chose another.
+        with pytest.raises(TypeError):
+            bilateral_exp_sum_resummed(BilateralSumParams(0.25, 1j), 0.0, n_terms=100, depth=2)
+
     def test_boundary_value_matches_resummation(self):
         p = BilateralSumParams(1.0 / 3.0, 1j, unitary=True)
         cont = bilateral_exp_sum_continued(p, 0.0)

@@ -313,6 +313,17 @@ class TestFried:
         assert rep.applicable
         assert abs(rep.residual) < 1e-14
 
+    def test_degenerate_element_not_applicable(self):
+        # r = I fixes all of R^3: flat_trace_measure refuses it, and so must Fried.
+        model = EuclideanLatticeModel.from_angle(3, 1.0, 0.0, 1, 1j)
+        rep = fried_residual(model, EuclideanElement(l0=1))
+        assert not rep.applicable
+        assert rep.residual is None
+        assert rep.reason == "the flow is degenerate at this element: " + (
+            "dim ker(r^m - I) = 3; next eigenvalue gap 0.000e+00")
+        with pytest.raises(DomainError, match="degenerate"):
+            flat_trace_measure(model, EuclideanElement(l0=1), 5.0)
+
 
 class TestStructuralChecks:
     def test_product_decomposition(self):
