@@ -134,17 +134,14 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _evaluate(model, g, sigma: complex, method: str, tol: float):
-    try:
-        if method != "direct":
-            # auto: prefer the closed/continued route, fall back to direct sums.
-            try:
-                return ruelle_log_closed(model, g, sigma)
-            except NotApplicableError:
-                if method == "closed":
-                    raise
-        return ruelle_log_direct(model, g, sigma, tol=tol)
-    except OverflowError as exc:
-        raise DomainError(f"log R at sigma = {sigma} overflows a float") from exc
+    if method != "direct":
+        # auto: prefer the closed/continued route, fall back to direct sums.
+        try:
+            return ruelle_log_closed(model, g, sigma)
+        except NotApplicableError:
+            if method == "closed":
+                raise
+    return ruelle_log_direct(model, g, sigma, tol=tol)
 
 
 def _modulus(ev) -> float:

@@ -30,18 +30,19 @@ subclasses FlowModel and implements them.
   * connection(): connection parameter along the flow [complex(self.alpha)]
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
     [0 for a finite spectrum, summed whole; NotImplementedError otherwise]
-  * log_closed(g, sigma): (log R, method, est_error, terms) by closed form or
+  * log_closed(g, sigma): log R as a ZetaEvaluation, by closed form or
     continuation [DomainError]
   * torsion(g): log of the torsion as a SeriesResult, by closed form
     (est_error 0) or a spectral series [DomainError]
-  * torsion_oracle(g, n_terms): the torsion by delayed-average resummation,
-    for torsion_log_resummed only, or None where there is none [None]
+  * torsion_oracle(g, n_terms): the torsion by delayed-average resummation
+    as a SeriesResult, for torsion_log_resummed only [DomainError]
   * period_numeric(g, profile, quad): the cutoff-primitive period once
     ``_admissible_reach`` admits the profile; only Euclid integrates [DomainError]
 FlowModel alone derives three views from orbits: orbit_data(g, window) (the
 spectrum as a float array and the summed sign * holonomy * period per length;
 the direct sum and the flat trace read only this), length_spectrum(g, window)
-and orbit_contributions(g, l).
+and orbit_contributions(g, l).  All three share one orbit budget: an
+infinite spectrum is built only out to _ORBIT_BUDGET / 2 in |l|.
 
 Eigenvalue-one and rotation-axis decisions are made only in ``rotations``.
 """
@@ -74,6 +75,7 @@ from .series import (
     UNITARY_TOL,
     BilateralSumParams,
     SeriesResult,
+    ZetaEvaluation,
     alpha_in_two_pi_i_z,
     atanh_of_exp,
     bilateral_exp_sum_continued_result,
@@ -83,6 +85,11 @@ from .series import (
 
 TWO_PI = 2.0 * math.pi
 _FAMILY_TOL = 1e-10  # orbits closer than this are one atom of the spectrum
+
+# The most orbits one build may make (about 110 bytes each), as 2 per unit
+# window: the circle's density, which bounds every model's (sphere2 has
+# 2/pi, sphere3 4/pi).
+_ORBIT_BUDGET = 2 * 10**6
 
 
 def _integer(name: str, value) -> int:
@@ -245,12 +252,19 @@ class FlowModel:
     def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def _orbits(self, g, window: float, margin: float) -> tuple[np.ndarray, np.ndarray]:
+        """orbits(g, window + margin), refused before any is built when an
+        infinite spectrum would pass the orbit budget inside the window."""
+        if self.infinite_spectrum and 2 * window > _ORBIT_BUDGET:
+            raise NonConvergentError(f"window {window:.3g} would exceed the term cap")
+        return self.orbits(g, window + margin)
+
     def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
         if window <= 0:
             raise DomainError("window must be positive")
         # Orbits a tolerance past the window: one just outside it still merges
         # with a length just inside, as in orbit_contributions.
-        lengths, holonomies = self.orbits(g, window + _FAMILY_TOL)
+        lengths, holonomies = self._orbits(g, window, _FAMILY_TOL)
         lengths = np.asarray(lengths, dtype=float)
         order = np.argsort(lengths, kind="stable")
         lengths = lengths[order]
@@ -268,7 +282,7 @@ class FlowModel:
         return self.orbit_data(g, window)[0].tolist()
 
     def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
-        lengths, holonomies = self.orbits(g, abs(l) + 1.0)
+        lengths, holonomies = self._orbits(g, abs(l), 1.0)
         near = np.abs(np.asarray(lengths, dtype=float) - l) <= _FAMILY_TOL
         if not near.any():
             raise DomainError(f"l = {l} is not in the delocalised length spectrum")
@@ -288,14 +302,14 @@ class FlowModel:
             raise NotImplementedError(f"{self!r} has no orbit-sum tail bound")
         return 0.0
 
-    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+    def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
         raise DomainError(f"no closed form registered for {self!r}")
 
     def torsion(self, g) -> SeriesResult:
         raise DomainError(f"no torsion value registered for {self!r}")
 
-    def torsion_oracle(self, g, n_terms: int) -> SeriesResult | None:
-        return None
+    def torsion_oracle(self, g, n_terms: int) -> SeriesResult:
+        raise DomainError("resummed torsion applies to circle non-identity classes")
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         raise DomainError(f"no cutoff-period rule for model {self!r}")
@@ -345,10 +359,10 @@ class LineModel(FlowModel):
             laplacian_kernel_nonzero=False,
         )
 
-    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+    def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
         g = float(self.element(g))
         value = cmath.exp(complex(self.alpha) * g - abs(g) * sigma) / (2.0 * abs(g)) if g else 0j
-        return value, "closed", 0.0, 1
+        return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 
     def torsion(self, g) -> SeriesResult:
         alpha = self._unitary_connection()
@@ -409,7 +423,7 @@ class CircleModel(FlowModel):
             return float("inf")
         return 2.0 * q ** window / (window * (1.0 - q))
 
-    def log_closed(self, r0, sigma: complex) -> tuple[complex, str, float, int]:
+    def log_closed(self, r0, sigma: complex) -> ZetaEvaluation:
         r0 = self.element(r0)
         alpha = complex(self.alpha)
         if r0 == 0.0:
@@ -433,9 +447,9 @@ class CircleModel(FlowModel):
                     "sigma = 0 lies on the excluded lattice when alpha is in 2*pi*i*Z"
                 )
             params = BilateralSumParams(r=r0, alpha=alpha)
-            res = _converged(bilateral_exp_sum_continued_result(params, sigma))
-            return 0.5 * res.value, "continuation", 0.5 * res.est_error, res.terms_used
-        return value, "closed", 1e-15 * max(1.0, abs(value)), 2
+            res = _converged(bilateral_exp_sum_continued_result(params, sigma)).scaled(0.5)
+            return ZetaEvaluation(sigma, res.value, "continuation", res.est_error, res.terms_used)
+        return ZetaEvaluation(sigma, value, "closed", 1e-15 * max(1.0, abs(value)), 2)
 
     def torsion(self, r0) -> SeriesResult:
         """The spectral torsion: Ewald's split off the identity class, else a closed form."""
@@ -447,18 +461,16 @@ class CircleModel(FlowModel):
             # (-(2 sinh(alpha/2))^2)^{-1/2} in log space equals the
             # identity-class closed form at sigma = 0.
             return _closed(-0.5 * cmath.log(-((2.0 * cmath.sinh(alpha / 2.0)) ** 2)))
-        res = bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha))
-        return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
+        return bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha)).scaled(0.5)
 
-    def torsion_oracle(self, r0, n_terms: int) -> SeriesResult | None:
+    def torsion_oracle(self, r0, n_terms: int) -> SeriesResult:
         """Delayed iterated averaging of the symmetric partial sums of the
         defining bilateral series at 0 (non-identity classes only)."""
         r0 = self.element(r0)
         if r0 == 0.0:
-            return None
+            return super().torsion_oracle(r0, n_terms)
         params = BilateralSumParams(r=r0, alpha=self.connection())
-        res = bilateral_exp_sum_resummed(params, 0.0, n_terms=n_terms)
-        return SeriesResult(0.5 * res.value, res.terms_used, 0.5 * res.est_error, res.converged)
+        return bilateral_exp_sum_resummed(params, 0.0, n_terms=n_terms).scaled(0.5)
 
     def period_numeric(self, r0, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         self.element(r0)
@@ -623,12 +635,12 @@ class EuclideanLatticeModel(FlowModel):
             raise DomainError("group element must translate along the axis (l0 != 0)")
         return l
 
-    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+    def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
         l = self._axial_length(g)
         value = self.period * cmath.exp(
             -abs(l) * sigma + l * complex(self.alpha_v0)
         ) / abs(l)
-        return value, "closed", 0.0, 1
+        return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 
     def torsion(self, g) -> SeriesResult:
         alpha = self._unitary_connection()
@@ -645,7 +657,17 @@ class _SphereModel(FlowModel):
     """Geodesic flow on a sphere frame bundle.  The group element is a tuple
     of rotation angles; each angle theta contributes the orbit family
     +-theta + 2*pi*Z with unit holonomy and period 2*pi.  Connection:
-    trivial (the only invariant flat Hermitian one)."""
+    trivial (the only invariant flat Hermitian one).
+
+    The sign of det(1-P) stays hard-coded at +1 because it is +1 by
+    structure.  The frame bundle is the group SO(dim) with its bi-invariant
+    metric: the flow is right multiplication by exp(tX) and g acts on the
+    left.  Where g h exp(lX) = h, the return map in left-translated
+    coordinates is P = Ad(exp(-lX)) = Ad(h^-1 g h): orthogonal, with a fixed
+    space as large as the Ad-kernel that validate() measures.  Off that
+    space P has eigenvalue pairs e^{+-i phi} and possibly -1, so det(1-P)
+    is a product of |1 - e^{i phi}|^2 and 2: positive.
+    """
 
     alpha: complex = 0j  # kept for a uniform surface; must stay 0
     infinite_spectrum = True
@@ -680,14 +702,24 @@ class _SphereModel(FlowModel):
                 f"dim ker(Ad(g^-1) - 1) = {kdim} on so({self.dim}), "
                 f"expected {len(angles)}{self._witness_note}"
             )
+        nondegenerate = kdim == len(angles)
         return ModelDiagnostics(
-            nondegenerate=(kdim == len(angles)),
+            nondegenerate=nondegenerate,
             witness=witness,
             alpha_in_lattice=True,
             continuation_available=False,
             laplacian_kernel_nonzero=True,
+            # A value shared by two families needs theta1 -+ theta2 in 2*pi*Z,
+            # an eigenvalue of Ad(g^-1) at 1: only a degenerate element has one.
+            spectrum_collisions=0 if nondegenerate else self._collisions(angles),
             **self._angle_diagnostics(*angles),
         )
+
+    def _collisions(self, angles) -> int:
+        """Values shared by two families (each family merges its own)."""
+        values = np.sort(self._families(angles, 10.0 * TWO_PI))
+        distinct, _ = _merge(values.tolist(), [0] * len(values), [True] * len(values))
+        return len(values) - len(distinct)
 
     def tail_bound(self, g, sigma: complex, window: float) -> float:
         # Each family is two arithmetic progressions of gap 2*pi.
@@ -696,7 +728,7 @@ class _SphereModel(FlowModel):
         q = math.exp(-TWO_PI * s)
         return 2.0 * families * TWO_PI * math.exp(-window * s) / (window * (1.0 - q))
 
-    def log_closed(self, g, sigma: complex) -> tuple[complex, str, float, int]:
+    def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
         raise NotApplicableError(
             "sphere models carry the trivial connection; the orbit sum has "
             "no analytic continuation to Re(sigma) <= 0"
@@ -755,14 +787,7 @@ class Sphere3Model(_SphereModel):
             ok, detail = _rational_proxy(ratio)
             ok_all = ok_all and ok
             checks.append(f"{label}: {detail}")
-        # Values shared by the two families (each family merges its own).
-        values = np.sort(self._families((t1, t2), 10.0 * TWO_PI))
-        distinct, _ = _merge(values.tolist(), [0] * len(values), [True] * len(values))
-        return {
-            "dense_powers_ok": ok_all,
-            "dense_powers_detail": "; ".join(checks),
-            "spectrum_collisions": len(values) - len(distinct),
-        }
+        return {"dense_powers_ok": ok_all, "dense_powers_detail": "; ".join(checks)}
 
 
 # ---------------------------------------------------------------------------

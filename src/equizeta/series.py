@@ -65,6 +65,30 @@ class SeriesResult:
     est_error: float
     converged: bool
 
+    def scaled(self, c) -> "SeriesResult":
+        """c * value, with est_error scaled by |c|."""
+        return SeriesResult(c * self.value, self.terms_used, abs(c) * self.est_error, self.converged)
+
+
+@dataclass(frozen=True)
+class ZetaEvaluation:
+    """One evaluation of log R at sigma, with method and error certificate;
+    every log R the library returns.  Fields hold Python numbers, whose repr
+    the CSV and plain formats print."""
+
+    sigma: complex
+    log_R: complex
+    method: str
+    est_error: float
+    terms: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", complex(self.sigma))
+        object.__setattr__(self, "log_R", complex(self.log_R))
+        object.__setattr__(self, "est_error", float(self.est_error))
+        if self.est_error < 0:
+            raise DomainError("est_error must be nonnegative")
+
 
 @dataclass(frozen=True)
 class BilateralSumParams:
@@ -213,11 +237,7 @@ def hyp2f1(a, b, c, z, tol: float = 1e-14) -> SeriesResult:
 
     zp = z / (z - 1.0)
     if abs(zp) <= SERIES_RADIUS:
-        inner = _hyp2f1_series(a, c - b, c, zp, tol)
-        scale = (1.0 - z) ** (-a)
-        return SeriesResult(
-            scale * inner.value, inner.terms_used, abs(scale) * inner.est_error, inner.converged
-        )
+        return _hyp2f1_series(a, c - b, c, zp, tol).scaled((1.0 - z) ** (-a))
 
     if abs(z) >= 1.0 / SERIES_RADIUS:
         ab = a - b
@@ -244,8 +264,7 @@ def hyp2f1(a, b, c, z, tol: float = 1e-14) -> SeriesResult:
     # (0.82, 1.35)): only the Lerch-reducible family is supported there.
     for one, s in ((a, b), (b, a)):
         if abs(one - 1.0) < 1e-13 and abs(c - s - 1.0) < 1e-13:
-            phi = _lerch_phi_one(z, s, tol)
-            return SeriesResult(s * phi.value, phi.terms_used, abs(s) * phi.est_error, phi.converged)
+            return _lerch_phi_one(z, s, tol).scaled(s)
 
     raise NonConvergentError(
         f"no evaluation route covers 2F1({a}, {b}; {c}; {z})"

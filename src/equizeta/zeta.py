@@ -14,6 +14,7 @@ with psi_sigma(t) = e^{-sigma|t|}/|t| at matched truncation reproduces
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .models import (
     LineModel,
     validate_model,
 )
-from .series import SeriesResult
+from .series import SeriesResult, ZetaEvaluation
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,6 @@ class AtomicMeasure:
                 if l - prev <= 1e-12:
                     raise DomainError("atoms must be strictly ascending (no duplicates)")
             prev = l
-
-
-@dataclass(frozen=True)
-class ZetaEvaluation:
-    """One evaluation of log R at sigma, with method and error certificate."""
-
-    sigma: complex
-    log_R: complex
-    method: str
-    est_error: float
-    terms: int
-
-    def __post_init__(self):
-        if self.est_error < 0:
-            raise DomainError("est_error must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -103,9 +89,22 @@ def pair_with_test_function(measure: AtomicMeasure, psi) -> complex:
 # log R: direct orbit sums, closed forms and continuation
 # ---------------------------------------------------------------------------
 
-# The most orbits one direct sum may build (about 110 bytes each); the circle,
-# the densest model, has 2 orbits per unit window.
-_ORBIT_BUDGET = 2 * 10**6
+def _float_range(evaluate):
+    """The one overflow rule of log R: an OverflowError on the way to it, or
+    a value that is not a finite float, is a DomainError."""
+
+    @functools.wraps(evaluate)
+    def checked(model: FlowModel, g, sigma, *args) -> ZetaEvaluation:
+        sigma = complex(sigma)
+        try:
+            ev = evaluate(model, g, sigma, *args)
+            if cmath.isfinite(ev.log_R):
+                return ev
+        except OverflowError:
+            pass
+        raise DomainError(f"log R at sigma = {sigma} overflows a float")
+
+    return checked
 
 
 def _direct_window(model: FlowModel, sigma: complex, tol: float) -> float:
@@ -122,19 +121,28 @@ def ruelle_log_direct(
     Requires Re(sigma) > 0 for models with infinite spectrum, and raises
     DomainError where the model has no finite tail bound (the sum does not
     converge absolutely).  The window defaults to one making the geometric
-    tail far below tol (a finite spectrum is summed whole); pass an explicit
-    window to match a flat-trace measure truncation exactly.
+    tail far below tol (a finite spectrum is summed whole), and that sum
+    raises NonConvergentError unless est_error <= tol * max(1, |log R|).
+    Pass an explicit window to match a flat-trace measure truncation
+    exactly; its certificate comes back whatever it is.  The model's orbit
+    budget refuses a window it cannot build (NonConvergentError).
     """
-    sigma = complex(sigma)
+    ev = _direct_sum(model, g, sigma, tol, window)
+    if window is None and ev.est_error > tol * max(1.0, abs(ev.log_R)):
+        raise NonConvergentError(
+            f"the direct sum at sigma = {ev.sigma} has est_error {ev.est_error:.3e}, "
+            f"above tol {tol:g}",
+            partial=ev.log_R,
+        )
+    return ev
+
+
+@_float_range
+def _direct_sum(model: FlowModel, g, sigma: complex, tol: float, window) -> ZetaEvaluation:
     if model.infinite_spectrum and sigma.real <= 0:
         raise DomainError("direct evaluation needs Re(sigma) > 0 for this model")
     if window is None:
         window = _direct_window(model, sigma, tol)
-    if model.infinite_spectrum and 2 * window > _ORBIT_BUDGET:
-        raise NonConvergentError(
-            f"window {window:.3g} would exceed the term cap; "
-            "Re(sigma) is too small for direct summation"
-        )
     tail = model.tail_bound(g, sigma, window)
     if not math.isfinite(tail):
         raise DomainError(f"the orbit sum does not converge absolutely at sigma = {sigma}")
@@ -144,29 +152,18 @@ def ruelle_log_direct(
     total = 0.0 + 0j
     for l, weight in zip(lengths.tolist(), weights.tolist()):
         total += weight * (cmath.exp(-sigma * abs(l)) / abs(l))
-    terms = len(lengths)
     return ZetaEvaluation(
-        sigma=sigma,
-        log_R=0.5 * total,
-        method="direct",
-        est_error=0.5 * tail + 1e-15 * max(1.0, abs(total)),
-        terms=terms,
+        sigma, 0.5 * total, "direct", 0.5 * tail + 1e-15 * max(1.0, abs(total)), len(lengths)
     )
 
 
+@_float_range
 def ruelle_log_closed(model: FlowModel, g, sigma) -> ZetaEvaluation:
     """log R(sigma) by the model's closed form or continuation.
 
     Spheres have none (trivial connection) and raise NotApplicableError.
     """
-    sigma = complex(sigma)
-    log_R, method, est_error, terms = model.log_closed(g, sigma)
-    # The 2F1 routes may hand back numpy scalars; the CSV and plain formats
-    # print repr, which must read as a Python number.
-    return ZetaEvaluation(
-        sigma=sigma, log_R=complex(log_R), method=method,
-        est_error=float(est_error), terms=terms,
-    )
+    return model.log_closed(g, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +183,7 @@ def torsion_log_resummed(model: FlowModel, g, n_terms: int = 10**6) -> SeriesRes
     """Circle non-identity classes: delayed iterated averaging of the
     symmetric partial sums of the torsion series, a slow third route (its
     est_error is at least 5e-10) that the Fried check does not use."""
-    res = model.torsion_oracle(g, n_terms)
-    if res is None:
-        raise DomainError("resummed torsion applies to circle non-identity classes")
-    return res
+    return model.torsion_oracle(g, n_terms)
 
 
 def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
@@ -248,26 +242,27 @@ def product_decomposition_check(alpha, sigma, n_max: int):
     line = LineModel(alpha=alpha)
     terms = []
     for g in range(1, n_max + 1):
-        terms.append(2.0 * line.log_closed(float(g), sigma)[0])
-        terms.append(2.0 * line.log_closed(float(-g), sigma)[0])
+        terms.append(2.0 * line.log_closed(float(g), sigma).log_R)
+        terms.append(2.0 * line.log_closed(float(-g), sigma).log_R)
     lhs_re = math.fsum(t.real for t in terms)
     lhs_im = math.fsum(t.imag for t in terms)
     lhs = complex(lhs_re, lhs_im)
-    rhs = complex(2.0 * CircleModel(alpha=alpha).log_closed(0.0, sigma)[0].real, 0.0)
+    rhs = complex(2.0 * CircleModel(alpha=alpha).log_closed(0.0, sigma).log_R.real, 0.0)
     return lhs, rhs, abs(lhs - rhs)
 
 
 def subgroup_power_check(g, alpha, sigma):
     """Restriction from the line group to the integer lattice (exponent 1).
 
-    Both sides share one closed-form helper, so the difference is exactly 0
-    for integer g; that the exponent is 1 reflects the unit covolume of the
-    lattice in its centraliser.
+    Two routes: the line's closed form against the lattice's direct orbit
+    sum, so the difference is rounding, within the direct sum's est_error.
+    That the exponent is 1 reflects the unit covolume of the lattice in its
+    centraliser.
     """
     lattice = IntegerLatticeModel(alpha=complex(alpha))
     if lattice.element(g) == 0:
         raise DomainError("subgroup check needs a nonzero integer g")
     sigma = complex(sigma)
     lhs = ruelle_log_closed(LineModel(alpha=lattice.alpha), float(g), sigma).log_R
-    rhs = ruelle_log_closed(lattice, g, sigma).log_R
+    rhs = ruelle_log_direct(lattice, g, sigma).log_R
     return lhs, rhs, abs(lhs - rhs)

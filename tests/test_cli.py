@@ -246,6 +246,30 @@ class TestEval:
         assert strict_json(out)["error"] == "DomainError"
         assert "overflows a float" in strict_json(out)["message"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_non_finite_direct_sum_is_a_domain_error(self, capsys, fmt):
+        # The holonomy e^{800} overflows; no format may print nan.
+        params = "n=3,a=1,theta=2.0943951,order=3,l0=2,alpha_v0=400"
+        code, out = run_cli(
+            capsys, "eval", "--model", "euclid", "--params", params, "--sigma", "1",
+            "--method", "direct", "--format", fmt,
+        )
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["message"] == "log R at sigma = (1+0j) overflows a float"
+
+    def test_direct_sum_that_misses_tol_exits_2(self, capsys):
+        # The window the sum picks leaves est_error 0.0398 against tol 1e-12.
+        code, out = run_cli(
+            capsys, "eval", "--model", "circle", "--params", "r0=0.3,alpha=1+1i",
+            "--sigma=1.05", "--method", "direct",
+        )
+        assert code == 2
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["error"] == "NonConvergentError"
+        assert "above tol 1e-12" in strict_json(out)["message"]
+
 
 class TestSweep:
     def test_sphere_monotone(self, capsys):
@@ -342,6 +366,13 @@ class TestSweep:
 
 
 class TestFried:
+    def test_overflowing_log_r_at_zero_is_a_domain_error(self, capsys):
+        # e^{800} at sigma = 0 overflows a float.
+        code, out = run_cli(capsys, "fried", "--model", "line", "--params", "g=2,alpha=400")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["message"] == "log R at sigma = 0j overflows a float"
+
     def test_line_ok(self, capsys):
         code, out = run_cli(capsys, "fried", "--model", "line", "--params", "g=2,alpha=1i")
         assert code == 0
@@ -423,6 +454,28 @@ class TestFried:
 
 
 class TestTrace:
+    @pytest.mark.parametrize("model, params", [
+        ("circle", "r0=0.25,alpha=1i"),
+        ("sphere2", "theta=1"),
+    ])
+    @pytest.mark.parametrize("window", ["3e6", "1e300"])
+    def test_window_past_the_orbit_budget_exits_2(self, capsys, monkeypatch, model, params, window):
+        # Past the budget no orbit is built: 3e6 would be 6e6 circle atoms
+        # (about 1 GB), and 1e300 no array at all.
+        from equizeta.models import FlowModel
+
+        def refuse(self, g, window):
+            raise AssertionError("orbits built past the budget")
+
+        for cls in FlowModel.__subclasses__():
+            monkeypatch.setattr(cls, "orbits", refuse)
+        code, out = run_cli(
+            capsys, "trace", "--model", model, "--params", params, "--window", window
+        )
+        assert code == 2
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["message"] == f"window {float(window):.3g} would exceed the term cap"
+
     def test_line_atom(self, capsys):
         code, out = run_cli(
             capsys,

@@ -474,6 +474,22 @@ class TestValidate:
         # +theta and -theta values that meet are one family, not a collision.
         assert validate_model(Sphere3Model(), g).spectrum_collisions == collisions
 
+    def test_sphere3_trace_builds_families_once(self, monkeypatch):
+        # Only a degenerate element needs the collision count, which builds
+        # the families again out to 10*2*pi.
+        from equizeta import flat_trace_measure
+
+        windows = []
+        build = models._SphereModel._families
+
+        def counted(angles, window):
+            windows.append(window)
+            return build(angles, window)
+
+        monkeypatch.setattr(models._SphereModel, "_families", staticmethod(counted))
+        flat_trace_measure(Sphere3Model(), (1.0, math.sqrt(2.0)), 50.0)
+        assert len(windows) == 1
+
     def test_sphere_rejects_nontrivial_connection(self):
         with pytest.raises(DomainError):
             Sphere2Model(alpha=1j)

@@ -5,16 +5,25 @@ import cmath
 import json
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+import equizeta
 import equizeta.models as models
+import equizeta.series as series
+import equizeta.zeta
 from equizeta import (
     CircleModel,
     DomainError,
+    EuclideanElement,
+    EuclideanLatticeModel,
     FlowModel,
+    IntegerLatticeModel,
+    LineModel,
     ModelDiagnostics,
     NonConvergentError,
     SeriesResult,
+    ZetaEvaluation,
     chi_primitive_period_numeric,
     flat_trace_measure,
     fried_residual,
@@ -94,6 +103,8 @@ class TestProbeModel:
             torsion_log(model, None)
         with pytest.raises(DomainError, match="resummed torsion"):
             torsion_log_resummed(model, None)
+        with pytest.raises(DomainError, match="resummed torsion"):
+            model.torsion_oracle(None, 10)
         with pytest.raises(DomainError, match="no cutoff-period rule"):
             chi_primitive_period_numeric(model, None)
 
@@ -117,3 +128,33 @@ class TestContinuationConvergenceFlag:
         code = main(["eval", "--model", "circle", "--params", "r0=0.25,alpha=1i", "--sigma", "0"])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"] == "NonConvergentError"
+
+
+class TestOneRecordPerAnswer:
+    @pytest.mark.parametrize("model, g, sigma", [
+        (LineModel(alpha=1j), 2.0, 0.5),
+        (IntegerLatticeModel(alpha=1j), -3, 0.5),
+        (CircleModel(alpha=1j), 0.0, 0.5),
+        (CircleModel(alpha=1j), 0.5, 0.5),
+        (CircleModel(alpha=1j), 0.25, 0.5),
+        (EuclideanLatticeModel.from_angle(3, 1.0, 2.0943951, 3, 0.25j), EuclideanElement(l0=1), 0.5),
+    ])
+    def test_log_closed_returns_the_record(self, model, g, sigma):
+        ev = model.log_closed(g, complex(sigma))
+        assert type(ev) is ZetaEvaluation
+        assert ev == ruelle_log_closed(model, g, sigma)
+        assert type(ev.log_R) is complex and type(ev.est_error) is float
+
+    def test_record_is_one_class(self):
+        assert equizeta.ZetaEvaluation is equizeta.zeta.ZetaEvaluation is series.ZetaEvaluation
+
+    def test_record_holds_python_numbers(self):
+        # The 2F1 routes may hand back numpy scalars; CSV prints repr.
+        ev = ZetaEvaluation(np.float64(0.5), np.complex128(1 + 2j), "closed", np.float64(0.25), 3)
+        assert repr((ev.sigma, ev.log_R, ev.est_error)) == "((0.5+0j), (1+2j), 0.25)"
+        with pytest.raises(DomainError, match="est_error must be nonnegative"):
+            ZetaEvaluation(0.5, 1j, "closed", -1.0, 1)
+
+    def test_scaled_certificate(self):
+        res = SeriesResult(2.0 - 1j, 7, 1e-3, False).scaled(-0.5j)
+        assert res == SeriesResult(-0.5j * (2.0 - 1j), 7, 0.5 * 1e-3, False)

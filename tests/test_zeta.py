@@ -11,6 +11,7 @@ from equizeta import (
     DomainError,
     EuclideanElement,
     EuclideanLatticeModel,
+    IntegerLatticeModel,
     LineModel,
     NonConvergentError,
     NotApplicableError,
@@ -131,6 +132,47 @@ class TestDirect:
         monkeypatch.setattr(CircleModel, "orbits", refuse)
         with pytest.raises(NonConvergentError, match="would exceed the term cap"):
             ruelle_log_direct(CircleModel(alpha=1j), 0.25, 2e-5)
+
+    def test_orbit_budget_covers_trace_and_views(self, monkeypatch):
+        # Past the budget no orbit is built: window 3e6 would be 6e6 circle
+        # atoms (about 1 GB), and 1e300 no array at all.
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbits built past the budget")
+
+        monkeypatch.setattr(CircleModel, "orbits", refuse)
+        circle = CircleModel(alpha=1j)
+        for build in (
+            lambda: flat_trace_measure(circle, 0.25, 3e6),
+            lambda: circle.orbit_data(0.25, 1e300),
+            lambda: circle.length_spectrum(0.25, 3e6),
+            lambda: circle.orbit_contributions(0.25, 3e6 + 0.25),
+        ):
+            with pytest.raises(NonConvergentError, match="would exceed the term cap"):
+                build()
+
+    def test_chosen_window_that_misses_tol_raises(self):
+        # The window reads only Re(sigma): est_error 0.0398 against tol 1e-12.
+        model = CircleModel(alpha=1 + 1j)
+        with pytest.raises(NonConvergentError, match="above tol 1e-12"):
+            ruelle_log_direct(model, 0.3, 1.05)
+        # An explicit window returns its certificate, whatever it is.
+        ev = ruelle_log_direct(model, 0.3, 1.05, window=50.0 / 1.05)
+        assert 0.03 < ev.est_error < 0.05
+
+    def test_overflow_is_a_domain_error(self):
+        want = r"log R at sigma = \(-400\+0j\) overflows a float"
+        with pytest.raises(DomainError, match=want):
+            ruelle_log_direct(LineModel(), 2.0, -400.0)
+        with pytest.raises(DomainError, match=want):
+            ruelle_log_closed(LineModel(), 2.0, -400.0)
+        with pytest.raises(DomainError, match=r"log R at sigma = 0j overflows a float"):
+            ruelle_log_closed(LineModel(alpha=400), 2.0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_non_finite_sum_is_a_domain_error(self):
+        # The holonomy e^{800} overflows to inf, so the sum is not a finite float.
+        with pytest.raises(DomainError, match=r"sigma = \(1\+0j\) overflows a float"):
+            ruelle_log_direct(euclid_model(alpha_v0=400), EuclideanElement(l0=2), 1.0)
 
     def test_finite_models_any_sigma(self):
         ev = ruelle_log_direct(euclid_model(), EuclideanElement(l0=1), -2.0)
@@ -341,6 +383,18 @@ class TestStructuralChecks:
         for g, alpha, sigma in ((2, 1j, 1.0), (-3, 0j, 0.5), (1, 0.5j * math.pi, 2.0)):
             lhs, rhs, diff = subgroup_power_check(g, alpha, sigma)
             assert diff == 0.0
+
+    def test_subgroup_power_compares_two_routes(self):
+        # Closed form against the lattice direct sum: a rounding gap (5.7e-14
+        # here), within the summed certificates (3.3e-13).
+        g, alpha, sigma = 4, 0.3 + 2j, -1.5
+        lhs, rhs, diff = subgroup_power_check(g, alpha, sigma)
+        est = (
+            ruelle_log_closed(LineModel(alpha=alpha), float(g), sigma).est_error
+            + ruelle_log_direct(IntegerLatticeModel(alpha=alpha), g, sigma).est_error
+        )
+        assert diff <= est
+        assert rhs == ruelle_log_direct(IntegerLatticeModel(alpha=alpha), g, sigma).log_R
 
     def test_subgroup_rejects_non_integer(self):
         with pytest.raises(DomainError):
