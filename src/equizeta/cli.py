@@ -247,7 +247,7 @@ def cmd_fried(args) -> int:
     _emit(_json(payload), args.output)
     if not report.applicable:
         return EXIT_NOT_APPLICABLE
-    if not abs(report.residual) + report.est_error < tol:
+    if not report.holds:
         return EXIT_FRIED_VIOLATION
     return EXIT_OK
 

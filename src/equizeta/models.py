@@ -27,15 +27,12 @@ subclasses FlowModel and implements them.
     det(1-P) is +1 [NotImplementedError]
   * period: the folded cutoff-primitive period of every orbit [1.0]
   * validate(g): diagnostics [NotImplementedError]; infinite_spectrum [False]
-  * connection(): connection parameter along the flow [complex(self.alpha)]
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
     [0 for a finite spectrum, summed whole; NotImplementedError otherwise]
   * log_closed(g, sigma): log R as a ZetaEvaluation, by closed form or
     continuation [DomainError]
   * torsion(g): log of the torsion as a SeriesResult, by closed form
     (est_error 0) or a spectral series [DomainError]
-  * torsion_oracle(g, n_terms): the torsion by delayed-average resummation
-    as a SeriesResult, for torsion_log_resummed only [DomainError]
   * period_numeric(g, profile, quad): the cutoff-primitive period once
     ``_admissible_reach`` admits the profile; only Euclid integrates [DomainError]
 FlowModel alone derives three views from orbits: orbit_data(g, window) (the
@@ -80,7 +77,6 @@ from .series import (
     atanh_of_exp,
     bilateral_exp_sum_continued_result,
     bilateral_exp_sum_ewald,
-    bilateral_exp_sum_resummed,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -199,16 +195,16 @@ class ModelDiagnostics:
     spectrum_collisions: int = 0
 
 
-def _rational_proxy(ratio: float, max_q: int = 10**4, tol: float = 1e-12):
+def _rational_proxy(ratio: float):
     """Best rational approximation diagnostic for the dense-powers proxy.
 
-    Returns (ok, detail): ok is False when ratio admits p/q with q <= max_q
-    and error < tol, which would put the group element uncomfortably close
+    Returns (ok, detail): ok is False when ratio admits p/q with q <= 10^4
+    and error < 1e-12, which would put the group element uncomfortably close
     to finite order.
     """
-    frac = Fraction(ratio).limit_denominator(max_q)
+    frac = Fraction(ratio).limit_denominator(10**4)
     err = abs(ratio - float(frac))
-    ok = err >= tol
+    ok = err >= 1e-12
     return ok, f"|{ratio:.12g} - {frac.numerator}/{frac.denominator}| = {err:.3e}"
 
 
@@ -294,9 +290,6 @@ class FlowModel:
     def validate(self, g) -> ModelDiagnostics:
         raise NotImplementedError
 
-    def connection(self) -> complex:
-        return complex(self.alpha)
-
     def tail_bound(self, g, sigma: complex, window: float) -> float:
         if self.infinite_spectrum:
             raise NotImplementedError(f"{self!r} has no orbit-sum tail bound")
@@ -308,17 +301,16 @@ class FlowModel:
     def torsion(self, g) -> SeriesResult:
         raise DomainError(f"no torsion value registered for {self!r}")
 
-    def torsion_oracle(self, g, n_terms: int) -> SeriesResult:
-        raise DomainError("resummed torsion applies to circle non-identity classes")
-
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         raise DomainError(f"no cutoff-period rule for model {self!r}")
 
-    def _unitary_connection(self) -> complex:
-        alpha = self.connection()
-        if abs(alpha.real) > UNITARY_TOL:
-            raise DomainError("torsion values require purely imaginary alpha")
-        return alpha
+
+def _unitary(alpha) -> complex:
+    """The connection parameter of a torsion, refused unless purely imaginary."""
+    alpha = complex(alpha)
+    if abs(alpha.real) > UNITARY_TOL:
+        raise DomainError("torsion values require purely imaginary alpha")
+    return alpha
 
 
 def _closed(value: complex) -> SeriesResult:
@@ -365,7 +357,7 @@ class LineModel(FlowModel):
         return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 
     def torsion(self, g) -> SeriesResult:
-        alpha = self._unitary_connection()
+        alpha = _unitary(self.alpha)
         g = float(self.element(g))
         return _closed(cmath.exp(alpha * g) / (2.0 * abs(g)) if g else 0j)
 
@@ -418,7 +410,8 @@ class CircleModel(FlowModel):
         )
 
     def tail_bound(self, r0, sigma: complex, window: float) -> float:
-        q = math.exp(abs(complex(self.alpha).real) - sigma.real)
+        # The exponent is capped at 0 before exp: a divergent sum is inf, not an overflow.
+        q = math.exp(min(0.0, abs(complex(self.alpha).real) - sigma.real))
         if q >= 1.0:
             return float("inf")
         return 2.0 * q ** window / (window * (1.0 - q))
@@ -453,7 +446,7 @@ class CircleModel(FlowModel):
 
     def torsion(self, r0) -> SeriesResult:
         """The spectral torsion: Ewald's split off the identity class, else a closed form."""
-        alpha = self._unitary_connection()
+        alpha = _unitary(self.alpha)
         if alpha_in_two_pi_i_z(alpha):
             raise DomainError("torsion needs alpha outside 2*pi*i*Z for circle classes")
         r0 = self.element(r0)
@@ -462,15 +455,6 @@ class CircleModel(FlowModel):
             # identity-class closed form at sigma = 0.
             return _closed(-0.5 * cmath.log(-((2.0 * cmath.sinh(alpha / 2.0)) ** 2)))
         return bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha)).scaled(0.5)
-
-    def torsion_oracle(self, r0, n_terms: int) -> SeriesResult:
-        """Delayed iterated averaging of the symmetric partial sums of the
-        defining bilateral series at 0 (non-identity classes only)."""
-        r0 = self.element(r0)
-        if r0 == 0.0:
-            return super().torsion_oracle(r0, n_terms)
-        params = BilateralSumParams(r=r0, alpha=self.connection())
-        return bilateral_exp_sum_resummed(params, 0.0, n_terms=n_terms).scaled(0.5)
 
     def period_numeric(self, r0, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         self.element(r0)
@@ -620,13 +604,10 @@ class EuclideanLatticeModel(FlowModel):
         return ModelDiagnostics(
             nondegenerate=(kdim == 1),
             witness=witness,
-            alpha_in_lattice=alpha_in_two_pi_i_z(self.connection()),
+            alpha_in_lattice=alpha_in_two_pi_i_z(complex(self.alpha_v0)),
             continuation_available=True,
             laplacian_kernel_nonzero=False,
         )
-
-    def connection(self) -> complex:
-        return complex(self.alpha_v0)
 
     def _axial_length(self, g) -> float:
         """a * l0, the length of g's closed orbits; l0 = 0 closes none."""
@@ -643,7 +624,7 @@ class EuclideanLatticeModel(FlowModel):
         return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 
     def torsion(self, g) -> SeriesResult:
-        alpha = self._unitary_connection()
+        alpha = _unitary(self.alpha_v0)
         l = self._axial_length(g)
         return _closed(self.period * cmath.exp(l * alpha) / abs(l))
 

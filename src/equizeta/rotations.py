@@ -71,21 +71,20 @@ def _check_special_orthogonal(m: np.ndarray, tol: float) -> None:
         raise DomainError("matrix must have determinant +1")
 
 
-def unit_eigenvalue_multiplicity(eigvals, tol: float = EIG_GAP) -> tuple[int, float]:
-    """Multiplicity of the eigenvalue 1 among ``eigvals`` (within max(1e-8,
-    tol)) and the distance from 1 of the next eigenvalue (inf if none); an
+def unit_eigenvalue_multiplicity(eigvals) -> tuple[int, float]:
+    """Multiplicity of the eigenvalue 1 among ``eigvals`` (within EIG_GAP)
+    and the distance from 1 of the next eigenvalue (inf if none); an
     eigenvalue in the dead band up to 1e-6 raises DomainError."""
     dist = np.sort(np.abs(np.asarray(eigvals) - 1.0))
-    gap = max(EIG_GAP, tol)
-    if np.any((dist > gap) & (dist < EIG_REJECT_BAND)):
+    if np.any((dist > EIG_GAP) & (dist < EIG_REJECT_BAND)):
         raise DomainError(
             "eigenvalue too close to 1 to classify reliably; refusing to coerce"
         )
-    mult = int(np.sum(dist <= gap))
+    mult = int(np.sum(dist <= EIG_GAP))
     return mult, float(dist[mult]) if mult < len(dist) else math.inf
 
 
-def axis_and_kernel(r: np.ndarray, tol: float = 1e-10):
+def axis_and_kernel(r: np.ndarray):
     """Multiplicity of the eigenvalue 1 of an SO(n) matrix, plus the axis.
 
     Returns ``(kernel_dim, v0)`` where ``v0`` is the unit kernel vector of
@@ -93,8 +92,8 @@ def axis_and_kernel(r: np.ndarray, tol: float = 1e-10):
     the kernel is one-dimensional, and None otherwise.
     """
     r = np.asarray(r, dtype=float)
-    _check_special_orthogonal(r, max(tol, 1e-10))
-    kernel_dim, _ = unit_eigenvalue_multiplicity(np.linalg.eigvals(r), tol)
+    _check_special_orthogonal(r, 1e-10)
+    kernel_dim, _ = unit_eigenvalue_multiplicity(np.linalg.eigvals(r))
     if kernel_dim != 1:
         return kernel_dim, None
     # Null vector of r - I via SVD; the smallest singular vector is the axis.
@@ -260,7 +259,7 @@ def poincare_determinant_euclidean(r: AxisRotation, l: float) -> PoincareData:
     return PoincareData(l=l, det_sign=1, det_abs=restricted)
 
 
-def signed_wedge_trace(a: np.ndarray, tol: float = 1e-8):
+def signed_wedge_trace(a: np.ndarray):
     """sum_j (-1)^j j tr(wedge^j A) for A with a simple eigenvalue 1.
 
     Computed from eigenvalues via elementary symmetric polynomials; equals
@@ -270,7 +269,7 @@ def signed_wedge_trace(a: np.ndarray, tol: float = 1e-8):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
     eigvals = np.linalg.eigvals(a)
-    mult, _ = unit_eigenvalue_multiplicity(eigvals, tol)
+    mult, _ = unit_eigenvalue_multiplicity(eigvals)
     if mult != 1:
         raise DomainError(f"eigenvalue 1 must be simple, found multiplicity {mult}")
     # Char poly of A: coeffs[j] = (-1)^j e_j(eigvals), so (-1)^j j e_j = j coeffs[j].
@@ -310,7 +309,7 @@ class SphereFixClass:
 NOT_PERIODIC = SphereFixClass(kind="not_periodic")
 
 
-def sphere_fixed_classifier(x: np.ndarray, thetas, l: float, tol: float = 1e-9) -> SphereFixClass:
+def sphere_fixed_classifier(x: np.ndarray, thetas, l: float) -> SphereFixClass:
     """Classify a candidate SO(4) point of the 3-sphere frame flow.
 
     The final gate is always the direct conjugation identity
@@ -322,13 +321,13 @@ def sphere_fixed_classifier(x: np.ndarray, thetas, l: float, tol: float = 1e-9) 
     x = np.asarray(x, dtype=float)
     if x.shape != (4, 4):
         raise DomainError("classifier expects a 4x4 matrix")
-    _check_special_orthogonal(x, max(tol, 1e-10))
+    _check_special_orthogonal(x, 1e-9)
     theta1, theta2 = float(thetas[0]), float(thetas[1])
 
     a, b = x[:2, :2], x[:2, 2:]
     c, d = x[2:, :2], x[2:, 2:]
-    diag_like = max(np.max(np.abs(b)), np.max(np.abs(c))) <= tol
-    antidiag_like = max(np.max(np.abs(a)), np.max(np.abs(d))) <= tol
+    diag_like = max(np.max(np.abs(b)), np.max(np.abs(c))) <= 1e-9
+    antidiag_like = max(np.max(np.abs(a)), np.max(np.abs(d))) <= 1e-9
     if not (diag_like or antidiag_like):
         return NOT_PERIODIC
 
@@ -344,7 +343,7 @@ def sphere_fixed_classifier(x: np.ndarray, thetas, l: float, tol: float = 1e-9) 
 
     kind, theta, first, second = ("type1", theta1, a, d) if diag_like else ("type2", theta2, b, c)
     eps = 1 if np.linalg.det(first) > 0 else -1
-    if not abs(math.remainder(l - eps * theta, 2.0 * math.pi)) <= max(tol, 1e-9):
+    if not abs(math.remainder(l - eps * theta, 2.0 * math.pi)) <= 1e-9:
         return NOT_PERIODIC
     w = W_PLUS if eps == 1 else W_MINUS
     return SphereFixClass(kind=kind, epsilon=eps, first=first @ w, second=second @ w)

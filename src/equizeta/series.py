@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,9 @@ EWALD_ETA = math.pi
 
 # Hard cap on series terms before giving up (see NonConvergentError).
 TERM_CAP = 10**7
+
+# The one truncation target of every series here (2F1 and the bilateral sums).
+SERIES_TOL = 1e-14
 
 # Power-series dispatch radius shared by the direct, Pfaff and 1/z routes.
 SERIES_RADIUS = 0.8
@@ -115,11 +119,11 @@ class BilateralSumParams:
 # Gauss hypergeometric 2F1
 # ---------------------------------------------------------------------------
 
-def _is_nonpositive_integer(w: complex, tol: float = 1e-12) -> bool:
-    return abs(w.imag) < tol and w.real < 0.5 and abs(w.real - round(w.real)) < tol
+def _is_nonpositive_integer(w: complex) -> bool:
+    return abs(w.imag) < 1e-12 and w.real < 0.5 and abs(w.real - round(w.real)) < 1e-12
 
 
-def _hyp2f1_series(a, b, c, z, tol) -> SeriesResult:
+def _hyp2f1_series(a, b, c, z) -> SeriesResult:
     """Defining power series; |z| must be below 1 (used for |z| <= 0.8)."""
     total = 1.0 + 0j
     term = 1.0 + 0j
@@ -135,14 +139,14 @@ def _hyp2f1_series(a, b, c, z, tol) -> SeriesResult:
         q = abs(z) * (max(1.0, abs((a + n) * (b + n) / ((c + n) * (n + 1.0)))) + kappa / n)
         if q < 1.0:
             tail = abs(term) * q / (1.0 - q)
-            if abs(term) < tol * max(1.0, abs(total)) and tail < tol:
+            if abs(term) < SERIES_TOL * max(1.0, abs(total)) and tail < SERIES_TOL:
                 return SeriesResult(total, n + 1, tail, True)
         if term == 0:  # polynomial case terminated
             return SeriesResult(total, n + 1, 0.0, True)
     return SeriesResult(total, n + 1, float("inf"), False)
 
 
-def _hyp2f1_logcase(a, b, z, tol) -> SeriesResult:
+def _hyp2f1_logcase(a, b, z) -> SeriesResult:
     """Connection formula at 1-z for the degenerate case c = a + b.
 
     2F1(a,b;a+b;z) = G(a+b)/(G(a)G(b)) * sum_k (a)_k (b)_k / (k!)^2
@@ -168,12 +172,12 @@ def _hyp2f1_logcase(a, b, z, tol) -> SeriesResult:
         if abs(u) < 1.0:
             # psi factors grow like log k; fold a generous log factor in.
             tail = abs(term) * (abs(coef) + 2.0) / (1.0 - abs(u))
-            if tail < tol * max(1.0, abs(total)):
+            if tail < SERIES_TOL * max(1.0, abs(total)):
                 return SeriesResult(pref * total, k, abs(pref) * tail, True)
     return SeriesResult(pref * total, k, float("inf"), False)
 
 
-def _lerch_phi_one(z: complex, s: complex, tol: float) -> SeriesResult:
+def _lerch_phi_one(z: complex, s: complex) -> SeriesResult:
     """Phi(z, 1, s) = sum_{n>=0} z^n / (n+s) via its Laplace integral.
 
     Uses Phi(z,1,s) = int_0^oo e^{-s t} / (1 - z e^{-t}) dt (Re s > 0,
@@ -206,10 +210,10 @@ def _lerch_phi_one(z: complex, s: complex, tol: float) -> SeriesResult:
     tail = math.exp(-s.real * T) / (s.real * max(1e-3, 1.0 - abs(z) * math.exp(-T)))
     est = abs(pref) * (abs(val24 - val16) + tail)
     value = shifted + pref * val24
-    return SeriesResult(value, 40 * half.size + nterms, est, est <= max(10.0 * tol, 1e-12))
+    return SeriesResult(value, 40 * half.size + nterms, est, est <= 1e-12)
 
 
-def hyp2f1(a, b, c, z, tol: float = 1e-14) -> SeriesResult:
+def hyp2f1(a, b, c, z) -> SeriesResult:
     """Gauss hypergeometric 2F1(a, b; c; z) with truncation-error tracking.
 
     Route selection: defining power series for |z| <= 0.8, the Pfaff map
@@ -226,18 +230,18 @@ def hyp2f1(a, b, c, z, tol: float = 1e-14) -> SeriesResult:
         raise DomainError(f"2F1 undefined for nonpositive integer c = {c}")
     if z == 0:
         return SeriesResult(1.0 + 0j, 1, 0.0, True)
-    if abs(z - 1.0) < tol and (c - a - b).real <= 0:
+    if abs(z - 1.0) < SERIES_TOL and (c - a - b).real <= 0:
         raise NonConvergentError(f"2F1 singular at z = 1 for c-a-b = {c - a - b}")
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
         # Polynomial: the series terminates regardless of |z|.
-        return _hyp2f1_series(a, b, c, z, tol)
+        return _hyp2f1_series(a, b, c, z)
 
     if abs(z) <= SERIES_RADIUS:
-        return _hyp2f1_series(a, b, c, z, tol)
+        return _hyp2f1_series(a, b, c, z)
 
     zp = z / (z - 1.0)
     if abs(zp) <= SERIES_RADIUS:
-        return _hyp2f1_series(a, c - b, c, zp, tol).scaled((1.0 - z) ** (-a))
+        return _hyp2f1_series(a, c - b, c, zp).scaled((1.0 - z) ** (-a))
 
     if abs(z) >= 1.0 / SERIES_RADIUS:
         ab = a - b
@@ -246,8 +250,8 @@ def hyp2f1(a, b, c, z, tol: float = 1e-14) -> SeriesResult:
                 "1/z connection formula needs non-integer a-b"
             )
         g = special.gamma
-        t1 = _hyp2f1_series(a, a - c + 1, a - b + 1, 1.0 / z, tol)
-        t2 = _hyp2f1_series(b, b - c + 1, b - a + 1, 1.0 / z, tol)
+        t1 = _hyp2f1_series(a, a - c + 1, a - b + 1, 1.0 / z)
+        t2 = _hyp2f1_series(b, b - c + 1, b - a + 1, 1.0 / z)
         c1 = g(c) * g(b - a) / (g(b) * g(c - a)) * (-z) ** (-a)
         c2 = g(c) * g(a - b) / (g(a) * g(c - b)) * (-z) ** (-b)
         return SeriesResult(
@@ -258,13 +262,13 @@ def hyp2f1(a, b, c, z, tol: float = 1e-14) -> SeriesResult:
         )
 
     if abs(c - a - b) < 1e-12 and abs(1.0 - z) <= SERIES_RADIUS:
-        return _hyp2f1_logcase(a, b, z, tol)
+        return _hyp2f1_logcase(a, b, z)
 
     # Remaining gap (arguments near the unit circle with argument in roughly
     # (0.82, 1.35)): only the Lerch-reducible family is supported there.
     for one, s in ((a, b), (b, a)):
         if abs(one - 1.0) < 1e-13 and abs(c - s - 1.0) < 1e-13:
-            return _lerch_phi_one(z, s, tol).scaled(s)
+            return _lerch_phi_one(z, s).scaled(s)
 
     raise NonConvergentError(
         f"no evaluation route covers 2F1({a}, {b}; {c}; {z})"
@@ -275,7 +279,7 @@ def hyp2f1(a, b, c, z, tol: float = 1e-14) -> SeriesResult:
 # Bilateral exponential sums
 # ---------------------------------------------------------------------------
 
-def bilateral_exp_sum_direct(p: BilateralSumParams, z, tol: float = 1e-14) -> SeriesResult:
+def bilateral_exp_sum_direct(p: BilateralSumParams, z) -> SeriesResult:
     """Direct symmetric-truncation evaluation of F(z; r, alpha).
 
     Valid in the absolute-convergence region Re(z) > |Re(alpha)|; the
@@ -311,11 +315,11 @@ def bilateral_exp_sum_direct(p: BilateralSumParams, z, tol: float = 1e-14) -> Se
             qp ** (n0 + r) / ((n0 + r) * (1.0 - qp))
             + qm ** (n0 + 1.0 - r) / ((n0 + 1.0 - r) * (1.0 - qm))
         )
-        if last < tol * max(1.0, abs(total)) and tail < tol:
+        if last < SERIES_TOL * max(1.0, abs(total)) and tail < SERIES_TOL:
             return SeriesResult(total, terms, tail, True)
         block = min(2 * block, 1 << 20)
     raise NonConvergentError(
-        f"bilateral sum did not reach tol={tol} within {TERM_CAP} terms",
+        f"bilateral sum did not reach tol={SERIES_TOL} within {TERM_CAP} terms",
         partial=total,
     )
 
@@ -331,15 +335,15 @@ def _distance_to_singular_lattice(z: complex, alpha: complex) -> float:
     return best
 
 
-def alpha_in_two_pi_i_z(alpha: complex, tol: float = 1e-12) -> bool:
-    """True when alpha lies in 2*pi*i*Z within tol (no continuation to 0)."""
-    if abs(alpha.real) > tol:
+def alpha_in_two_pi_i_z(alpha: complex) -> bool:
+    """True when alpha lies in 2*pi*i*Z within 1e-12 (no continuation to 0)."""
+    if abs(alpha.real) > 1e-12:
         return False
     k = round(alpha.imag / TWO_PI)
-    return abs(alpha.imag - TWO_PI * k) <= tol
+    return abs(alpha.imag - TWO_PI * k) <= 1e-12
 
 
-def bilateral_exp_sum_continued_result(p: BilateralSumParams, z, tol: float = 1e-14) -> SeriesResult:
+def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult:
     """Analytic continuation of F(z; r, alpha) with an error certificate."""
     z = complex(z)
     alpha = complex(p.alpha)
@@ -354,8 +358,8 @@ def bilateral_exp_sum_continued_result(p: BilateralSumParams, z, tol: float = 1e
     r = p.r
     w1 = cmath.exp(alpha - z)
     w2 = cmath.exp(-alpha - z)
-    h1 = hyp2f1(1.0, r, r + 1.0, w1, tol)
-    h2 = hyp2f1(1.0, -r, 1.0 - r, w2, tol)
+    h1 = hyp2f1(1.0, r, r + 1.0, w1)
+    h2 = hyp2f1(1.0, -r, 1.0 - r, w2)
     c1 = cmath.exp(r * (alpha - z)) / r
     c2 = cmath.exp(r * (alpha + z)) / r
     value = c1 * h1.value - c2 * h2.value + c2
@@ -446,7 +450,7 @@ def bilateral_exp_sum_ewald(p: BilateralSumParams) -> SeriesResult:
     total = complex(orbit.sum() + (np.exp(1j * TWO_PI * k * p.r) * e1).sum())
     value = cmath.exp(1j * TWO_PI * float(Fraction(p.r) * m % 1)) * total
     mass = float(np.sum(np.abs(orbit)) + np.sum(e1))
-    return SeriesResult(value, x.size + k.size, tail + 8.0 * np.finfo(float).eps * mass, True)
+    return SeriesResult(value, x.size + k.size, tail + 8.0 * sys.float_info.epsilon * mass, True)
 
 
 # ---------------------------------------------------------------------------

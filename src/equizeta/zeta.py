@@ -26,7 +26,7 @@ from .models import (
     LineModel,
     validate_model,
 )
-from .series import SeriesResult, ZetaEvaluation
+from .series import BilateralSumParams, SeriesResult, ZetaEvaluation, bilateral_exp_sum_resummed
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,9 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class FriedReport:
-    """Comparison of log R(0) against log T, with an applicability verdict."""
+    """Comparison of log R(0) against log T, with an applicability verdict;
+    ``holds`` is the equality verdict at the caller's tol: applicable and
+    |residual| + est_error < tol."""
 
     log_R_at_0: complex | None
     log_T: complex | None
@@ -57,6 +59,7 @@ class FriedReport:
     applicable: bool
     reason: str
     est_error: float = 0.0
+    holds: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +182,16 @@ def torsion_log(model: FlowModel, g) -> complex:
     return model.torsion(g).value
 
 
-def torsion_log_resummed(model: FlowModel, g, n_terms: int = 10**6) -> SeriesResult:
+def torsion_log_resummed(model: FlowModel, g) -> SeriesResult:
     """Circle non-identity classes: delayed iterated averaging of the
-    symmetric partial sums of the torsion series, a slow third route (its
-    est_error is at least 5e-10) that the Fried check does not use."""
-    return model.torsion_oracle(g, n_terms)
+    symmetric partial sums of the torsion series over 10^6 terms, a slow
+    third route (its est_error is at least 5e-10) that the Fried check does
+    not use."""
+    r0 = model.element(g) if isinstance(model, CircleModel) else 0.0
+    if r0 == 0.0:
+        raise DomainError("resummed torsion applies to circle non-identity classes")
+    params = BilateralSumParams(r=r0, alpha=complex(model.alpha))
+    return bilateral_exp_sum_resummed(params).scaled(0.5)
 
 
 def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
@@ -194,8 +202,8 @@ def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
     ``ruelle_log_closed`` at 0 with ``model.torsion``; est_error sums their
     certificates.  Where log R(0) is a continuation (circle non-identity
     classes) log T is the spectral torsion by Ewald's split, so the residual
-    is a two-route check.  The report does not depend on ``tol``; a caller
-    compares |residual| + est_error with its own tolerance.
+    is a two-route check.  ``tol`` is read only by the verdict ``holds``:
+    |residual| + est_error < tol, so the certificate must meet it too.
     """
     diag = validate_model(model, g)
     reasons = [text for failed, text in (
@@ -212,13 +220,16 @@ def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
     torsion = model.torsion(g)
     reason = "closed-form comparison" if r_eval.method == "closed" else (
         "two-route check: continuation at sigma=0 against the Ewald split of the spectral torsion")
+    residual = r_eval.log_R - torsion.value
+    est_error = r_eval.est_error + torsion.est_error
     return FriedReport(
         log_R_at_0=r_eval.log_R,
         log_T=torsion.value,
-        residual=r_eval.log_R - torsion.value,
+        residual=residual,
         applicable=True,
         reason=reason,
-        est_error=r_eval.est_error + torsion.est_error,
+        est_error=est_error,
+        holds=abs(residual) + est_error < tol,
     )
 
 

@@ -115,6 +115,18 @@ class TestEval:
         assert code == 1
         assert json.loads(out)["error"] == "DomainError"
 
+    def test_divergent_sum_past_the_float_range(self, capsys):
+        # e^{|Re alpha| - Re sigma} = e^{999} is past the float range; the
+        # exponents are compared before any exp, so this is divergence.
+        code, out = run_cli(
+            capsys,
+            "eval", "--model", "circle", "--params", "r0=0.3,alpha=1000",
+            "--sigma", "1", "--method", "direct",
+        )
+        assert code == 1
+        assert strict_json(out)["message"] == (
+            "the orbit sum does not converge absolutely at sigma = (1+0j)")
+
     def test_missing_param(self, capsys):
         code, out = run_cli(capsys, "eval", "--model", "line", "--sigma", "1")
         assert code == 1

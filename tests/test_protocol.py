@@ -103,8 +103,8 @@ class TestProbeModel:
             torsion_log(model, None)
         with pytest.raises(DomainError, match="resummed torsion"):
             torsion_log_resummed(model, None)
-        with pytest.raises(DomainError, match="resummed torsion"):
-            model.torsion_oracle(None, 10)
+        assert not hasattr(FlowModel, "torsion_oracle")
+        assert not hasattr(FlowModel, "connection")
         with pytest.raises(DomainError, match="no cutoff-period rule"):
             chi_primitive_period_numeric(model, None)
 

@@ -313,6 +313,17 @@ class TestTorsion:
             torsion_log(CircleModel(alpha=0.3 + 1j), 0.25)
 
     @pytest.mark.parametrize("model, g", [
+        (LineModel(alpha=1j), 2.0), (CircleModel(alpha=1j), 0.0),
+    ])
+    def test_resummed_route_only_on_circle_non_identity_classes(self, model, g):
+        message = "^resummed torsion applies to circle non-identity classes$"
+        with pytest.raises(DomainError, match=message):
+            torsion_log_resummed(model, g)
+
+    def test_certificate_is_a_python_float(self):
+        assert type(CircleModel(alpha=1j).torsion(0.25).est_error) is float
+
+    @pytest.mark.parametrize("model, g", [
         (CircleModel, 0.25), (CircleModel, 0.0), (LineModel, 2.0),
     ])
     def test_one_unitarity_threshold(self, model, g):
@@ -334,6 +345,16 @@ class TestFried:
         assert abs(rep.residual) < 1e-12
         assert abs(rep.residual) <= rep.est_error
         assert "Ewald split" in rep.reason
+
+    def test_holds_reads_tol(self):
+        # |residual| + est_error is about 4.6e-15 at r0 = 0.25, alpha = i.
+        model = CircleModel(alpha=1j)
+        assert fried_residual(model, 0.25, 1e-15).holds is False
+        assert fried_residual(model, 0.25, 1e-12).holds is True
+        assert fried_residual(Sphere2Model(), 1.0, 1.0).holds is False
+
+    def test_certificate_is_a_python_float(self):
+        assert type(fried_residual(CircleModel(alpha=1j), 0.25).est_error) is float
 
     def test_circle_identity(self):
         rep = fried_residual(CircleModel(alpha=1j), 0.0)
