@@ -19,6 +19,7 @@ and selftest's --seed fixes the inputs its suites sample.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -357,10 +358,15 @@ def _bind_sigma_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` reuses: it keeps no state between parses."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(_bind_sigma_values(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_bind_sigma_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (ConfigError, EquizetaError) as exc:
         _report_error(exc)

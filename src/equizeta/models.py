@@ -77,6 +77,7 @@ from .series import (
     atanh_of_exp,
     bilateral_exp_sum_continued_result,
     bilateral_exp_sum_ewald,
+    gauss_legendre,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -853,6 +854,9 @@ def _admissible_reach(
 # array is built; every default-QuadratureSpec period at a >= 0.5 fits (<= 7e7).
 _PERIOD_BUDGET = 10**8
 
+# The 12-node Gauss-Legendre rule of every cutoff-period panel.
+_PERIOD_RULE = gauss_legendre(12)
+
 
 def _period_euclidean(
     model: EuclideanLatticeModel, g: EuclideanElement, profile: CutoffProfile, quad: QuadratureSpec
@@ -905,7 +909,7 @@ def _period_euclidean(
     _admissible_reach(profile, quad.tol * 1e-4, spacing=model.a, rho2=rho2)
 
     # Composite Gauss-Legendre in the flow parameter s.
-    nodes, weights = np.polynomial.legendre.leggauss(12)
+    nodes, weights = _PERIOD_RULE
     edges = np.arange(-reach, reach + panel, panel)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -55,6 +55,20 @@ SERIES_TOL = 1e-14
 SERIES_RADIUS = 0.8
 
 
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1] as read-only (nodes, weights),
+    built once at import by each module that keeps one."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+# The Lerch integral's 24-node rule, and for its error estimate a 16-node rule
+# on the same panels.
+_LERCH_RULES = (gauss_legendre(24), gauss_legendre(16))
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     """Value of a truncated series together with its error certificate.
@@ -125,25 +139,34 @@ def _is_nonpositive_integer(w: complex) -> bool:
 
 def _hyp2f1_series(a, b, c, z) -> SeriesResult:
     """Defining power series; |z| must be below 1 (used for |z| <= 0.8)."""
+    # Geometric tail bound: the term ratio tends to |z|; the cushion
+    # kappa/n majorises its approach from above.
+    kappa = abs(a) + abs(b) + abs(c) + 2.0
+    zabs = abs(z)
     total = 1.0 + 0j
     term = 1.0 + 0j
     n = 0
+    # coef is (a+n)(b+n)/((c+n)(n+1)): the ratio of term n+1 to term n is
+    # coef * z, and |coef| at the next n enters that term's tail bound.
+    coef = (a + n) * (b + n) / ((c + n) * (n + 1.0))
     while n < TERM_CAP:
-        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        term = term * ratio
+        term = term * (coef * z)
         total += term
         n += 1
-        # Geometric tail bound: the term ratio tends to |z|; the cushion
-        # kappa/n majorises its approach from above.
-        kappa = abs(a) + abs(b) + abs(c) + 2.0
-        q = abs(z) * (max(1.0, abs((a + n) * (b + n) / ((c + n) * (n + 1.0)))) + kappa / n)
-        if q < 1.0:
-            tail = abs(term) * q / (1.0 - q)
-            if abs(term) < SERIES_TOL * max(1.0, abs(total)) and tail < SERIES_TOL:
-                return SeriesResult(total, n + 1, tail, True)
+        coef = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        if abs(term) < SERIES_TOL * max(1.0, abs(total)):
+            q = zabs * (max(1.0, abs(coef)) + kappa / n)
+            if q < 1.0:
+                tail = abs(term) * q / (1.0 - q)
+                if tail < SERIES_TOL:
+                    return SeriesResult(total, n + 1, tail, True)
         if term == 0:  # polynomial case terminated
             return SeriesResult(total, n + 1, 0.0, True)
     return SeriesResult(total, n + 1, float("inf"), False)
+
+
+# psi values of the log-case series are taken in blocks of this many terms.
+_PSI_BLOCK = 64
 
 
 def _hyp2f1_logcase(a, b, z) -> SeriesResult:
@@ -154,24 +177,27 @@ def _hyp2f1_logcase(a, b, z) -> SeriesResult:
     valid for |1-z| < 1 off the cut [1, oo).
     """
     u = 1.0 - z
+    uabs = abs(u)
     lg = cmath.log(u)
     pref = special.gamma(a + b) / (special.gamma(a) * special.gamma(b))
     total = 0.0 + 0j
     term = 1.0 + 0j
     k = 0
     while k < TERM_CAP:
-        coef = (
-            2.0 * special.digamma(k + 1.0)
-            - special.digamma(a + k)
-            - special.digamma(b + k)
-            - lg
-        )
+        j = k % _PSI_BLOCK
+        if j == 0:
+            # As Python numbers: each term's arithmetic then gives the bits
+            # numpy scalars give, without their per-operation cost.
+            ks = np.arange(k, k + _PSI_BLOCK, dtype=float)
+            psi_one = special.digamma(ks + 1.0).tolist()
+            psi_a, psi_b = special.digamma(np.stack((a + ks, b + ks))).tolist()
+        coef = 2.0 * psi_one[j] - psi_a[j] - psi_b[j] - lg
         total += term * coef
         term = term * (a + k) * (b + k) / ((k + 1.0) ** 2) * u
         k += 1
-        if abs(u) < 1.0:
+        if uabs < 1.0:
             # psi factors grow like log k; fold a generous log factor in.
-            tail = abs(term) * (abs(coef) + 2.0) / (1.0 - abs(u))
+            tail = abs(term) * (abs(coef) + 2.0) / (1.0 - uabs)
             if tail < SERIES_TOL * max(1.0, abs(total)):
                 return SeriesResult(pref * total, k, abs(pref) * tail, True)
     return SeriesResult(pref * total, k, float("inf"), False)
@@ -201,9 +227,8 @@ def _lerch_phi_one(z: complex, s: complex) -> SeriesResult:
     T = max(12.0, 45.0 / s.real)
     edges = np.arange(0.0, T + 0.5, 0.5)
     half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
-    # A 24-node rule, and for the error estimate a 16-node rule on the same panels.
     vals = []
-    for nodes, weights in map(np.polynomial.legendre.leggauss, (24, 16)):
+    for nodes, weights in _LERCH_RULES:
         t = half * nodes + mid
         vals.append(complex(np.sum(half * weights * (np.exp(-s * t) / (1.0 - z * np.exp(-t))))))
     val24, val16 = vals
@@ -221,9 +246,11 @@ def hyp2f1(a, b, c, z) -> SeriesResult:
     formula when |1/z| <= 0.8 (non-integer a-b), the log-form connection at
     1-z for the degenerate case c = a+b, and a Laplace-integral evaluation
     for the family 2F1(1, b; b+1; .) that the bilateral sums reduce to.
+    At z = 1 exactly with Re(c-a-b) > 0 it returns Gauss's sum
+    G(c)G(c-a-b)/(G(c-a)G(c-b)), certified to 128 ulp of its modulus.
     Raises DomainError for a nonpositive-integer c and NonConvergentError
     on the singular locus z = 1 (when Re(c-a-b) <= 0) or when no route
-    covers the argument.
+    covers the argument, as for 0 < |z-1| < SERIES_TOL off the log case.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _is_nonpositive_integer(c):
@@ -235,6 +262,13 @@ def hyp2f1(a, b, c, z) -> SeriesResult:
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
         # Polynomial: the series terminates regardless of |z|.
         return _hyp2f1_series(a, b, c, z)
+    if z == 1.0:
+        # Gauss's sum (Re(c-a-b) > 0 here); rgamma vanishes at the poles of
+        # G(c-a) and G(c-b).
+        value = complex(
+            special.gamma(c) * special.gamma(c - a - b) * special.rgamma(c - a) * special.rgamma(c - b)
+        )
+        return SeriesResult(value, 1, 128 * sys.float_info.epsilon * abs(value), True)
 
     if abs(z) <= SERIES_RADIUS:
         return _hyp2f1_series(a, b, c, z)

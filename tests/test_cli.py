@@ -583,6 +583,37 @@ class TestSelftestAndDeterminism:
         )
         assert fried1 == fried2
 
+    def test_reused_parser_carries_no_state(self, capsys, monkeypatch):
+        # main parses with one parser per process; each call in this order
+        # prints what it prints as the first call on a fresh parser.
+        from equizeta import cli
+
+        fried = ["fried", "--model", "circle", "--params", "r0=0.25,alpha=1i"]
+        steps = [
+            (["eval", "--model", "line", "--params", "g=2", "--sigma", "1", "--tol", "1"], None),
+            (fried + ["--tol", "1e-6"], None),
+            (fried, None),
+            (fried, "1e-8"),
+        ]
+
+        def run(argv, env_tol):
+            if env_tol is None:
+                monkeypatch.delenv("EQUIZETA_TOL", raising=False)
+            else:
+                monkeypatch.setenv("EQUIZETA_TOL", env_tol)
+            return run_cli(capsys, *argv)
+
+        first = []
+        for argv, env_tol in steps:
+            cli._parser.cache_clear()
+            first.append(run(argv, env_tol))
+        cli._parser.cache_clear()
+        in_order = [run(argv, env_tol) for argv, env_tol in steps]
+        assert cli._parser.cache_info().misses == 1
+        assert in_order == first
+        assert [code for code, _ in in_order] == [1, 0, 0, 0]
+        assert [json.loads(out)["tol"] for _, out in in_order[1:]] == [1e-6, 1e-12, 1e-8]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "row.json"
         code, out = run_cli(

@@ -23,7 +23,7 @@ from equizeta import (
     hyp2f1,
     log_one_minus,
 )
-from equizeta import series
+from equizeta import models, series
 from equizeta.series import bilateral_exp_sum_continued_result, bilateral_exp_sum_ewald
 
 mp.mp.dps = 30
@@ -106,6 +106,193 @@ class TestHyp2F1:
                 ref = complex(mp.hyp2f1(a, b, c, mp.mpc(z)))
                 res = hyp2f1(a, b, c, z)
                 assert abs(res.value - ref) < 1e-11 * max(1.0, abs(ref))
+
+    def test_gauss_sum_at_one(self):
+        # 2F1(a, b; c; 1) = G(c)G(c-a-b)/(G(c-a)G(c-b)) for Re(c-a-b) > 0.
+        assert hyp2f1(1.0, 0.3, 2.5, 1.0).value == pytest.approx(1.25, rel=1e-14)
+        # c - a = -1 is a pole of G(c-a): the sum is exactly 0.
+        assert hyp2f1(2.5, -1.5, 1.5, 1.0).value == 0
+        rng = np.random.default_rng(1812)
+        with mp.workdps(40):
+            for _ in range(400):
+                a = complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
+                b = complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
+                c = a + b + complex(rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0))
+                res = hyp2f1(a, b, c, 1.0)
+                ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), 1))
+                assert res.converged
+                assert abs(res.value - ref) <= res.est_error, (a, b, c, res)
+
+    def test_near_one_still_refused(self):
+        # Only z = 1 itself has the closed form; no route covers the band around it.
+        with pytest.raises(NonConvergentError):
+            hyp2f1(1.0, 0.3, 2.5, 1.0 + 1e-15)
+        with pytest.raises(NonConvergentError):
+            hyp2f1(1.0, 0.3, 2.5, 1.0 - 1e-15j)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact guard: the 2F1 loops against the term-by-term originals
+# ---------------------------------------------------------------------------
+
+def reference_hyp2f1_series(a, b, c, z):
+    """The defining power series as first written: one scalar pass per term."""
+    total = 1.0 + 0j
+    term = 1.0 + 0j
+    n = 0
+    while n < series.TERM_CAP:
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        term = term * ratio
+        total += term
+        n += 1
+        # Geometric tail bound: the term ratio tends to |z|; the cushion
+        # kappa/n majorises its approach from above.
+        kappa = abs(a) + abs(b) + abs(c) + 2.0
+        q = abs(z) * (max(1.0, abs((a + n) * (b + n) / ((c + n) * (n + 1.0)))) + kappa / n)
+        if q < 1.0:
+            tail = abs(term) * q / (1.0 - q)
+            if abs(term) < series.SERIES_TOL * max(1.0, abs(total)) and tail < series.SERIES_TOL:
+                return series.SeriesResult(total, n + 1, tail, True)
+        if term == 0:  # polynomial case terminated
+            return series.SeriesResult(total, n + 1, 0.0, True)
+    return series.SeriesResult(total, n + 1, float("inf"), False)
+
+
+def reference_hyp2f1_logcase(a, b, z):
+    """The log-case connection series as first written: three scalar psi calls per term."""
+    from scipy import special
+
+    u = 1.0 - z
+    lg = cmath.log(u)
+    pref = special.gamma(a + b) / (special.gamma(a) * special.gamma(b))
+    total = 0.0 + 0j
+    term = 1.0 + 0j
+    k = 0
+    while k < series.TERM_CAP:
+        coef = (
+            2.0 * special.digamma(k + 1.0)
+            - special.digamma(a + k)
+            - special.digamma(b + k)
+            - lg
+        )
+        total += term * coef
+        term = term * (a + k) * (b + k) / ((k + 1.0) ** 2) * u
+        k += 1
+        if abs(u) < 1.0:
+            # psi factors grow like log k; fold a generous log factor in.
+            tail = abs(term) * (abs(coef) + 2.0) / (1.0 - abs(u))
+            if tail < series.SERIES_TOL * max(1.0, abs(total)):
+                return series.SeriesResult(pref * total, k, abs(pref) * tail, True)
+    return series.SeriesResult(pref * total, k, float("inf"), False)
+
+
+def result_bits(res):
+    """A SeriesResult as exact bits: the value's type, each float by float.hex
+    (so -0.0 and 0.0 differ), the term count and the converged flag."""
+    v = res.value
+    return (type(v), float.hex(float(v.real)), float.hex(float(v.imag)),
+            res.terms_used, float.hex(float(res.est_error)), res.converged)
+
+
+class TestHyp2F1BitExact:
+    """Every 2F1 route returns the same bits as the term-by-term originals."""
+
+    @staticmethod
+    def cases():
+        """Seeded (route, a, b, c, z), at least 5,000 in all."""
+        rng = np.random.default_rng(2024)
+
+        def cplx(lo, hi, im):
+            return complex(rng.uniform(lo, hi), rng.uniform(-im, im))
+
+        def disc(radius):
+            return radius * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
+
+        for _ in range(1500):
+            yield "series", cplx(-4, 4, 3), cplx(-4, 4, 3), cplx(0.2, 5, 3), disc(0.8)
+        produced = 0
+        while produced < 800:
+            w = disc(0.8)  # z = w/(w-1) puts w = z/(z-1) in the series disc
+            z = w / (w - 1.0)
+            if abs(z) > 0.8:
+                produced += 1
+                yield "pfaff", cplx(-3, 3, 2), cplx(-3, 3, 2), cplx(0.2, 4, 2), z
+        produced = 0
+        while produced < 800:
+            z = 1.0 / disc(0.8)
+            if abs(z / (z - 1.0)) > 0.8:  # else the Pfaff map takes it
+                produced += 1
+                yield "inv_z", cplx(-3, 3, 2), cplx(-3, 3, 2), cplx(0.2, 4, 2), z
+        produced = 0
+        while produced < 800:
+            z = 1.0 - disc(0.8)
+            if 0.8 < abs(z) < 1.25 and abs(z / (z - 1.0)) > 0.8:
+                a, b = cplx(0.1, 3, 2), cplx(0.1, 3, 2)
+                produced += 1
+                yield "logcase", a, b, a + b, z
+        produced = 0
+        while produced < 400:
+            z = rng.uniform(0.95, 1.05) * cmath.exp(1j * rng.uniform(0.85, 1.3) * rng.choice((-1, 1)))
+            r = rng.uniform(0.02, 0.98) * rng.choice((-1.0, 1.0))
+            if 0.8 < abs(z) < 1.25 and abs(z / (z - 1.0)) > 0.8 and abs(1.0 - z) > 0.8:
+                produced += 1
+                yield "lerch", 1.0, r, r + 1.0, z
+        for _ in range(500):
+            m = -float(rng.integers(0, 12))
+            yield "polynomial", m, cplx(-3, 3, 2), cplx(0.2, 4, 2), cplx(-2, 2, 2)
+        for _ in range(400):
+            # a -0.0 real part (or a whole -0.0), where a + 0 and a differ in sign
+            a = complex(-0.0, rng.choice((-0.0, 0.0, rng.uniform(-2, 2))))
+            yield "signed_zero", a, cplx(-3, 3, 2), cplx(0.2, 4, 2), disc(0.8)
+            yield "signed_zero", cplx(-3, 3, 2), a, cplx(0.2, 4, 2), disc(0.8)
+
+    def test_routes_match_the_originals(self, monkeypatch):
+        cases = list(self.cases())
+        assert len(cases) >= 5000
+        assert {route for route, *_ in cases} == {
+            "series", "pfaff", "inv_z", "logcase", "lerch", "polynomial", "signed_zero"}
+        seen = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                seen.append(name)
+                return fn(*args)
+            return wrapped
+
+        def run(route, a, b, c, z):
+            seen.clear()
+            try:
+                out = result_bits(hyp2f1(a, b, c, z))
+            except (DomainError, NonConvergentError) as exc:  # the same error and message
+                out = (type(exc), str(exc))
+            return out, list(seen)
+
+        current = [run(*case) for case in cases]
+        monkeypatch.setattr(series, "_hyp2f1_series", spy("series", reference_hyp2f1_series))
+        monkeypatch.setattr(series, "_hyp2f1_logcase", spy("logcase", reference_hyp2f1_logcase))
+        monkeypatch.setattr(series, "_lerch_phi_one", spy("lerch", series._lerch_phi_one))
+        expected_route = {"series": ["series"], "pfaff": ["series"], "inv_z": ["series", "series"],
+                          "logcase": ["logcase"], "lerch": ["lerch"], "polynomial": ["series"]}
+        for case, (bits, _) in zip(cases, current):
+            ref_bits, ref_seen = run(*case)
+            assert bits == ref_bits, case
+            if case[0] in expected_route:
+                assert ref_seen == expected_route[case[0]], case
+
+
+class TestQuadratureRules:
+    @pytest.mark.parametrize("rule, n", [
+        (series._LERCH_RULES[0], 24),
+        (series._LERCH_RULES[1], 16),
+        (models._PERIOD_RULE, 12),
+    ])
+    def test_cached_rule_is_the_fresh_rule_and_read_only(self, rule, n):
+        fresh = np.polynomial.legendre.leggauss(n)
+        for cached, built in zip(rule, fresh):
+            assert np.array_equal(cached, built)
+            assert cached.flags.writeable is False
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
 
 
 class TestBilateralDirect:
