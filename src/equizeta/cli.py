@@ -52,6 +52,9 @@ CSV_HEADER = "sigma_re,sigma_im,logR_re,logR_im,method,est_error,terms"
 
 DEFAULT_TOL = 1e-12
 
+# A sweep holds its rows until the end: this caps its time and memory.
+MAX_SWEEP_STEPS = 10_000
+
 _SIGMA_FLAGS = ("--sigma", "--sigma-start", "--sigma-end")
 
 
@@ -212,6 +215,8 @@ def cmd_sweep(args) -> int:
     end = parse_complex(args.sigma_end)
     if args.steps < 2:
         raise ConfigError("sweep needs steps >= 2")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise ConfigError(f"sweep needs steps <= {MAX_SWEEP_STEPS}")
     if start == end:
         raise ConfigError("sweep needs sigma start != end")
     lines = [CSV_HEADER]

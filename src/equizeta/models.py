@@ -69,10 +69,12 @@ from .rotations import (
     unit_eigenvalue_multiplicity,
 )
 from .series import (
+    LATTICE_TOL,
     UNITARY_TOL,
     BilateralSumParams,
     SeriesResult,
     ZetaEvaluation,
+    _distance_to_singular_lattice,
     alpha_in_two_pi_i_z,
     atanh_of_exp,
     bilateral_exp_sum_continued_result,
@@ -424,11 +426,11 @@ class CircleModel(FlowModel):
             # -(1/2)[log(1 - e^{alpha-sigma}) + log(1 - e^{-alpha-sigma})], branch
             # by continuity from sigma -> +oo (principal logs never cross the
             # cut for imaginary alpha and Re(sigma) >= 0).
-            w1, w2 = cmath.exp(alpha - sigma), cmath.exp(-alpha - sigma)
-            if min(abs(w1 - 1.0), abs(w2 - 1.0)) < 1e-10:
+            if _distance_to_singular_lattice(sigma, alpha) < LATTICE_TOL:
                 raise SingularPointError(
                     f"sigma = {sigma} is a singular point of the identity-class closed form"
                 )
+            w1, w2 = cmath.exp(alpha - sigma), cmath.exp(-alpha - sigma)
             value = 0.5 * (-cmath.log(1.0 - w1) - cmath.log(1.0 - w2))
         elif abs(r0 - 0.5) < 1e-12 and sigma.real > abs(alpha.real):
             # tanh form: each atanh term is half a half-integer exponential series.
@@ -436,10 +438,6 @@ class CircleModel(FlowModel):
                 atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0)
             )
         else:
-            if alpha_in_two_pi_i_z(alpha) and abs(sigma) < 1e-10:
-                raise SingularPointError(
-                    "sigma = 0 lies on the excluded lattice when alpha is in 2*pi*i*Z"
-                )
             params = BilateralSumParams(r=r0, alpha=alpha)
             res = _converged(bilateral_exp_sum_continued_result(params, sigma)).scaled(0.5)
             return ZetaEvaluation(sigma, res.value, "continuation", res.est_error, res.terms_used)
@@ -483,7 +481,8 @@ class EuclideanLatticeModel(FlowModel):
     ker(r - I) = R v0, and Gamma' an r-invariant lattice transverse to v0.
     The connection parameter alpha_v0 is the component of the connection
     one-form along v0 (the transverse components must vanish for the
-    connection to be invariant).
+    connection to be invariant).  Gamma' and the cutoff periods are built
+    for n = 3 only, so any other n is refused.
     """
 
     n: int = 3
@@ -496,6 +495,8 @@ class EuclideanLatticeModel(FlowModel):
     @staticmethod
     def _dimensions(n, order) -> tuple[int, int]:
         n, order = _integer("n", n), _integer("order", order)
+        if n != 3:
+            raise DomainError(f"the Euclidean model is built for n = 3 only, got n = {n}")
         if order < 1:
             raise DomainError("order must be a positive integer")
         return n, order
@@ -563,9 +564,7 @@ class EuclideanLatticeModel(FlowModel):
         return w
 
     def lattice_basis(self) -> np.ndarray:
-        """Rows: generators of Gamma' embedded in the axis complement (n=3)."""
-        if self.n != 3:
-            raise DomainError("explicit transverse lattices are built for n = 3 only")
+        """Rows: generators of Gamma' embedded in the axis complement."""
         plane = _invariant_lattice_2d(self.order)
         out = np.zeros((2, 3))
         out[:, :2] = plane

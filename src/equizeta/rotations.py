@@ -3,11 +3,12 @@
 Covers exactly what the worked geometries need: 2x2 rotation blocks,
 axis/kernel extraction for SO(n), transverse linear solves against (I-r),
 the Euclidean closed-up-to-g condition, the block Poincare determinant,
-the signed exterior-power trace identity, and the SO(4) periodic-point
-classifier used by the 3-sphere model.  This module is the only place that
-decides whether an eigenvalue is 1 (``unit_eigenvalue_multiplicity``: a gap
-of 1e-8, borderline inputs rejected instead of coerced) and the only place
-that derives a rotation axis (``axis_and_kernel``, once per AxisRotation).
+the signed exterior-power trace identity, and an SO(4) periodic-point
+classifier that only the selftest suite and the tests call.  This module
+is the only place that decides whether an eigenvalue is 1
+(``unit_eigenvalue_multiplicity``: a gap of 1e-8, borderline inputs
+rejected instead of coerced) and the only place that derives a rotation
+axis (``axis_and_kernel``, once per AxisRotation).
 """
 
 from __future__ import annotations

@@ -51,6 +51,9 @@ TERM_CAP = 10**7
 # The one truncation target of every series here (2F1 and the bilateral sums).
 SERIES_TOL = 1e-14
 
+# A point is on the excluded lattice +-alpha + 2*pi*i*Z when closer than this.
+LATTICE_TOL = 1e-10
+
 # Power-series dispatch radius shared by the direct, Pfaff and 1/z routes.
 SERIES_RADIUS = 0.8
 
@@ -359,7 +362,7 @@ def bilateral_exp_sum_direct(p: BilateralSumParams, z) -> SeriesResult:
 
 
 def _distance_to_singular_lattice(z: complex, alpha: complex) -> float:
-    """Distance from z to the excluded lattice {+-alpha + 2*pi*i*Z}."""
+    """Distance from z to the excluded lattice {+-alpha + 2*pi*i*Z}: the one lattice rule."""
     best = math.inf
     for sgn in (1.0, -1.0):
         w = z - sgn * alpha
@@ -370,22 +373,16 @@ def _distance_to_singular_lattice(z: complex, alpha: complex) -> float:
 
 
 def alpha_in_two_pi_i_z(alpha: complex) -> bool:
-    """True when alpha lies in 2*pi*i*Z within 1e-12 (no continuation to 0)."""
-    if abs(alpha.real) > 1e-12:
-        return False
-    k = round(alpha.imag / TWO_PI)
-    return abs(alpha.imag - TWO_PI * k) <= 1e-12
+    """True when z = 0 is on the excluded lattice (no continuation to 0)."""
+    return _distance_to_singular_lattice(0j, alpha) < LATTICE_TOL
 
 
 def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult:
     """Analytic continuation of F(z; r, alpha) with an error certificate."""
     z = complex(z)
     alpha = complex(p.alpha)
-    if alpha_in_two_pi_i_z(alpha) and abs(z) < 1e-10:
-        raise DomainError(
-            "F has no continuation to z = 0 when alpha lies in 2*pi*i*Z"
-        )
-    if _distance_to_singular_lattice(z, alpha) < 1e-10:
+    dist = _distance_to_singular_lattice(z, alpha)
+    if dist < LATTICE_TOL:
         raise SingularPointError(
             f"z = {z} lies on the excluded lattice +-alpha + 2*pi*i*Z"
         )
@@ -400,7 +397,7 @@ def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult
     est = abs(c1) * h1.est_error + abs(c2) * h2.est_error
     # F has log singularities on the excluded lattice; rounding in the
     # hypergeometric arguments is amplified by the distance to it.
-    est += 5e-16 / _distance_to_singular_lattice(z, alpha)
+    est += 5e-16 / dist
     return SeriesResult(
         value, h1.terms_used + h2.terms_used, est, h1.converged and h2.converged
     )

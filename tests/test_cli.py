@@ -231,6 +231,15 @@ class TestEval:
         assert len(out.splitlines()) == 1
         assert json.loads(out)["message"] == f"{name} must be an integer, got {value}"
 
+    @pytest.mark.parametrize("n", ["5", "20001"])
+    def test_euclid_other_dimensions_refused(self, capsys, n):
+        # n = 20001 used to build a 20001 x 20001 rotation and die in numpy.
+        params = f"n={n},a=1,theta=2.0943951,order=3,l0=1"
+        code, out = run_cli(capsys, "eval", "--model", "euclid", "--params", params, "--sigma", "1")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["message"] == f"the Euclidean model is built for n = 3 only, got n = {n}"
+
     def test_modulus_past_the_largest_float(self, capsys):
         # log R = 6276.9 is finite; |R| = e^{6276.9} is not a float.
         argv = ["eval", "--model", "sphere2", "--params", "theta=1e-3", "--sigma", "1"]
@@ -350,6 +359,18 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_steps_capped(self, capsys):
+        argv = ["sweep", "--model", "line", "--params", "g=1", "--sigma-start", "1", "--sigma-end", "2"]
+        code, out = run_cli(capsys, *argv, "--steps", "10001")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert strict_json(out)["message"] == "sweep needs steps <= 10000"
+        code, out = run_cli(capsys, *argv, "--steps", "10000")
+        assert code == 0
+        assert len(out.splitlines()) == 10001
+        code, out = run_cli(capsys, *argv, "--steps", "1")
+        assert strict_json(out)["message"] == "sweep needs steps >= 2"
+
     def test_failing_row_aborts_with_partial_output(self, capsys):
         # the direct method hits Re(sigma) <= 0 as the range crosses zero
         code, out = run_cli(
@@ -384,6 +405,14 @@ class TestFried:
         assert code == 1
         assert len(out.splitlines()) == 1
         assert strict_json(out)["message"] == "log R at sigma = 0j overflows a float"
+
+    def test_alpha_near_the_lattice_is_a_report(self, capsys):
+        # alpha 1e-11 from 2*pi*i*Z: validate and the evaluation agree, so the
+        # verb reports not applicable instead of printing an error object.
+        code, out = run_cli(capsys, "fried", "--model", "circle", "--params", "r0=0.25,alpha=1e-11i")
+        assert code == 3
+        rep = strict_json(out)
+        assert rep["applicable"] is False and "error" not in rep
 
     def test_line_ok(self, capsys):
         code, out = run_cli(capsys, "fried", "--model", "line", "--params", "g=2,alpha=1i")

@@ -220,6 +220,15 @@ class TestOrbitData:
             EuclideanLatticeModel(rotation=rotation, lattice_spacing=2.0)
         assert EuclideanElement(l0=2.0, m=-1.0) == EuclideanElement(l0=2, m=-1)
 
+    def test_only_three_dimensions(self):
+        # Gamma' and the periods exist for n = 3 alone; any other n is refused
+        # before a rotation matrix is built.
+        want = "the Euclidean model is built for n = 3 only, got n = 5"
+        with pytest.raises(DomainError, match=want):
+            EuclideanLatticeModel.from_angle(5, 1.0, TWO_PI / 3.0, 3, 0j)
+        with pytest.raises(DomainError, match="got n = 2"):
+            EuclideanLatticeModel(n=2, rotation=euclid_model().rotation)
+
 
 class TestChiPeriods:
     def test_line_gaussian(self):

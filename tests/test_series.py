@@ -364,9 +364,9 @@ class TestBilateralContinued:
     def test_singular_lattice(self):
         with pytest.raises(SingularPointError):
             bilateral_exp_sum_continued(BilateralSumParams(0.5, 1j), 1j)
-        # alpha = 0 puts z = 0 on the lattice, but the dedicated precondition
-        # (no continuation at all when alpha is in 2*pi*i*Z) takes precedence.
-        with pytest.raises(DomainError):
+        # alpha = 0 puts z = 0 on the lattice: the same guard, the same class
+        # that ruelle_log_closed raises there.
+        with pytest.raises(SingularPointError):
             bilateral_exp_sum_continued(BilateralSumParams(0.5, 0j), 0.0)
 
     def test_certificate_against_lerchphi(self):

@@ -28,6 +28,7 @@ from equizeta import (
     torsion_log,
     torsion_log_resummed,
 )
+from equizeta.series import BilateralSumParams, bilateral_exp_sum_continued_result
 from equizeta.zeta import AtomicMeasure
 
 TWO_PI = 2.0 * math.pi
@@ -386,6 +387,66 @@ class TestFried:
             "dim ker(r^m - I) = 3; next eigenvalue gap 0.000e+00")
         with pytest.raises(DomainError, match="degenerate"):
             flat_trace_measure(model, EuclideanElement(l0=1), 5.0)
+
+
+class TestOneLatticeRule:
+    """validate, fried, the closed form, the continuation and the torsion all
+    read the one lattice distance: alpha within 1e-10 of 2*pi*i*Z is refused
+    everywhere, and alpha just outside is accepted everywhere."""
+
+    BAND = (1e-11j, 5e-11 + 0j, complex(0.0, TWO_PI + 3e-11))
+
+    @pytest.mark.parametrize("alpha", BAND)
+    @pytest.mark.parametrize("r0", [0.0, 0.25, 0.5])
+    def test_band_is_refused_the_same_way(self, alpha, r0):
+        model = CircleModel(alpha=alpha)
+        diag = model.validate(r0)
+        assert diag.alpha_in_lattice and not diag.continuation_available
+        rep = fried_residual(model, r0)
+        assert rep.applicable is False and rep.residual is None
+        with pytest.raises(SingularPointError):
+            ruelle_log_closed(model, r0, 0.0)
+        with pytest.raises(DomainError):
+            torsion_log(model, r0)
+
+    @pytest.mark.parametrize("r0", [0.0, 0.25, 0.5])
+    def test_just_outside_the_band_stays_applicable(self, r0):
+        model = CircleModel(alpha=2e-10j)
+        diag = model.validate(r0)
+        assert not diag.alpha_in_lattice and diag.continuation_available
+        rep = fried_residual(model, r0)
+        assert rep.applicable is True
+        assert cmath.isfinite(ruelle_log_closed(model, r0, 0.0).log_R)
+        assert cmath.isfinite(torsion_log(model, r0))
+
+    def test_exactly_below_the_tolerance(self):
+        # sigma at distance d from a seeded lattice point +-alpha + 2*pi*i*k
+        # (and alpha at distance d from 2*pi*i*Z with sigma = 0): the
+        # identity-class closed form, the continuation and F itself raise
+        # SingularPointError exactly when d < 1e-10, on the lattice too.
+        rng = np.random.default_rng(1013)
+        for case in range(40):
+            alpha = complex(rng.uniform(-1.5, 1.5), rng.uniform(-6.0, 6.0))
+            k = int(rng.integers(-1, 2))
+            r0 = float(rng.uniform(0.02, 0.98))
+            for d in (0.0, 0.5e-10, 0.9e-10, 1.1e-10, 2e-10):
+                step = d * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
+                if case % 4 == 3:
+                    alpha, sigma = 2j * math.pi * k + step, 0j
+                else:
+                    sigma = (1 if case % 2 else -1) * alpha + 2j * math.pi * k + step
+                model = CircleModel(alpha=alpha)
+                calls = (
+                    lambda: model.log_closed(0.0, sigma).log_R,
+                    lambda: ruelle_log_closed(model, r0, sigma).log_R,
+                    lambda: bilateral_exp_sum_continued_result(BilateralSumParams(r0, alpha), sigma).value,
+                )
+                for call in calls:
+                    if d < 1e-10:
+                        with pytest.raises(SingularPointError):
+                            call()
+                    else:
+                        assert cmath.isfinite(call())
 
 
 class TestStructuralChecks:
