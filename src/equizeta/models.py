@@ -21,7 +21,9 @@ through these FlowModel members (base default in brackets).  A new geometry
 subclasses FlowModel and implements them.
   * element(g): the one check of a group element, called by every method
     that reads g [none]; integer inputs (lattice g, Euclidean l0, m, n and
-    order) all go through ``_integer``, which refuses and never truncates
+    order) all go through ``_integer``, which refuses and never truncates,
+    and real ones (line g, circle r0, sphere angles, Euclidean a and theta)
+    through ``_real``, which refuses a nonfinite or nonreal value
   * orbits(g, window): the closed-orbit families with 0 < |l| <= window, one
     entry each, in any order, as (lengths, holonomy traces); every sign of
     det(1-P) is +1 [NotImplementedError]
@@ -62,7 +64,6 @@ from .errors import (
 )
 from .rotations import (
     AxisRotation,
-    adjoint_matrix_so,
     block_rotation,
     rotation_about_last_axis,
     solve_transverse,
@@ -99,6 +100,24 @@ def _integer(name: str, value) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{name} must be an integer, got {value}")
+
+
+def _real(name: str, value) -> float:
+    """The one real rule: a finite real as a float, else DomainError."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a real number") from exc
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite")
+    return value
+
+
+def _tolerance(tol, name: str = "tol") -> float:
+    """The one tolerance rule: 0 < tol < 1, else DomainError (nan included)."""
+    if not 0 < tol < 1:
+        raise DomainError(f"{name} must lie in (0, 1), got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -259,7 +278,7 @@ class FlowModel:
         return self.orbits(g, window + margin)
 
     def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        if window <= 0:
+        if not window > 0:
             raise DomainError("window must be positive")
         # Orbits a tolerance past the window: one just outside it still merges
         # with a length just inside, as in orbit_contributions.
@@ -337,8 +356,8 @@ class LineModel(FlowModel):
     name = "line"
     _spacing = 0.0  # of the translates along the orbit (0: a continuous group)
 
-    def element(self, g):
-        return float(g)
+    def element(self, g) -> float:
+        return _real("line group element", g)
 
     def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
         g = self.element(g)
@@ -390,7 +409,7 @@ class CircleModel(FlowModel):
     infinite_spectrum = True
 
     def element(self, r0) -> float:
-        r0 = float(r0)
+        r0 = _real("circle class", r0)
         if not (0.0 <= r0 < 1.0):
             raise DomainError(f"circle class must lie in [0, 1), got {r0}")
         return r0
@@ -507,6 +526,7 @@ class EuclideanLatticeModel(FlowModel):
         object.__setattr__(self, "order", order)
         if self.rotation is None:
             raise DomainError("EuclideanLatticeModel needs a rotation")
+        object.__setattr__(self, "a", _real("translation spacing a", self.a))
         if self.a <= 0:
             raise DomainError("translation spacing a must be positive")
         power = np.linalg.matrix_power(self.rotation.matrix, self.order)
@@ -534,6 +554,7 @@ class EuclideanLatticeModel(FlowModel):
         theta=2.0943951 then still produce an exact order-3 rotation.
         """
         n, order = cls._dimensions(n, order)
+        theta = _real("theta", theta)
         exact = TWO_PI * round(theta * order / TWO_PI) / order
         if abs(theta - exact) <= 1e-6:
             theta = exact
@@ -635,10 +656,10 @@ class EuclideanLatticeModel(FlowModel):
 
 @dataclass(frozen=True)
 class _SphereModel(FlowModel):
-    """Geodesic flow on a sphere frame bundle.  The group element is a tuple
-    of rotation angles; each angle theta contributes the orbit family
-    +-theta + 2*pi*Z with unit holonomy and period 2*pi.  Connection:
-    trivial (the only invariant flat Hermitian one).
+    """Geodesic flow on a sphere frame bundle.  The group element is its
+    dim - 2 rotation angles alone; each angle theta contributes the orbit
+    family +-theta + 2*pi*Z with unit holonomy and period 2*pi.  The trivial
+    connection (the only invariant flat Hermitian one) is a constant, not a field.
 
     The sign of det(1-P) stays hard-coded at +1 because it is +1 by
     structure.  The frame bundle is the group SO(dim) with its bi-invariant
@@ -650,15 +671,17 @@ class _SphereModel(FlowModel):
     is a product of |1 - e^{i phi}|^2 and 2: positive.
     """
 
-    alpha: complex = 0j  # kept for a uniform surface; must stay 0
     infinite_spectrum = True
     period = TWO_PI
 
-    def __post_init__(self):
-        if self.alpha != 0:
-            raise DomainError(
-                "sphere models admit only the trivial flat invariant connection"
-            )
+    def element(self, g) -> tuple[float, ...]:
+        if self.dim == 3:
+            return (_real("theta", g),)
+        try:
+            theta1, theta2 = g
+        except (TypeError, ValueError):
+            raise DomainError(f"{self.name} takes 2 rotation angles, got {g!r}") from None
+        return _real("theta1", theta1), _real("theta2", theta2)
 
     @staticmethod
     def _families(angles, window: float) -> np.ndarray:
@@ -673,9 +696,10 @@ class _SphereModel(FlowModel):
         """Nondegenerate when the fixed space of Ad(g^-1) on so(dim) is the
         torus of g's rotation planes, one direction per angle."""
         angles = self.element(self._default_g if g is None else g)
-        ad = adjoint_matrix_so(block_rotation(angles, self.dim))
+        # Ad(g) on so(dim) is the exterior square of g: eigenvalues lam_i lam_j, i < j.
+        lam = np.linalg.eigvals(block_rotation(angles, self.dim))
         try:
-            kdim, _ = unit_eigenvalue_multiplicity(np.linalg.eigvals(ad))
+            kdim, _ = unit_eigenvalue_multiplicity(np.outer(lam, lam)[np.triu_indices(self.dim, 1)])
         except DomainError as exc:
             kdim, witness = None, f"kernel classification failed: {exc}"
         else:
@@ -734,9 +758,6 @@ class Sphere2Model(_SphereModel):
     _default_g = 1.0
     _witness_note = ""
 
-    def element(self, theta) -> tuple[float]:
-        return (float(theta),)
-
     def _angle_diagnostics(self, theta: float) -> dict:
         ok, detail = _rational_proxy(theta / TWO_PI)
         return {"dense_powers_ok": ok, "dense_powers_detail": detail}
@@ -751,10 +772,6 @@ class Sphere3Model(_SphereModel):
     dim = 4
     _default_g = (1.0, math.sqrt(2.0))
     _witness_note = " (the torus directions; one is quotiented by the isotropy)"
-
-    def element(self, g) -> tuple[float, float]:
-        t1, t2 = g
-        return float(t1), float(t2)
 
     def _angle_diagnostics(self, t1: float, t2: float) -> dict:
         checks = []
@@ -839,8 +856,7 @@ def _admissible_reach(
             raise DomainError("a constant profile has no decay on a noncompact group")
         return math.inf
     if profile.kind == "gaussian":
-        if not 0 < tol < 1:
-            raise DomainError(f"the tail target tol must lie in (0, 1), got {tol}")
+        _tolerance(tol, "the tail target tol")
         return profile.width * math.sqrt(2.0 * math.log(1.0 / tol))
     if not profile.radius**2 - np.min(rho2, initial=math.inf) > spacing**2 / 4.0:
         raise DomainError(
@@ -955,13 +971,7 @@ def model_from_params(name: str, params: dict) -> tuple[FlowModel, object]:
             if default is None:
                 raise DomainError(f"model {name!r} requires parameter {key!r}")
             return default
-        try:
-            value = float(params[key])
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"parameter {key!r} must be a real number") from exc
-        if not math.isfinite(value):
-            raise DomainError(f"parameter {key!r} must be finite")
-        return value
+        return _real(f"parameter {key!r}", params[key])
 
     if name == "line":
         return LineModel(alpha=parse_complex(params.get("alpha", "0"))), fget("g")

@@ -349,19 +349,3 @@ def sphere_fixed_classifier(x: np.ndarray, thetas, l: float) -> SphereFixClass:
     w = W_PLUS if eps == 1 else W_MINUS
     return SphereFixClass(kind=kind, epsilon=eps, first=first @ w, second=second @ w)
 
-
-def adjoint_matrix_so(g: np.ndarray) -> np.ndarray:
-    """Matrix of Ad(g) on so(n) in the basis E_ij - E_ji (i < j)."""
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    dim = len(pairs)
-    out = np.zeros((dim, dim))
-    for col, (i, j) in enumerate(pairs):
-        basis = np.zeros((n, n))
-        basis[i, j] = 1.0
-        basis[j, i] = -1.0
-        image = g @ basis @ g.T
-        for row, (k, m) in enumerate(pairs):
-            out[row, col] = image[k, m]
-    return out

@@ -24,6 +24,8 @@ from .models import (
     FlowModel,
     IntegerLatticeModel,
     LineModel,
+    _tolerance,
+    _unitary,
     validate_model,
 )
 from .series import BilateralSumParams, SeriesResult, ZetaEvaluation, bilateral_exp_sum_resummed
@@ -123,14 +125,15 @@ def ruelle_log_direct(
 
     Requires Re(sigma) > 0 for models with infinite spectrum, and raises
     DomainError where the model has no finite tail bound (the sum does not
-    converge absolutely).  The window defaults to one making the geometric
+    converge absolutely).  tol must lie in (0, 1) and a given window must be
+    positive (DomainError).  The window defaults to one making the geometric
     tail far below tol (a finite spectrum is summed whole), and that sum
     raises NonConvergentError unless est_error <= tol * max(1, |log R|).
     Pass an explicit window to match a flat-trace measure truncation
     exactly; its certificate comes back whatever it is.  The model's orbit
     budget refuses a window it cannot build (NonConvergentError).
     """
-    ev = _direct_sum(model, g, sigma, tol, window)
+    ev = _direct_sum(model, g, sigma, _tolerance(tol), window)
     if window is None and ev.est_error > tol * max(1.0, abs(ev.log_R)):
         raise NonConvergentError(
             f"the direct sum at sigma = {ev.sigma} has est_error {ev.est_error:.3e}, "
@@ -146,6 +149,8 @@ def _direct_sum(model: FlowModel, g, sigma: complex, tol: float, window) -> Zeta
         raise DomainError("direct evaluation needs Re(sigma) > 0 for this model")
     if window is None:
         window = _direct_window(model, sigma, tol)
+    elif not window > 0:
+        raise DomainError("window must be positive")
     tail = model.tail_bound(g, sigma, window)
     if not math.isfinite(tail):
         raise DomainError(f"the orbit sum does not converge absolutely at sigma = {sigma}")
@@ -190,7 +195,8 @@ def torsion_log_resummed(model: FlowModel, g) -> SeriesResult:
     r0 = model.element(g) if isinstance(model, CircleModel) else 0.0
     if r0 == 0.0:
         raise DomainError("resummed torsion applies to circle non-identity classes")
-    params = BilateralSumParams(r=r0, alpha=complex(model.alpha))
+    # Re(alpha) under UNITARY_TOL is read as 0, as the Ewald split reads it.
+    params = BilateralSumParams(r=r0, alpha=complex(0.0, _unitary(model.alpha).imag))
     return bilateral_exp_sum_resummed(params).scaled(0.5)
 
 
@@ -203,7 +209,8 @@ def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
     certificates.  Where log R(0) is a continuation (circle non-identity
     classes) log T is the spectral torsion by Ewald's split, so the residual
     is a two-route check.  ``tol`` is read only by the verdict ``holds``:
-    |residual| + est_error < tol, so the certificate must meet it too.
+    |residual| + est_error < tol, so the certificate must meet it too; where
+    the comparison applies, a tol outside (0, 1) is a DomainError.
     """
     diag = validate_model(model, g)
     reasons = [text for failed, text in (
@@ -216,6 +223,7 @@ def fried_residual(model: FlowModel, g, tol: float = 1e-12) -> FriedReport:
             log_R_at_0=None, log_T=None, residual=None,
             applicable=False, reason="; ".join(reasons),
         )
+    _tolerance(tol)
     r_eval = ruelle_log_closed(model, g, 0.0)
     torsion = model.torsion(g)
     reason = "closed-form comparison" if r_eval.method == "closed" else (

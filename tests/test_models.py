@@ -23,6 +23,7 @@ from equizeta import (
     chi_primitive_period_numeric,
     length_spectrum,
     orbit_contributions,
+    ruelle_log_direct,
     validate_model,
 )
 from equizeta import models, rotations
@@ -219,6 +220,24 @@ class TestOrbitData:
         with pytest.raises(TypeError):
             EuclideanLatticeModel(rotation=rotation, lattice_spacing=2.0)
         assert EuclideanElement(l0=2.0, m=-1.0) == EuclideanElement(l0=2, m=-1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CircleModel().element("x"), "circle class must be a real number"),
+        (lambda: CircleModel(alpha=1j).orbit_data(math.nan, 5.0), "circle class must be finite"),
+        (lambda: EuclideanLatticeModel.from_angle(3, math.nan, 1.0, 3), "spacing a must be finite"),
+        (lambda: EuclideanLatticeModel.from_angle(3, math.inf, 1.0, 3), "spacing a must be finite"),
+        (lambda: EuclideanLatticeModel.from_angle(3, 1.0, math.nan, 3), "theta must be finite"),
+        (lambda: EuclideanLatticeModel.from_angle(3, 1.0, "x", 3), "theta must be a real number"),
+        (lambda: LineModel().log_closed(math.nan, 1.0), "line group element must be finite"),
+        (lambda: ruelle_log_direct(LineModel(), math.nan, 1.0), "line group element must be finite"),
+    ], ids=[
+        "circle-str", "circle-nan", "euclid-a-nan", "euclid-a-inf", "euclid-theta-nan",
+        "euclid-theta-str", "line-closed-nan", "line-direct-nan",
+    ])
+    def test_real_inputs_refused(self, build, message):
+        # One rule for every real input: a finite real, else DomainError.
+        with pytest.raises(DomainError, match=message):
+            build()
 
     def test_only_three_dimensions(self):
         # Gamma' and the periods exist for n = 3 alone; any other n is refused
@@ -499,10 +518,54 @@ class TestValidate:
         flat_trace_measure(Sphere3Model(), (1.0, math.sqrt(2.0)), 50.0)
         assert len(windows) == 1
 
+    def test_sphere_kernel_is_the_exterior_square_count(self):
+        # sphere2: 1 + 2 [theta in 2 pi Z]; sphere3: 2 + 2 [theta1 - theta2 in
+        # 2 pi Z] + 2 [theta1 + theta2 in 2 pi Z], on seeded angles and on
+        # elements built exactly on each degeneracy.
+        rng = np.random.default_rng(14)
+        cases = []
+        for _ in range(40):
+            t, k = float(rng.uniform(-20.0, 20.0)), int(rng.integers(-3, 4))
+            cases += [
+                (Sphere2Model(), t, 1),
+                (Sphere2Model(), TWO_PI * k, 3),
+                (Sphere3Model(), (t, float(rng.uniform(-20.0, 20.0))), 2),
+                (Sphere3Model(), (t, t + TWO_PI * k), 4),
+                (Sphere3Model(), (t, TWO_PI * k - t), 4),
+                (Sphere3Model(), (TWO_PI * k, TWO_PI * (k + 2)), 6),
+                (Sphere3Model(), (math.pi, math.pi * (2 * k + 1)), 6),
+            ]
+        for model, g, want in cases:
+            d = validate_model(model, g)
+            assert d.witness.startswith(f"dim ker(Ad(g^-1) - 1) = {want} on so({model.dim})")
+            assert d.nondegenerate == (want == model.dim - 2)
+
+    @pytest.mark.parametrize("model, g", [
+        (Sphere3Model(), 1.0),
+        (Sphere3Model(), (1.0, 2.0, 3.0)),
+        (Sphere3Model(), (1.0, math.nan)),
+        (Sphere3Model(), (math.inf, 1.0)),
+        (Sphere3Model(), ("x", 1.0)),
+        (Sphere3Model(), "x"),
+        (Sphere2Model(), math.nan),
+        (Sphere2Model(), -math.inf),
+        (Sphere2Model(), "x"),
+        (Sphere2Model(), (1.0,)),
+    ], ids=repr)
+    def test_sphere_element_refused(self, model, g):
+        # Every reader of a sphere element refuses it with the library's error.
+        with pytest.raises(DomainError):
+            model.element(g)
+        with pytest.raises(DomainError):
+            validate_model(model, g)
+        with pytest.raises(DomainError):
+            ruelle_log_direct(model, g, 1.0)
+
     def test_sphere_rejects_nontrivial_connection(self):
-        with pytest.raises(DomainError):
+        # The trivial connection is a constant: there is no alpha to set.
+        with pytest.raises(TypeError, match="alpha"):
             Sphere2Model(alpha=1j)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError, match="alpha"):
             Sphere3Model(alpha=1j)
 
     def test_crystallographic_restriction(self):

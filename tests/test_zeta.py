@@ -175,6 +175,29 @@ class TestDirect:
         with pytest.raises(DomainError, match=r"sigma = \(1\+0j\) overflows a float"):
             ruelle_log_direct(euclid_model(alpha_v0=400), EuclideanElement(l0=2), 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+    def test_tol_outside_the_unit_interval_refused(self, tol):
+        # The range the Gaussian tail target already had, for the direct sum
+        # (self-windowed or not) and for an applicable Fried comparison.
+        want = rf"^tol must lie in \(0, 1\), got {tol}$"
+        with pytest.raises(DomainError, match=want):
+            ruelle_log_direct(CircleModel(alpha=1j), 0.25, 1.0, tol=tol)
+        with pytest.raises(DomainError, match=want):
+            ruelle_log_direct(LineModel(), 2.0, 1.0, tol=tol, window=5.0)
+        with pytest.raises(DomainError, match=want):
+            fried_residual(CircleModel(alpha=1j), 0.25, tol)
+
+    @pytest.mark.parametrize("window", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("model, g", [
+        (CircleModel(alpha=1j), 0.25), (Sphere2Model(), 1.0), (LineModel(), 2.0),
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_window_not_positive_refused(self, model, g, window):
+        # Refused before the tail bound, which divides by the window.
+        with pytest.raises(DomainError, match="^window must be positive$"):
+            ruelle_log_direct(model, g, 1.0, window=window)
+        with pytest.raises(DomainError, match="^window must be positive$"):
+            flat_trace_measure(model, g, window)
+
     def test_finite_models_any_sigma(self):
         ev = ruelle_log_direct(euclid_model(), EuclideanElement(l0=1), -2.0)
         assert abs(ev.log_R - math.exp(2.0) / 3.0) < 1e-12
@@ -324,14 +347,20 @@ class TestTorsion:
     def test_certificate_is_a_python_float(self):
         assert type(CircleModel(alpha=1j).torsion(0.25).est_error) is float
 
-    @pytest.mark.parametrize("model, g", [
-        (CircleModel, 0.25), (CircleModel, 0.0), (LineModel, 2.0),
+    @pytest.mark.parametrize("route, model, g", [
+        pytest.param(torsion_log, CircleModel, 0.25, id="CircleModel-0.25"),
+        pytest.param(torsion_log, CircleModel, 0.0, id="CircleModel-0.0"),
+        pytest.param(torsion_log, LineModel, 2.0, id="LineModel-2.0"),
+        pytest.param(
+            lambda m, g: torsion_log_resummed(m, g).value, CircleModel, 0.25,
+            id="resummed-CircleModel-0.25",
+        ),
     ])
-    def test_one_unitarity_threshold(self, model, g):
-        # Every model draws the unitary line at the same |Re(alpha)|.
+    def test_one_unitarity_threshold(self, route, model, g):
+        # Every model and route draws the unitary line at the same |Re(alpha)|.
         with pytest.raises(DomainError, match="purely imaginary"):
-            torsion_log(model(alpha=1e-13 + 1j), g)
-        assert cmath.isfinite(torsion_log(model(alpha=1e-15 + 1j), g))
+            route(model(alpha=1e-13 + 1j), g)
+        assert cmath.isfinite(route(model(alpha=1e-15 + 1j), g))
 
 
 class TestFried:
