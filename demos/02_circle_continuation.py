@@ -3,8 +3,9 @@
 
 A class r0 in (0,1) has spectrum {n + r0} and its log-zeta is the bilateral
 sum F(sigma; r0, alpha).  For Re(sigma) > 0 the sum converges absolutely;
-reaching sigma = 0 (the torsion comparison point) takes the hypergeometric
-continuation, which exists whenever alpha is not in 2*pi*i*Z.  The value at
+reaching sigma = 0 (the torsion comparison point) takes the continuation
+through Lerch's transcendent, which exists whenever alpha is not in
+2*pi*i*Z.  The value at
 0 is then cross-checked against a delayed-averaging resummation of the
 conditionally convergent boundary series, and the Fried residual compares
 it with the spectral torsion by Ewald's split: genuinely different routes.

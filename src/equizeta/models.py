@@ -113,6 +113,17 @@ def _real(name: str, value) -> float:
     return value
 
 
+def _connection(name: str, value) -> complex:
+    """The one connection rule: a finite complex as a complex, else DomainError."""
+    try:
+        value = complex(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a complex number") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite")
+    return value
+
+
 def _tolerance(tol, name: str = "tol") -> float:
     """The one tolerance rule: 0 < tol < 1, else DomainError (nan included)."""
     if not 0 < tol < 1:
@@ -356,6 +367,9 @@ class LineModel(FlowModel):
     name = "line"
     _spacing = 0.0  # of the translates along the orbit (0: a continuous group)
 
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _connection("alpha", self.alpha))
+
     def element(self, g) -> float:
         return _real("line group element", g)
 
@@ -368,14 +382,14 @@ class LineModel(FlowModel):
         return ModelDiagnostics(
             nondegenerate=True,
             witness="transverse space is zero-dimensional",
-            alpha_in_lattice=alpha_in_two_pi_i_z(complex(self.alpha)),
+            alpha_in_lattice=alpha_in_two_pi_i_z(self.alpha),
             continuation_available=True,
             laplacian_kernel_nonzero=False,
         )
 
     def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
         g = float(self.element(g))
-        value = cmath.exp(complex(self.alpha) * g - abs(g) * sigma) / (2.0 * abs(g)) if g else 0j
+        value = cmath.exp(self.alpha * g - abs(g) * sigma) / (2.0 * abs(g)) if g else 0j
         return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 
     def torsion(self, g) -> SeriesResult:
@@ -408,6 +422,9 @@ class CircleModel(FlowModel):
     name = "circle"
     infinite_spectrum = True
 
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _connection("alpha", self.alpha))
+
     def element(self, r0) -> float:
         r0 = _real("circle class", r0)
         if not (0.0 <= r0 < 1.0):
@@ -422,7 +439,7 @@ class CircleModel(FlowModel):
         return lengths, np.exp(self.alpha * lengths)
 
     def validate(self, r0=0.0) -> ModelDiagnostics:
-        in_lattice = alpha_in_two_pi_i_z(complex(self.alpha))
+        in_lattice = alpha_in_two_pi_i_z(self.alpha)
         return ModelDiagnostics(
             nondegenerate=True,
             witness="transverse space is zero-dimensional",
@@ -433,14 +450,14 @@ class CircleModel(FlowModel):
 
     def tail_bound(self, r0, sigma: complex, window: float) -> float:
         # The exponent is capped at 0 before exp: a divergent sum is inf, not an overflow.
-        q = math.exp(min(0.0, abs(complex(self.alpha).real) - sigma.real))
+        q = math.exp(min(0.0, abs(self.alpha.real) - sigma.real))
         if q >= 1.0:
             return float("inf")
         return 2.0 * q ** window / (window * (1.0 - q))
 
     def log_closed(self, r0, sigma: complex) -> ZetaEvaluation:
         r0 = self.element(r0)
-        alpha = complex(self.alpha)
+        alpha = self.alpha
         if r0 == 0.0:
             # -(1/2)[log(1 - e^{alpha-sigma}) + log(1 - e^{-alpha-sigma})], branch
             # by continuity from sigma -> +oo (principal logs never cross the
@@ -526,6 +543,7 @@ class EuclideanLatticeModel(FlowModel):
         object.__setattr__(self, "order", order)
         if self.rotation is None:
             raise DomainError("EuclideanLatticeModel needs a rotation")
+        object.__setattr__(self, "alpha_v0", _connection("alpha_v0", self.alpha_v0))
         object.__setattr__(self, "a", _real("translation spacing a", self.a))
         if self.a <= 0:
             raise DomainError("translation spacing a must be positive")
@@ -625,7 +643,7 @@ class EuclideanLatticeModel(FlowModel):
         return ModelDiagnostics(
             nondegenerate=(kdim == 1),
             witness=witness,
-            alpha_in_lattice=alpha_in_two_pi_i_z(complex(self.alpha_v0)),
+            alpha_in_lattice=alpha_in_two_pi_i_z(self.alpha_v0),
             continuation_available=True,
             laplacian_kernel_nonzero=False,
         )
@@ -640,7 +658,7 @@ class EuclideanLatticeModel(FlowModel):
     def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
         l = self._axial_length(g)
         value = self.period * cmath.exp(
-            -abs(l) * sigma + l * complex(self.alpha_v0)
+            -abs(l) * sigma + l * self.alpha_v0
         ) / abs(l)
         return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 

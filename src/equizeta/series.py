@@ -5,22 +5,31 @@ exponential sum
 
     F(z; r, alpha) = sum_{n in Z} exp(alpha*(n+r) - |n+r|*z) / |n+r|,
 
-absolutely convergent for Re(z) > |Re(alpha)| and continued elsewhere by
-splitting it into two Gauss hypergeometric pieces plus an elementary term:
+absolutely convergent for Re(z) > |Re(alpha)|.  Its n >= 0 and n < 0 halves
+are values of one function,
 
-    F(z) = (e^{r(alpha-z)}/r) * 2F1(1, r; r+1; e^{alpha-z})
-         - (e^{r(alpha+z)}/r) * 2F1(1, -r; 1-r; e^{-alpha-z})
-         + e^{r(alpha+z)}/r.
+    F(z) = H(alpha - z; r) + H(-alpha - z; 1 - r),
+    H(u; a) = sum_{n>=0} e^{u(n+a)} / (n+a) = e^{ua} Phi(e^u, 1, a),
 
-(The minus sign compensates for the n=0 term of the negative-index half,
-which the standalone e^{r(alpha+z)}/r term re-adds; the split is fixed by
-matching the defining sum on Re(z) > 0, and the direct sum is the arbiter
-in the test suite.)  The continued value exists for all
-z outside the lattice +-alpha + 2*pi*i*Z; in particular at z = 0 whenever
-alpha is not in 2*pi*i*Z, which is what the torsion comparisons need.
+with Phi Lerch's transcendent on its principal branch (cut w in [1, oo)).
+H(u + 2 pi i m; a) = e^{2 pi i m a} H(u; a), so u is reduced to |Im u| <= pi
+and H is continued by three routes (DLMF 25.14, 24.2):
 
-Everything here works in double precision with explicit truncation-error
-tracking; all logarithms are principal branch.
+* |Re u| < DISC_RADIUS, the Hurwitz-Bernoulli disc:
+      H(u; a) = -gamma - log(-u) - psi(a) - sum_{k>=1} B_k(a) u^k / (k k!);
+* Re u <= -DISC_RADIUS, the defining series;
+* Re u >= DISC_RADIUS, the inversion
+      H(u; a) = H(-u; 1 - a) + pi cot(pi a) + i pi sign(Im u)  (sign(0) = -1),
+  from Phi(w,1,a) - Phi(1/w,1,1-a)/w = pi (-w)^{-a} / sin(pi a).
+
+The continued value exists for all z outside the lattice
++-alpha + 2*pi*i*Z, where log(-u) is singular; in particular at z = 0
+whenever alpha is not in 2*pi*i*Z, which is what the torsion comparisons
+need.
+
+Everything here works in double precision with explicit error tracking;
+all logarithms are principal branch.  ``hyp2f1`` (Gauss's 2F1) stays as a
+standalone function that no evaluation path calls.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ EWALD_ETA = math.pi
 # Hard cap on series terms before giving up (see NonConvergentError).
 TERM_CAP = 10**7
 
-# The one truncation target of every series here (2F1 and the bilateral sums).
+# The one truncation target of the adaptive series here (2F1 and the direct bilateral sum).
 SERIES_TOL = 1e-14
 
 # A point is on the excluded lattice +-alpha + 2*pi*i*Z when closer than this.
@@ -56,6 +65,18 @@ LATTICE_TOL = 1e-10
 
 # Power-series dispatch radius shared by the direct, Pfaff and 1/z routes.
 SERIES_RADIUS = 0.8
+
+# The continuation's H(u; a) takes the Hurwitz-Bernoulli disc on |Re u| <
+# DISC_RADIUS, where |u| <= 3.3 and its terms fall by a ratio below 0.53, and
+# the defining series (ratio at most e^{-DISC_RADIUS}) elsewhere.  Both sums
+# have a fixed length, with a tail below 1e-18.
+DISC_RADIUS = 1.0
+DISC_TERMS = 60
+SERIES_TERMS = 40
+
+# The rounding term of a certificate: this many ulps of the summed term moduli.
+ROUNDING_ULPS = 8.0
+_EPS = sys.float_info.epsilon
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,6 +91,47 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 # The Lerch integral's 24-node rule, and for its error estimate a 16-node rule
 # on the same panels.
 _LERCH_RULES = (gauss_legendre(24), gauss_legendre(16))
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+def _bernoulli_table(n: int) -> np.ndarray:
+    """B_k/k! for k = 0..n, each correctly rounded.
+
+    The Bernoulli numbers follow from sum_{j<=k} C(k+1, j) B_j = 0 in
+    integers: scaled by the product of the primes up to n+1, every B_k is an
+    integer (von Staudt-Clausen), and each division below is exact.
+    """
+    scale = math.prod(p for p in range(2, n + 2) if all(p % q for q in range(2, p)))
+    scaled = [scale]
+    for k in range(1, n + 1):
+        scaled.append(-sum(math.comb(k + 1, j) * scaled[j] for j in range(k)) // (k + 1))
+    return _read_only([b / (scale * math.factorial(k)) for k, b in enumerate(scaled)])
+
+
+def _disc_table(n: int) -> np.ndarray:
+    """The convolution with B_j/j!, divided by k, as one (2n, n+1) matrix.
+
+    Row k-1 holds B_{k-i}/((k-i)! k) at column i, and row n+k-1 the moduli,
+    so the product with s^i/i! gives B_k(s)/(k k!) for k = 1..n (B_k(s) =
+    sum_j C(k, j) B_j s^{k-j}) and the summed moduli of each of those sums.
+    """
+    bernoulli = _bernoulli_table(n)
+    k, i = np.ogrid[1 : n + 1, 0 : n + 1]
+    rows = np.where(i <= k, bernoulli[np.clip(k - i, 0, n)], 0.0) / k
+    return _read_only(np.vstack((rows, np.abs(rows))))
+
+
+# Fixed tables of the continuation, built once: the disc's convolution, 1/i!
+# and the exponents i for its powers of s, n for the series.
+_DISC_TABLE = _disc_table(DISC_TERMS)
+_INV_FACTORIAL = _read_only([1.0 / math.factorial(i) for i in range(DISC_TERMS + 1)])
+_DISC_I = _read_only(range(DISC_TERMS + 1))
+_SERIES_N = _read_only(range(SERIES_TERMS))
 
 
 @dataclass(frozen=True)
@@ -124,6 +186,8 @@ class BilateralSumParams:
     unitary: bool = False
 
     def __post_init__(self):
+        if not cmath.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
         if not (0.0 < self.r < 1.0):
             raise DomainError(f"offset r must lie in (0, 1), got {self.r}")
         if self.unitary and abs(self.alpha.real) > UNITARY_TOL:
@@ -361,15 +425,50 @@ def bilateral_exp_sum_direct(p: BilateralSumParams, z) -> SeriesResult:
     )
 
 
+def _reduce_2pi(y: float) -> tuple[float, int]:
+    """y = beta + 2*pi*m with m an exact integer and |beta| <= pi + |m| * 3e-16.
+
+    math.remainder by the float 2*pi is exact; the rest of 2*pi
+    (_TWO_PI_LO) is then taken off beta, so forming beta costs an ulp of pi
+    however large |y| is.  Past 2^52 the float quotient can miss m, so
+    there it is found in exact arithmetic.
+    """
+    if abs(y) <= math.pi:
+        return y, 0
+    rem = math.remainder(y, TWO_PI)
+    if abs(y) < 2.0**52:
+        m = round((y - rem) / TWO_PI)
+    else:
+        m = round((Fraction(y) - Fraction(rem)) / Fraction(TWO_PI))
+    return rem - m * _TWO_PI_LO, m
+
+
+def _lattice_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, float]]:
+    """u = +alpha - z and -alpha - z, each as (u0, m, du) with
+    u = u0 + 2*pi*i*m, |Im u0| <= pi and du a bound on the rounding error of u0.
+
+    alpha and z are reduced separately, so that forming u0 costs a few ulps
+    of pi at any |Im alpha| or |Im z|.  |u0| is the distance from u to
+    2*pi*i*Z, that is, from z to the excluded lattice +-alpha + 2*pi*i*Z.
+    """
+    beta_a, m_a = _reduce_2pi(alpha.imag)
+    beta_z, m_z = _reduce_2pi(z.imag)
+    # Half an ulp of each rounded sum (beta_a, beta_z, their difference and
+    # u0), and an ulp of each m times the rest of 2*pi, whose own remainder
+    # is below 6e-33.
+    shared = _EPS * (abs(beta_a) + abs(beta_z) + (abs(m_a) + abs(m_z) + 1) * _TWO_PI_LO)
+    offsets = []
+    for sign in (1, -1):
+        beta, k = _reduce_2pi(sign * beta_a - beta_z)
+        u0 = complex(sign * alpha.real - z.real, beta)
+        du = shared + 0.5 * _EPS * (abs(u0.real) + abs(beta))
+        offsets.append((u0, sign * m_a - m_z + k, du))
+    return offsets
+
+
 def _distance_to_singular_lattice(z: complex, alpha: complex) -> float:
     """Distance from z to the excluded lattice {+-alpha + 2*pi*i*Z}: the one lattice rule."""
-    best = math.inf
-    for sgn in (1.0, -1.0):
-        w = z - sgn * alpha
-        k = round(w.imag / TWO_PI)
-        for kk in (k - 1, k, k + 1):
-            best = min(best, abs(w - 1j * TWO_PI * kk))
-    return best
+    return min(abs(u0) for u0, _, _ in _lattice_offsets(complex(alpha), complex(z)))
 
 
 def alpha_in_two_pi_i_z(alpha: complex) -> bool:
@@ -377,30 +476,98 @@ def alpha_in_two_pi_i_z(alpha: complex) -> bool:
     return _distance_to_singular_lattice(0j, alpha) < LATTICE_TOL
 
 
+def _disc_coefficients(s: float) -> np.ndarray:
+    """B_k(s)/(k k!) for k = 1..DISC_TERMS in row 0, and in row 1 the
+    summed moduli of the convolution that forms each, which bound its
+    rounding."""
+    return (_DISC_TABLE @ (s**_DISC_I * _INV_FACTORIAL)).reshape(2, DISC_TERMS)
+
+
+def _exp_2pi_i(r: float, m: int) -> complex:
+    """e^{2 pi i m r}, with m*r mod 1 exact: r is a dyadic fraction n/d."""
+    n, d = r.as_integer_ratio()
+    return cmath.exp(1j * TWO_PI * (m * n % d / d))
+
+
+def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coefficients):
+    """H(u0; a) = sum_{n>=0} e^{u0(n+a)}/(n+a), continued, for |Im u0| <= pi.
+
+    b = 1 - a and cot = pi cot(pi a) come in exactly; coefficients are
+    ``_disc_coefficients(min(a, b))``, needed on the disc only.  du bounds
+    the error of u0 itself.  Returns (value, terms, tail, rounding,
+    conditioning): the truncation bound, ROUNDING_ULPS ulps of the summed
+    term moduli, and du times a bound on |dH/du0|.
+    """
+    if u0.real >= DISC_RADIUS:
+        value, terms, tail, rounding, conditioning = _lerch_half(-u0, du, b, a, -cot, coefficients)
+        jump = complex(cot, math.pi if u0.imag > 0 else -math.pi)
+        rounding += ROUNDING_ULPS * _EPS * abs(jump)
+        return value + jump, terms, tail, rounding, conditioning
+    if u0.real <= -DISC_RADIUS:
+        x = _SERIES_N + a
+        t = np.exp(u0 * x) / x
+        moduli = np.abs(t)
+        slope = float(moduli @ x)  # sum |dt/du0|
+        q = math.exp(u0.real)
+        tail = q ** (SERIES_TERMS + a) / ((SERIES_TERMS + a) * (1.0 - q))
+        # The exponent u0 x is rounded too: |u0| x ulps of each term.
+        rounding = ROUNDING_ULPS * _EPS * (float(moduli.sum()) + abs(u0) * slope)
+        return complex(t.sum()), SERIES_TERMS, tail, rounding, du * slope
+    # B_k(1 - s) = (-1)^k B_k(s): the larger offset sums its power series at -u0.
+    c, c_moduli = coefficients
+    powers = np.full(DISC_TERMS, -u0 if a > b else u0).cumprod()
+    log = cmath.log(-u0)
+    psi = float(special.digamma(a))
+    value = -np.euler_gamma - log - psi - complex(c @ powers)
+    moduli = np.euler_gamma + abs(log) + abs(psi) + float(c_moduli @ np.abs(powers))
+    # |B_k(a)|/k! <= 2 zeta(k)/(2 pi)^k <= 4/(2 pi)^k for k >= 2 (DLMF 24.8.1-2).
+    rho = abs(u0) / TWO_PI
+    tail = 4.0 * rho ** (DISC_TERMS + 1) / ((DISC_TERMS + 1) * (1.0 - rho))
+    # |d/du0| of log(-u0) is 1/|u0|; of the power series, by the same bound,
+    # at most 1/2 + (zeta(2)/pi) rho/(1 - rho) < 2.
+    conditioning = du * (1.0 / (abs(u0) - du) + 2.0)
+    return value, DISC_TERMS, tail, ROUNDING_ULPS * _EPS * moduli, conditioning
+
+
 def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult:
-    """Analytic continuation of F(z; r, alpha) with an error certificate."""
+    """Analytic continuation of F(z; r, alpha) with an error certificate.
+
+    F = H(alpha - z; r) + H(-alpha - z; 1 - r), each half by the route of
+    its reduced u0 (see the module notes), times the phase e^{2 pi i m a}
+    taken from the exact m*a mod 1.  est_error sums, over both halves, the
+    tail bounds, ROUNDING_ULPS ulps of the summed term moduli and the
+    conditioning of H on the error of u0 (1/|u0| from log(-u0) near the
+    excluded lattice).  terms_used counts the series terms summed over both
+    halves.  Raises SingularPointError on the excluded lattice.
+    """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"the continuation needs a finite z, got {z}")
     alpha = complex(p.alpha)
-    dist = _distance_to_singular_lattice(z, alpha)
-    if dist < LATTICE_TOL:
+    halves = _lattice_offsets(alpha, z)
+    if min(abs(u0) for u0, _, _ in halves) < LATTICE_TOL:
         raise SingularPointError(
             f"z = {z} lies on the excluded lattice +-alpha + 2*pi*i*Z"
         )
     r = p.r
-    w1 = cmath.exp(alpha - z)
-    w2 = cmath.exp(-alpha - z)
-    h1 = hyp2f1(1.0, r, r + 1.0, w1)
-    h2 = hyp2f1(1.0, -r, 1.0 - r, w2)
-    c1 = cmath.exp(r * (alpha - z)) / r
-    c2 = cmath.exp(r * (alpha + z)) / r
-    value = c1 * h1.value - c2 * h2.value + c2
-    est = abs(c1) * h1.est_error + abs(c2) * h2.est_error
-    # F has log singularities on the excluded lattice; rounding in the
-    # hypergeometric arguments is amplified by the distance to it.
-    est += 5e-16 / dist
-    return SeriesResult(
-        value, h1.terms_used + h2.terms_used, est, h1.converged and h2.converged
-    )
+    # min(r, 1 - r) is exact: 1 - r is, for r >= 1/2 (Sterbenz).
+    small = min(r, 1.0 - r)
+    cot = math.pi / math.tan(math.pi * small)  # pi cot(pi r), up to sign
+    if small != r:
+        cot = -cot
+    coefficients = None
+    if any(abs(u0.real) < DISC_RADIUS for u0, _, _ in halves):
+        coefficients = _disc_coefficients(small)
+    value, terms, est = 0j, 0, 0.0
+    for (u0, m, du), sign in zip(halves, (1, -1)):
+        a, b, c = (r, 1.0 - r, cot) if sign > 0 else (1.0 - r, r, -cot)
+        h, n, *bounds = _lerch_half(u0, du, a, b, c, coefficients)
+        if m:  # e^{2 pi i m a}, with e^{2 pi i m (1 - r)} = e^{-2 pi i m r}
+            h *= _exp_2pi_i(r, sign * m)
+        value += h
+        terms += n
+        est += sum(bounds)
+    return SeriesResult(value, terms, est, True)
 
 
 def bilateral_exp_sum_continued(p: BilateralSumParams, z) -> complex:
@@ -460,9 +627,8 @@ def bilateral_exp_sum_ewald(p: BilateralSumParams) -> SeriesResult:
     """
     if abs(p.alpha.real) > UNITARY_TOL or alpha_in_two_pi_i_z(p.alpha):
         raise DomainError(f"the Ewald split needs alpha in i*R off 2*pi*i*Z, got {p.alpha}")
-    rem = math.remainder(p.alpha.imag, TWO_PI)
-    m = round((p.alpha.imag - rem) / TWO_PI)
-    beta, eta = rem - m * _TWO_PI_LO, EWALD_ETA
+    beta, m = _reduce_2pi(p.alpha.imag)
+    eta = EWALD_ETA
     # Each window keeps every term whose Gaussian exponent is below 40.
     reach, kmax = math.ceil(math.sqrt(40.0 / eta)) + 1, math.ceil(math.sqrt(40.0 * eta) / math.pi)
     x, k = np.arange(-reach, reach) + p.r, np.arange(-kmax, kmax + 1)
@@ -479,9 +645,9 @@ def bilateral_exp_sum_ewald(p: BilateralSumParams) -> SeriesResult:
         tail += 4.0 * eta * math.exp(-t * t / (4.0 * eta)) / (t * t * (1.0 - q))
     # The exact m*r mod 1 keeps the phase to an ulp at any |beta|.
     total = complex(orbit.sum() + (np.exp(1j * TWO_PI * k * p.r) * e1).sum())
-    value = cmath.exp(1j * TWO_PI * float(Fraction(p.r) * m % 1)) * total
+    value = _exp_2pi_i(p.r, m) * total
     mass = float(np.sum(np.abs(orbit)) + np.sum(e1))
-    return SeriesResult(value, x.size + k.size, tail + 8.0 * sys.float_info.epsilon * mass, True)
+    return SeriesResult(value, x.size + k.size, tail + ROUNDING_ULPS * _EPS * mass, True)
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,15 @@ def pair_with_test_function(measure: AtomicMeasure, psi) -> complex:
 # ---------------------------------------------------------------------------
 
 def _float_range(evaluate):
-    """The one overflow rule of log R: an OverflowError on the way to it, or
-    a value that is not a finite float, is a DomainError."""
+    """The one range rule of log R: a sigma that is not finite is refused
+    before any evaluation, and an OverflowError on the way to log R, or a
+    value that is not a finite float, is a DomainError."""
 
     @functools.wraps(evaluate)
     def checked(model: FlowModel, g, sigma, *args) -> ZetaEvaluation:
         sigma = complex(sigma)
+        if not cmath.isfinite(sigma):
+            raise DomainError("sigma must be finite")
         try:
             ev = evaluate(model, g, sigma, *args)
             if cmath.isfinite(ev.log_R):

@@ -1,0 +1,237 @@
+"""The continuation of F(z; r, alpha) against mpmath.lerchphi.
+
+F(z) = e^{r(alpha-z)} Phi(e^{alpha-z}, 1, r) + e^{-(1-r)(alpha+z)} Phi(e^{-alpha-z}, 1, 1-r),
+with Phi = mpmath.lerchphi at 40 digits, is the oracle.  est_error must
+bound the error at every point, and each of its three terms (tail bound,
+rounding, conditioning near the excluded lattice) is checked on its own.
+
+A lerchphi value costs about 0.1 s, so the 400-point grid reads its
+references from tests/data/lerch_grid.json and recomputes a sample of them
+live.  Regenerate the file (about a minute) with
+
+    PYTHONPATH=src python tests/test_continuation.py > tests/data/lerch_grid.json
+"""
+
+import cmath
+import contextlib
+import io
+import json
+import math
+import sys
+import time
+from pathlib import Path
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from equizeta import CircleModel, cli, ruelle_log_closed, series
+from equizeta.selftest import run_selftest
+from equizeta.series import BilateralSumParams, bilateral_exp_sum_continued_result
+
+GRID = Path(__file__).parent / "data" / "lerch_grid.json"
+DPS = 40
+
+
+def lerch_oracle(r, alpha, z):
+    """F(z; r, alpha) by mpmath.lerchphi, as an mpc at DPS digits."""
+    with mp.workdps(DPS):
+        a, w, s = mp.mpc(alpha), mp.mpc(z), mp.mpf(r)
+        return mp.exp(s * (a - w)) * mp.lerchphi(mp.exp(a - w), 1, s) + mp.exp(
+            -(1 - s) * (a + w)
+        ) * mp.lerchphi(mp.exp(-a - w), 1, 1 - s)
+
+
+def error(value, ref) -> float:
+    with mp.workdps(DPS):
+        return float(abs(mp.mpc(value) - ref))
+
+
+def grid_points():
+    """400 seeded points: r in (0.01, 0.99), Re alpha and Re z in (-3, 3),
+    |Im alpha| < 120, |Im z| < 20."""
+    rng = np.random.default_rng(400)
+    for _ in range(400):
+        r = float(rng.uniform(0.01, 0.99))
+        alpha = complex(rng.uniform(-3.0, 3.0), rng.uniform(-120.0, 120.0))
+        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-20.0, 20.0))
+        yield r, alpha, z
+
+
+def certificate_terms(r, alpha, z):
+    """(tail, rounding, conditioning), each summed over both halves, as
+    bilateral_exp_sum_continued_result sums them into est_error."""
+    small = min(r, 1.0 - r)
+    cot = math.pi / math.tan(math.pi * small)
+    cot = cot if small == r else -cot
+    coefficients = series._disc_coefficients(small)
+    total = np.zeros(3)
+    for (u0, _, du), a, b, c in zip(
+        series._lattice_offsets(complex(alpha), complex(z)), (r, 1.0 - r), (1.0 - r, r), (cot, -cot)
+    ):
+        total += series._lerch_half(u0, du, a, b, c, coefficients)[2:]
+    return tuple(total)
+
+
+def continued(r, alpha, z):
+    return bilateral_exp_sum_continued_result(BilateralSumParams(r, complex(alpha)), z)
+
+
+class TestGrid:
+    @staticmethod
+    def records():
+        return json.loads(GRID.read_text(encoding="utf-8"))
+
+    @staticmethod
+    def stored(rec):
+        with mp.workdps(DPS):
+            return mp.mpc(mp.mpf(rec["F"][0]), mp.mpf(rec["F"][1]))
+
+    def test_grid_has_no_miss(self):
+        records = self.records()
+        assert len(records) == 400
+        for (r, alpha, z), rec in zip(grid_points(), records):
+            assert rec["point"] == [r, alpha.real, alpha.imag, z.real, z.imag]
+            res = continued(r, alpha, z)
+            assert res.converged
+            assert error(res.value, self.stored(rec)) <= res.est_error, (r, alpha, z, res)
+
+    def test_stored_references_are_lerchphi(self):
+        # Every 40th record, recomputed live, matches its stored value.
+        records = self.records()
+        for (r, alpha, z), rec in list(zip(grid_points(), records))[::40]:
+            stored = self.stored(rec)
+            with mp.workdps(DPS):
+                assert abs(lerch_oracle(r, alpha, z) - stored) <= mp.mpf(10) ** -25 * abs(stored)
+
+
+class TestCertificateTerms:
+    """Each of est_error's three terms, where it is the one that matters."""
+
+    @pytest.mark.parametrize("a", [0.01, 0.3, 0.5, 0.97])
+    @pytest.mark.parametrize("u0", [
+        # the disc at its widest |u0|, and the series at its slowest ratio
+        0.999 + 3.14159j, -0.999 - 3.14159j, 0.999j,
+        -1.0 + 3.14159j, -1.0 - 2.0j, -1.5 + 0.5j,
+    ])
+    def test_tail_bound(self, u0, a):
+        # The exact remainder past the fixed term count, by mpmath, against
+        # the closed-form bound that _lerch_half returns.
+        small = min(a, 1.0 - a)
+        _, terms, tail, _, _ = series._lerch_half(
+            u0, 0.0, a, 1.0 - a, math.pi / math.tan(math.pi * a), series._disc_coefficients(small))
+        with mp.workdps(80):  # tails reach 1e-50
+            u, s = mp.mpc(u0), mp.mpf(a)
+            exact = mp.exp(s * u) * mp.lerchphi(mp.exp(u), 1, s)
+            if abs(u0.real) < series.DISC_RADIUS:
+                partial = -mp.euler - mp.log(-u) - mp.digamma(s) - mp.fsum(
+                    mp.bernpoly(k, s) * u**k / (k * mp.factorial(k)) for k in range(1, terms + 1))
+            else:
+                partial = mp.fsum(mp.exp(u * (n + s)) / (n + s) for n in range(terms))
+            remainder = float(abs(exact - partial))
+        assert remainder <= tail < 1e-17
+
+    @pytest.mark.parametrize("r, alpha, z", [
+        (1e-6, 1j, 0.0), (1e-9, 0.3 + 2j, -0.5 + 1j), (0.999999, 1j, 0.0),
+    ])
+    def test_rounding_term(self, r, alpha, z):
+        # |F| ~ 1/r: the error is ulps of |F|, far above the tail and the
+        # conditioning, and the rounding term covers it.
+        res = continued(r, alpha, z)
+        err = error(res.value, lerch_oracle(r, alpha, z))
+        tail, rounding, conditioning = certificate_terms(r, alpha, z)
+        assert tail + conditioning < err <= rounding
+        assert res.est_error == pytest.approx(tail + rounding + conditioning, rel=1e-12)
+
+    @pytest.mark.parametrize("r, alpha, k, offset", [
+        (0.6, 50.1j, 3, 1e-8),
+        (0.35, 0.2 + 80.7j, -2, 1e-7 * cmath.exp(2j)),
+        (0.8, 30.3j, 1, 3e-9j),
+        (0.45, 7.7j, 5, -4e-8j),
+    ])
+    def test_conditioning_term(self, r, alpha, k, offset):
+        # z = -alpha - 2 pi i k + offset: -alpha - z sits |offset| from 2 pi i Z.
+        # With k != 0, Im alpha and Im z reduce by different multiples of 2 pi,
+        # and the rounding of the reduced u0 (ulps of pi) moves -log(-u0) by
+        # about ulps / |offset|: far above the other two terms.
+        z = -alpha - 2j * math.pi * k + offset
+        res = continued(r, alpha, z)
+        err = error(res.value, lerch_oracle(r, alpha, z))
+        tail, rounding, conditioning = certificate_terms(r, alpha, z)
+        assert tail + rounding < err <= conditioning + tail + rounding
+        assert conditioning < 1e-14 / abs(offset)
+
+    def test_bernoulli_table_is_exact(self):
+        table = series._bernoulli_table(series.DISC_TERMS)
+        with mp.workdps(DPS):
+            for k, value in enumerate(table):
+                assert value == float(mp.bernoulli(k) / mp.factorial(k)), k
+
+
+class TestFaultPoints:
+    """Inputs on which the 2F1 continuation failed, each now within est_error."""
+
+    def test_tiny_class_is_fast_and_certified(self):
+        model = CircleModel(alpha=1j)
+        start = time.perf_counter()
+        ev = ruelle_log_closed(model, 1e-13, 0.0)
+        assert time.perf_counter() - start < 1.0
+        assert error(2.0 * ev.log_R, lerch_oracle(1e-13, 1j, 0.0)) <= 2.0 * ev.est_error
+
+    def test_class_next_to_one_returns_a_value(self):
+        ev = ruelle_log_closed(CircleModel(alpha=1j), 1.0 - 1e-13, 0.0)
+        assert cmath.isfinite(ev.log_R) and ev.method == "continuation"
+        assert error(2.0 * ev.log_R, lerch_oracle(1.0 - 1e-13, 1j, 0.0)) <= 2.0 * ev.est_error
+
+    @pytest.mark.parametrize("r, alpha", [(1e-6, 1j), (0.971, 74.5j), (0.974, 11.2j)])
+    def test_within_est_error(self, r, alpha):
+        res = continued(r, alpha, 0.0)
+        assert error(res.value, lerch_oracle(r, alpha, 0.0)) <= res.est_error
+
+    @pytest.mark.parametrize("r0", ["1e-13", "0.9999999999999"])
+    def test_cli_exits_zero_with_one_json_line(self, r0):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["eval", "--model", "circle", "--params", f"r0={r0},alpha=1i", "--sigma", "0"])
+        assert code == 0
+        (line,) = buf.getvalue().splitlines()
+        assert json.loads(line)["method"] == "continuation"
+
+
+def test_inputs_not_finite_refused():
+    with pytest.raises(series.DomainError, match="alpha must be finite"):
+        BilateralSumParams(0.25, complex(math.nan, 1.0))
+    for z in (math.nan, complex(0.0, math.inf), complex(-math.inf, 0.0)):
+        with pytest.raises(series.DomainError, match="needs a finite z"):
+            continued(0.25, 1j, z)
+
+
+def test_no_evaluation_path_calls_hyp2f1(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hyp2f1 called")
+
+    monkeypatch.setattr(series, "hyp2f1", refuse)
+    params = "r0=0.3,alpha=0.2+1.5i"
+    for argv in (
+        ["eval", "--model", "circle", "--params", params, "--sigma", "0"],
+        ["eval", "--model", "circle", "--params", params, "--sigma=-1+2i"],
+        ["sweep", "--model", "circle", "--params", params, "--sigma-start=-1", "--sigma-end", "1+1i",
+         "--steps", "4"],
+        ["fried", "--model", "circle", "--params", "r0=0.25,alpha=1i"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    results = [res for res in run_selftest(seed=1) if res.name != "series/hyp2f1-at-zero"]
+    assert results and all(res.passed for res in results), [r for r in results if not r.passed]
+
+
+if __name__ == "__main__":
+    records = []
+    for r, alpha, z in grid_points():
+        ref = lerch_oracle(r, alpha, z)
+        records.append({
+            "point": [r, alpha.real, alpha.imag, z.real, z.imag],
+            "F": [mp.nstr(ref.real, 30), mp.nstr(ref.imag, 30)],
+        })
+    json.dump(records, sys.stdout, indent=0)
+    sys.stdout.write("\n")

@@ -239,6 +239,26 @@ class TestOrbitData:
         with pytest.raises(DomainError, match=message):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: CircleModel(alpha=complex(math.nan, 1.0)).validate(0.25),
+        lambda: CircleModel(alpha=complex(0.0, math.inf)),
+        lambda: LineModel(alpha=complex(0.0, math.nan)).log_closed(2.0, 1.0),
+        lambda: IntegerLatticeModel(alpha=math.inf),
+        lambda: euclid_model(alpha_v0=complex(math.nan, 0.0)),
+        lambda: EuclideanLatticeModel(rotation=euclid_model().rotation, alpha_v0=complex(0.0, -math.inf)),
+    ], ids=["circle-validate", "circle-inf", "line-closed", "lattice-inf", "euclid-nan", "euclid-inf"])
+    def test_connection_not_finite_refused(self, build):
+        # One connection rule, applied where each model is built.
+        with pytest.raises(DomainError, match="must be finite"):
+            build()
+
+    def test_connection_stored_as_complex(self):
+        assert LineModel(alpha=2).alpha == 2 + 0j and isinstance(LineModel(alpha=2).alpha, complex)
+        assert IntegerLatticeModel(alpha=1j).alpha == 1j
+        assert euclid_model(alpha_v0=0.5).alpha_v0 == 0.5 + 0j
+        with pytest.raises(DomainError, match="alpha must be a complex number"):
+            CircleModel(alpha="x")
+
     def test_only_three_dimensions(self):
         # Gamma' and the periods exist for n = 3 alone; any other n is refused
         # before a rotation matrix is built.

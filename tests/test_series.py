@@ -395,7 +395,7 @@ class TestBilateralContinued:
                 ref = mp.exp(r * (a - w)) * mp.lerchphi(mp.exp(a - w), 1, r) + mp.exp(
                     -(1 - r) * (a + w)
                 ) * mp.lerchphi(mp.exp(-a - w), 1, 1 - r)
-            assert abs(res.value - complex(ref)) <= 10.0 * res.est_error, (r, alpha, z)
+            assert abs(res.value - complex(ref)) <= res.est_error, (r, alpha, z)
             checked += 1
 
     def test_grid_agreement_budgeted(self):
@@ -437,10 +437,9 @@ class TestBilateralEwald:
             assert abs(res.value - complex(ref)) <= res.est_error, (p, res)
 
     def test_agrees_with_continuation(self):
-        # beta over the continuation lock-in range: past |beta| ~ 10 the
-        # continuation's own est_error is not a bound (it misses rounding in
-        # its phases), whatever the second route.
-        for p in self.unitary_points(7, 200, 6.0):
+        # beta over the Ewald test's own range: both routes take the phase of
+        # the reduced beta exactly, so both certificates hold at any |beta|.
+        for p in self.unitary_points(7, 200, 120.0):
             ewald = bilateral_exp_sum_ewald(p)
             cont = bilateral_exp_sum_continued_result(p, 0.0)
             assert abs(ewald.value - cont.value) <= ewald.est_error + cont.est_error, p

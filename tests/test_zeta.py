@@ -198,6 +198,18 @@ class TestDirect:
         with pytest.raises(DomainError, match="^window must be positive$"):
             flat_trace_measure(model, g, window)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)])
+    @pytest.mark.parametrize("route, model, g", [
+        (ruelle_log_direct, CircleModel(alpha=1j), 0.25),
+        (ruelle_log_closed, LineModel(alpha=1j), 2.0),
+        (ruelle_log_closed, CircleModel(alpha=1j), 0.25),
+    ], ids=["direct", "line-closed", "circle-continuation"])
+    def test_sigma_not_finite_refused(self, route, model, g, sigma):
+        # Refused before any evaluation: inf once gave the line closed form 0,
+        # and nan reached the continuation.
+        with pytest.raises(DomainError, match="^sigma must be finite$"):
+            route(model, g, sigma)
+
     def test_finite_models_any_sigma(self):
         ev = ruelle_log_direct(euclid_model(), EuclideanElement(l0=1), -2.0)
         assert abs(ev.log_R - math.exp(2.0) / 3.0) < 1e-12
