@@ -4,10 +4,12 @@
 Here the classical zeta function does not exist at all (every point of the
 sphere lies on a closed geodesic), but a rotation g with angles generating
 a dense subgroup closes exactly one frame-flow orbit per admissible time,
-and the equivariant sum converges for Re(sigma) > 0.  There is no
-continuation to 0: the trivial connection forces a nonzero Laplacian
-kernel, log R blows up along sigma -> 0+, and the torsion comparison is
-reported as not applicable rather than checked.
+and the equivariant sum converges for Re(sigma) > 0.  Each angle's orbits
+are two arithmetic families, so log R continues past Re(sigma) = 0 like the
+circle's, except at sigma in i*Z: sigma = 0 is a singular point.  The
+trivial connection forces a nonzero Laplacian kernel, log R blows up along
+sigma -> 0+, and the torsion comparison is reported as not applicable
+rather than checked.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from equizeta import (
-    NotApplicableError,
+    SingularPointError,
     Sphere2Model,
     Sphere3Model,
     fried_residual,
@@ -43,14 +45,16 @@ def main():
         print(f"  {model.name}: nondegenerate {diag.nondegenerate}, dense powers {diag.dense_powers_ok}")
         print(f"    {diag.dense_powers_detail}")
 
-    print("\n== log R grows without bound toward sigma = 0 ==")
+    print("\n== log R grows without bound toward sigma = 0 and continues past Re(sigma) = 0 ==")
     for sigma in (2.0, 1.0, 0.5, 0.2, 0.1, 0.05):
         ev = ruelle_log_direct(s2, theta, sigma)
         print(f"  sigma = {sigma:5.2f}: log R = {ev.log_R.real:9.4f}  (terms {ev.terms})")
+    past = ruelle_log_closed(s2, theta, -0.3 + 0.2j)
+    print(f"  sigma = -0.3+0.2i: log R = {past.log_R:.10f} ({past.method})")
     try:
         ruelle_log_closed(s2, theta, 0.0)
-    except NotApplicableError as exc:
-        print(f"  continuation to 0 refused: {exc}")
+    except SingularPointError as exc:
+        print(f"  {exc}")
     rep = fried_residual(s2, theta)
     print(f"  fried verdict: applicable = {rep.applicable} ({rep.reason})")
 

@@ -4,10 +4,10 @@ Each model packages one equivariant flow: the translation flow on the line
 (acted on by R or by Z), the rotation flow on the circle, the geodesic flow
 on Euclidean space acted on by a crystallographic motion group, and the
 geodesic flows on the 2- and 3-sphere frame bundles.  A model produces, for
-a group element g and a window L, its closed-orbit families: the times at
-which some orbit closes up to g, with the holonomy trace of each.  The sign
-of det(1-P) is +1 throughout, and the cutoff-primitive period (the coset
-integral over conjugators folded in) is one number per model.
+a group element g, its closed orbits: the times at which some orbit closes
+up to g, with the holonomy trace of each.  The sign of det(1-P) is +1
+throughout, and the cutoff-primitive period (the coset integral over
+conjugators folded in) is one number per model.
 
 Normalization conventions folded into the stored periods:
   * line/lattice/circle: period 1 (the normalized cutoff integrates to 1);
@@ -24,19 +24,20 @@ subclasses FlowModel and implements them.
     order) all go through ``_integer``, which refuses and never truncates,
     and real ones (line g, circle r0, sphere angles, Euclidean a and theta)
     through ``_real``, which refuses a nonfinite or nonreal value
-  * orbits(g, window): the closed-orbit families with 0 < |l| <= window, one
-    entry each, in any order, as (lengths, holonomy traces); every sign of
-    det(1-P) is +1 [NotImplementedError]
+  * families(g): an infinite spectrum as families (d, r, alpha): the lengths
+    d(n + r), n in Z, holonomy e^{alpha l}, weight ``period`` [NotImplementedError]
+  * orbits(g, window): the closed orbits with 0 < |l| <= window in any order, as
+    (lengths, holonomy traces); every sign of det(1-P) is +1 [from families]
   * period: the folded cutoff-primitive period of every orbit [1.0]
   * validate(g): diagnostics [NotImplementedError]; infinite_spectrum [False]
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
-    [0 for a finite spectrum, summed whole; NotImplementedError otherwise]
+    [0 for a finite spectrum, summed whole; from families otherwise]
   * log_closed(g, sigma): log R as a ZetaEvaluation, by closed form or
-    continuation [DomainError]
+    continuation [from families; DomainError for a finite spectrum]
   * torsion(g): log of the torsion as a SeriesResult, by closed form
     (est_error 0) or a spectral series [DomainError]
   * period_numeric(g, profile, quad): the cutoff-primitive period once
-    ``_admissible_reach`` admits the profile; only Euclid integrates [DomainError]
+    ``_admissible_reach`` admits the profile; only Euclid integrates [period; finite: DomainError]
 FlowModel alone derives three views from orbits: orbit_data(g, window) (the
 spectrum as a float array and the summed sign * holonomy * period per length;
 the direct sum and the flat trace read only this), length_spectrum(g, window)
@@ -76,6 +77,7 @@ from .series import (
     SeriesResult,
     ZetaEvaluation,
     _distance_to_singular_lattice,
+    _reduce_2pi,
     alpha_in_two_pi_i_z,
     atanh_of_exp,
     bilateral_exp_sum_continued_result,
@@ -241,20 +243,6 @@ def _rational_proxy(ratio: float):
     return ok, f"|{ratio:.12g} - {frac.numerator}/{frac.denominator}| = {err:.3e}"
 
 
-def _angle_family(theta: float, window: float) -> np.ndarray:
-    """The orbit family of one angle: the values +-theta + 2*pi*n with
-    1e-12 < |value| <= window, sorted, where a +theta and a -theta value
-    that meet (theta near a multiple of pi) are one orbit."""
-    n = np.arange(
-        math.floor((-window - theta) / TWO_PI) - 1, math.ceil((window - theta) / TWO_PI) + 2
-    )
-    vals = theta + TWO_PI * n
-    vals = vals[(np.abs(vals) > 1e-12) & (np.abs(vals) <= window)]
-    # -theta + 2*pi*(-n) is exactly -(theta + 2*pi*n): rounding is symmetric.
-    fam = np.sort(np.concatenate([vals, -vals]))
-    return fam[fam - np.concatenate(([-np.inf], fam[:-1])) > _FAMILY_TOL]
-
-
 def _merge(lengths: list, weights: list, inside: list) -> tuple[np.ndarray, np.ndarray]:
     """Sorted orbits closer than _FAMILY_TOL to the first in-window length of
     their cluster become one atom there, weights summed in row order; a
@@ -278,8 +266,18 @@ class FlowModel:
     infinite_spectrum = False
     period = 1.0
 
-    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+    def families(self, g) -> list[tuple[float, float, complex]]:
         raise NotImplementedError
+
+    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+        lengths, holonomies = [], []
+        for d, r, alpha in self.families(g):
+            n = np.arange(math.floor(-window / abs(d) - r), math.ceil(window / abs(d) - r) + 1)
+            family = d * (n + r)
+            family = family[(family != 0) & (np.abs(family) <= window)]
+            lengths.append(family)
+            holonomies.append(np.exp(alpha * family))
+        return np.concatenate(lengths), np.concatenate(holonomies)
 
     def _orbits(self, g, window: float, margin: float) -> tuple[np.ndarray, np.ndarray]:
         """orbits(g, window + margin), refused before any is built when an
@@ -324,18 +322,51 @@ class FlowModel:
         raise NotImplementedError
 
     def tail_bound(self, g, sigma: complex, window: float) -> float:
-        if self.infinite_spectrum:
-            raise NotImplementedError(f"{self!r} has no orbit-sum tail bound")
-        return 0.0
+        if not self.infinite_spectrum:
+            return 0.0
+        total = 0.0
+        for d, _, alpha in self.families(g):
+            # Two progressions of gap |d| past the window; a divergent sum is inf, not an overflow.
+            q = math.exp(min(0.0, abs(alpha.real) - sigma.real))
+            if q >= 1.0:
+                return float("inf")
+            total += 2.0 * self.period * q ** window / (window * (1.0 - q ** abs(d)))
+        return total
 
     def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
-        raise DomainError(f"no closed form registered for {self!r}")
+        if not self.infinite_spectrum:
+            raise DomainError(f"no closed form registered for {self!r}")
+        return self._continued(self.families(g), sigma)
+
+    def _continued(self, families, sigma: complex) -> ZetaEvaluation:
+        """The sum of (period / 2|d|) F(|d| sigma; r, d alpha) over the families."""
+        value, est_error, terms = None, 0.0, 0
+        for d, r, a in families:
+            if r == 0.0:
+                raise NotApplicableError("an orbit family with offset 0 has no continuation")
+            z = sigma
+            if d != 1.0:  # real factors scale each part alone, which keeps signed zeros
+                a = complex(d * a.real, d * a.imag)
+                z = complex(abs(d) * z.real, abs(d) * z.imag)
+            try:
+                res = _converged(bilateral_exp_sum_continued_result(BilateralSumParams(r, a), z))
+            except SingularPointError as exc:
+                msg = f"sigma = {sigma} is a singular point of the continuation"
+                raise SingularPointError(msg) from exc
+            res = res.scaled(self.period / (2.0 * abs(d)))
+            value = res.value if value is None else value + res.value
+            est_error, terms = est_error + res.est_error, terms + res.terms_used
+        return ZetaEvaluation(sigma, value, "continuation", est_error, terms)
 
     def torsion(self, g) -> SeriesResult:
         raise DomainError(f"no torsion value registered for {self!r}")
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        raise DomainError(f"no cutoff-period rule for model {self!r}")
+        if not self.infinite_spectrum:
+            raise DomainError(f"no cutoff-period rule for model {self!r}")
+        self.element(g)
+        _admissible_reach(profile, quad.tol, compact=True)
+        return self.period
 
 
 def _unitary(alpha) -> complex:
@@ -431,12 +462,9 @@ class CircleModel(FlowModel):
             raise DomainError(f"circle class must lie in [0, 1), got {r0}")
         return r0
 
-    def orbits(self, r0, window: float) -> tuple[np.ndarray, np.ndarray]:
-        r0 = self.element(r0)
+    def families(self, r0) -> list[tuple[float, float, complex]]:
         # l = n + r0 (or n itself for the identity class): holonomy e^{alpha*l}.
-        lengths = np.arange(math.floor(-window - r0), math.ceil(window - r0) + 1) + r0
-        lengths = lengths[(lengths != 0) & (np.abs(lengths) <= window)]
-        return lengths, np.exp(self.alpha * lengths)
+        return [(1.0, self.element(r0), self.alpha)]
 
     def validate(self, r0=0.0) -> ModelDiagnostics:
         in_lattice = alpha_in_two_pi_i_z(self.alpha)
@@ -448,16 +476,9 @@ class CircleModel(FlowModel):
             laplacian_kernel_nonzero=in_lattice,
         )
 
-    def tail_bound(self, r0, sigma: complex, window: float) -> float:
-        # The exponent is capped at 0 before exp: a divergent sum is inf, not an overflow.
-        q = math.exp(min(0.0, abs(self.alpha.real) - sigma.real))
-        if q >= 1.0:
-            return float("inf")
-        return 2.0 * q ** window / (window * (1.0 - q))
-
     def log_closed(self, r0, sigma: complex) -> ZetaEvaluation:
-        r0 = self.element(r0)
-        alpha = self.alpha
+        families = self.families(r0)
+        ((_, r0, alpha),) = families
         if r0 == 0.0:
             # -(1/2)[log(1 - e^{alpha-sigma}) + log(1 - e^{-alpha-sigma})], branch
             # by continuity from sigma -> +oo (principal logs never cross the
@@ -474,9 +495,7 @@ class CircleModel(FlowModel):
                 atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0)
             )
         else:
-            params = BilateralSumParams(r=r0, alpha=alpha)
-            res = _converged(bilateral_exp_sum_continued_result(params, sigma)).scaled(0.5)
-            return ZetaEvaluation(sigma, res.value, "continuation", res.est_error, res.terms_used)
+            return self._continued(families, sigma)
         return ZetaEvaluation(sigma, value, "closed", 1e-15 * max(1.0, abs(value)), 2)
 
     def torsion(self, r0) -> SeriesResult:
@@ -490,11 +509,6 @@ class CircleModel(FlowModel):
             # identity-class closed form at sigma = 0.
             return _closed(-0.5 * cmath.log(-((2.0 * cmath.sinh(alpha / 2.0)) ** 2)))
         return bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha)).scaled(0.5)
-
-    def period_numeric(self, r0, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        self.element(r0)
-        _admissible_reach(profile, quad.tol, compact=True)
-        return self.period
 
 
 def _invariant_lattice_2d(order: int) -> np.ndarray:
@@ -676,8 +690,9 @@ class EuclideanLatticeModel(FlowModel):
 class _SphereModel(FlowModel):
     """Geodesic flow on a sphere frame bundle.  The group element is its
     dim - 2 rotation angles alone; each angle theta contributes the orbit
-    family +-theta + 2*pi*Z with unit holonomy and period 2*pi.  The trivial
-    connection (the only invariant flat Hermitian one) is a constant, not a field.
+    families +-(theta + 2*pi*Z) with unit holonomy and period 2*pi (log R
+    continues off sigma in i*Z).  The trivial connection (the only invariant
+    flat Hermitian one) is a constant, not a field.
 
     The sign of det(1-P) stays hard-coded at +1 because it is +1 by
     structure.  The frame bundle is the group SO(dim) with its bi-invariant
@@ -701,19 +716,28 @@ class _SphereModel(FlowModel):
             raise DomainError(f"{self.name} takes 2 rotation angles, got {g!r}") from None
         return _real("theta1", theta1), _real("theta2", theta2)
 
-    @staticmethod
-    def _families(angles, window: float) -> np.ndarray:
-        """Each angle's orbit family inside the window, one after another."""
-        return np.concatenate([_angle_family(theta, window) for theta in angles])
-
-    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        lengths = self._families(self.element(g), window)
-        return lengths, np.ones(len(lengths), dtype=complex)
+    def families(self, g) -> list[tuple[float, float, complex]]:
+        """Per angle, theta + 2*pi*Z = d(n + r) and its mirror -d(n + r) (once
+        where it is the same set: r in {0, 1/2} up to _FAMILY_TOL).  r and the
+        sign of d come from the exact theta = beta + 2*pi*m, so r is about 2 ulp
+        off, relative: each term e^{u(n+r)}/(n+r) of F moves by 2 ulp of
+        (|u|(n+r) + 1) times its modulus at most, inside the certificate's
+        ROUNDING_ULPS.  (theta / 2pi) % 1 is an ulp off, absolute: far more at small r."""
+        families = []
+        for theta in self.element(g):
+            beta, _ = _reduce_2pi(theta)
+            beta = beta if abs(beta) > 1e-12 else 0.0  # no orbit has |l| <= 1e-12
+            d, r = math.copysign(TWO_PI, beta), abs(beta) / TWO_PI
+            families.append((d, r, 0j))
+            if TWO_PI * min(2.0 * r, abs(1.0 - 2.0 * r)) > _FAMILY_TOL:
+                families.append((-d, r, 0j))
+        return families
 
     def validate(self, g=None) -> ModelDiagnostics:
         """Nondegenerate when the fixed space of Ad(g^-1) on so(dim) is the
         torus of g's rotation planes, one direction per angle."""
-        angles = self.element(self._default_g if g is None else g)
+        g = self._default_g if g is None else g
+        angles = self.element(g)
         # Ad(g) on so(dim) is the exterior square of g: eigenvalues lam_i lam_j, i < j.
         lam = np.linalg.eigvals(block_rotation(angles, self.dim))
         try:
@@ -734,36 +758,18 @@ class _SphereModel(FlowModel):
             laplacian_kernel_nonzero=True,
             # A value shared by two families needs theta1 -+ theta2 in 2*pi*Z,
             # an eigenvalue of Ad(g^-1) at 1: only a degenerate element has one.
-            spectrum_collisions=0 if nondegenerate else self._collisions(angles),
+            spectrum_collisions=0 if nondegenerate else self._collisions(g),
             **self._angle_diagnostics(*angles),
         )
 
-    def _collisions(self, angles) -> int:
-        """Values shared by two families (each family merges its own)."""
-        values = np.sort(self._families(angles, 10.0 * TWO_PI))
+    def _collisions(self, g) -> int:
+        """Values shared by two families (a family's own values are distinct)."""
+        values = np.sort(self.orbits(g, 10.0 * TWO_PI)[0])
         distinct, _ = _merge(values.tolist(), [0] * len(values), [True] * len(values))
         return len(values) - len(distinct)
 
-    def tail_bound(self, g, sigma: complex, window: float) -> float:
-        # Each family is two arithmetic progressions of gap 2*pi.
-        s = sigma.real
-        families = 2 * len(self.element(g))
-        q = math.exp(-TWO_PI * s)
-        return 2.0 * families * TWO_PI * math.exp(-window * s) / (window * (1.0 - q))
-
-    def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
-        raise NotApplicableError(
-            "sphere models carry the trivial connection; the orbit sum has "
-            "no analytic continuation to Re(sigma) <= 0"
-        )
-
     def torsion(self, g) -> SeriesResult:
         raise NotApplicableError("torsion comparison undefined: Laplacian kernel is nonzero")
-
-    def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
-        self.element(g)
-        _admissible_reach(profile, quad.tol, compact=True)
-        return self.period
 
 
 @dataclass(frozen=True)
@@ -792,18 +798,12 @@ class Sphere3Model(_SphereModel):
     _witness_note = " (the torus directions; one is quotiented by the isotropy)"
 
     def _angle_diagnostics(self, t1: float, t2: float) -> dict:
-        checks = []
-        ok_all = True
-        for label, ratio in (
-            ("theta1", t1 / TWO_PI),
-            ("theta2", t2 / TWO_PI),
-            ("theta1-theta2", (t1 - t2) / TWO_PI),
-            ("theta1+theta2", (t1 + t2) / TWO_PI),
-        ):
-            ok, detail = _rational_proxy(ratio)
-            ok_all = ok_all and ok
-            checks.append(f"{label}: {detail}")
-        return {"dense_powers_ok": ok_all, "dense_powers_detail": "; ".join(checks)}
+        angles = {"theta1": t1, "theta2": t2, "theta1-theta2": t1 - t2, "theta1+theta2": t1 + t2}
+        checks = {label: _rational_proxy(angle / TWO_PI) for label, angle in angles.items()}
+        return {
+            "dense_powers_ok": all(ok for ok, _ in checks.values()),
+            "dense_powers_detail": "; ".join(f"{k}: {detail}" for k, (_, detail) in checks.items()),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -839,14 +839,13 @@ def chi_primitive_period_numeric(
 ) -> float:
     """Cutoff-primitive period for the profile normalized by its
     group-translate sum (or integral), which makes the period independent
-    of the profile.  The line, lattice and circle (period 1) and the
-    spheres (2*pi) report ``model.period`` once ``_admissible_reach``
-    admits the profile: there the normalized cutoff integrates to the
-    period by construction.  The Euclidean model integrates it along the
-    closed-up geodesic over the transverse cosets, to a/k up to the
-    quadrature error; that checks the quadrature, not the coset geometry
-    (the 1-D periodisation unfolds to a/k for any coset set).  ``orbit_id``
-    is ignored: every orbit of a model has the same period.
+    of the profile.  The line, lattice, circle and spheres report
+    ``model.period`` once ``_admissible_reach`` admits the profile: the
+    normalized cutoff integrates to it by construction.  The Euclidean
+    model integrates it along the closed-up geodesic over the transverse
+    cosets, to a/k up to the quadrature error; that checks the quadrature,
+    not the coset geometry (the 1-D periodisation unfolds to a/k for any
+    coset set).  ``orbit_id`` is ignored: every orbit has the same period.
     """
     return model.period_numeric(g, chi_profile or CutoffProfile(), quad or QuadratureSpec())
 

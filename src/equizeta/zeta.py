@@ -172,7 +172,7 @@ def _direct_sum(model: FlowModel, g, sigma: complex, tol: float, window) -> Zeta
 def ruelle_log_closed(model: FlowModel, g, sigma) -> ZetaEvaluation:
     """log R(sigma) by the model's closed form or continuation.
 
-    Spheres have none (trivial connection) and raise NotApplicableError.
+    The circle and spheres continue past Re(sigma) = 0; singular points raise SingularPointError.
     """
     return model.log_closed(g, sigma)
 

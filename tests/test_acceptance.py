@@ -20,7 +20,7 @@ from equizeta import (
     EuclideanLatticeModel,
     IntegerLatticeModel,
     LineModel,
-    NotApplicableError,
+    SingularPointError,
     Sphere2Model,
     Sphere3Model,
     bilateral_exp_sum_direct,
@@ -163,8 +163,9 @@ def test_criterion_6_spheres():
         ev = ruelle_log_direct(Sphere2Model(), theta, sigma)
         worst = max(worst, abs(ev.log_R - oracle))
 
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(SingularPointError):
         ruelle_log_closed(Sphere2Model(), theta, 0.0)
+    past = ruelle_log_closed(Sphere2Model(), theta, -0.3 + 0.2j)
 
     growth = [
         ruelle_log_direct(Sphere2Model(), theta, s).log_R.real for s in (0.2, 0.1, 0.05)
@@ -180,9 +181,9 @@ def test_criterion_6_spheres():
     s3_gap = abs(s3.log_R - s2_sum)
     report(
         6,
-        worst < 1e-10 and monotone and s3_gap < 1e-10,
-        f"sphere2 vs 1e5-term oracle: {worst:.2e} (< 1e-10); sigma=0 continuation "
-        f"refused; growth {growth[0]:.2f} < {growth[1]:.2f} < {growth[2]:.2f}; "
+        worst < 1e-10 and monotone and s3_gap < 1e-10 and past.method == "continuation",
+        f"sphere2 vs 1e5-term oracle: {worst:.2e} (< 1e-10); sigma = 0 a singular point, "
+        f"sigma = -0.3+0.2i continued; growth {growth[0]:.2f} < {growth[1]:.2f} < {growth[2]:.2f}; "
         f"sphere3 vs two sphere2 families: {s3_gap:.2e} (< 1e-10)",
     )
 

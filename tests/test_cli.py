@@ -71,16 +71,24 @@ class TestEval:
         assert code == 0
         assert abs(json.loads(out)["logR_re"] - 1.0 / 3.0) < 1e-12
 
-    def test_sphere_closed_not_applicable(self, capsys):
+    @pytest.mark.parametrize("method", ["closed", "auto"])
+    def test_sphere_singular_point(self, capsys, method):
         code, out = run_cli(
             capsys,
             "eval", "--model", "sphere2", "--params", "theta=1",
-            "--sigma", "0", "--method", "closed",
+            "--sigma", "0", "--method", method,
         )
         assert code == 3
         err = json.loads(out)
         assert err["code"] == 3
-        assert err["error"] == "NotApplicableError"
+        assert err["error"] == "SingularPointError"
+        assert err["message"] == "sigma = 0j is a singular point of the continuation"
+
+    def test_sphere_continues_past_zero(self, capsys):
+        argv = ["eval", "--model", "sphere2", "--params", "theta=2.5", "--sigma=-0.3+0.2i"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert strict_json(out)["method"] == "continuation"
 
     def test_invalid_tol(self, capsys):
         code, out = run_cli(

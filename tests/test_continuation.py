@@ -25,12 +25,21 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from equizeta import CircleModel, cli, ruelle_log_closed, series
+from equizeta import (
+    CircleModel,
+    Sphere2Model,
+    cli,
+    ruelle_log_closed,
+    ruelle_log_direct,
+    series,
+    validate_model,
+)
 from equizeta.selftest import run_selftest
 from equizeta.series import BilateralSumParams, bilateral_exp_sum_continued_result
 
 GRID = Path(__file__).parent / "data" / "lerch_grid.json"
 DPS = 40
+TWO_PI = 2.0 * math.pi
 
 
 def lerch_oracle(r, alpha, z):
@@ -196,6 +205,36 @@ class TestFaultPoints:
         assert code == 0
         (line,) = buf.getvalue().splitlines()
         assert json.loads(line)["method"] == "continuation"
+
+
+def sphere2_oracle(theta, sigma):
+    """sphere2's log R at the float theta: F(2 pi sigma; r, 0) with
+    r = (theta mod 2 pi) / 2 pi, both families of the angle."""
+    with mp.workdps(DPS):
+        tp = 2 * mp.pi
+        return lerch_oracle((mp.mpf(theta) % tp) / tp, 0, tp * mp.mpc(sigma))
+
+
+class TestSpheres:
+    """sphere2 continues through F(2 pi sigma; r, 0), the circle's sum."""
+
+    @pytest.mark.parametrize("theta, sigma", [
+        (2.5, -0.3 + 0.2j), (2.5, -1.0 + 0.1j), (1.0, 0.5), (4.0, 0.05),
+    ])
+    def test_against_lerchphi(self, theta, sigma):
+        ev = ruelle_log_closed(Sphere2Model(), theta, sigma)
+        assert ev.method == "continuation"
+        assert error(ev.log_R, sphere2_oracle(theta, sigma)) <= ev.est_error
+
+    @pytest.mark.parametrize("theta", [TWO_PI - 1e-5, TWO_PI + 1e-5, 2.0 * TWO_PI - 1e-4])
+    @pytest.mark.parametrize("route", [ruelle_log_direct, ruelle_log_closed])
+    def test_next_to_two_pi_z(self, route, theta):
+        # Lengths theta + 2*pi*n formed with the float 2*pi, or the offset
+        # (theta / 2pi) % 1, are 1e-5 off here: r must come from the exact
+        # reduction of theta.
+        assert validate_model(Sphere2Model(), theta).nondegenerate
+        ev = route(Sphere2Model(), theta, 0.5)
+        assert error(ev.log_R, sphere2_oracle(theta, 0.5)) <= ev.est_error
 
 
 def test_inputs_not_finite_refused():

@@ -148,9 +148,11 @@ class TestOrbitContributions:
                 assert all(c.sign == 1 for c in orbit_contributions(model, g, l))
 
 
-# The theta1 family meets the theta2 family at 1 + 2*pi, one ulp apart: the
-# theta2 value lies just outside a window ending at the theta1 value.
-EDGE_THETA2 = math.nextafter(1.0 + TWO_PI, math.inf)
+# The theta1 family's length 2*pi*(2 + r1), r1 = 1/(2*pi), and the theta2
+# family's one ulp above it: the theta2 value lies just outside a window
+# ending at the theta1 value.
+EDGE_THETA2 = 1.000000000000001
+EDGE_WINDOW = TWO_PI * (2.0 + 1.0 / TWO_PI)
 
 
 class TestOrbitData:
@@ -169,7 +171,7 @@ class TestOrbitData:
             (Sphere2Model(), math.pi, 60.0),  # +theta and -theta families meet
             (Sphere3Model(), (1.0, math.sqrt(2.0)), 60.0),
             (Sphere3Model(), (1.0, 1.0 + TWO_PI), 60.0),  # the families collide
-            (Sphere3Model(), (1.0, EDGE_THETA2), 1.0 + TWO_PI),
+            (Sphere3Model(), (1.0, EDGE_THETA2), EDGE_WINDOW),
         ],
         ids=lambda v: getattr(v, "name", None),
     )
@@ -183,8 +185,9 @@ class TestOrbitData:
     def test_sphere3_collisions_merge(self):
         _, weights = Sphere3Model().orbit_data((1.0, 1.0 + TWO_PI), 60.0)
         assert weights.tolist() == [2.0 * TWO_PI + 0j] * len(weights)
-        lengths, weights = Sphere3Model().orbit_data((1.0, EDGE_THETA2), 1.0 + TWO_PI)
-        assert lengths[-1] == 1.0 + TWO_PI and weights[-1] == 2.0 * TWO_PI
+        assert TWO_PI * (2.0 + EDGE_THETA2 / TWO_PI) == math.nextafter(EDGE_WINDOW, math.inf)
+        lengths, weights = Sphere3Model().orbit_data((1.0, EDGE_THETA2), EDGE_WINDOW)
+        assert lengths[-1] == EDGE_WINDOW and weights[-1] == 2.0 * TWO_PI
 
     def test_empty_window_and_bad_window(self):
         lengths, weights = CircleModel().orbit_data(0.25, 0.1)
@@ -524,19 +527,19 @@ class TestValidate:
 
     def test_sphere3_trace_builds_families_once(self, monkeypatch):
         # Only a degenerate element needs the collision count, which builds
-        # the families again out to 10*2*pi.
+        # the orbits again out to 10*2*pi.
         from equizeta import flat_trace_measure
 
-        windows = []
-        build = models._SphereModel._families
+        calls = []
+        build = models._SphereModel.families
 
-        def counted(angles, window):
-            windows.append(window)
-            return build(angles, window)
+        def counted(self, g):
+            calls.append(g)
+            return build(self, g)
 
-        monkeypatch.setattr(models._SphereModel, "_families", staticmethod(counted))
+        monkeypatch.setattr(models._SphereModel, "families", counted)
         flat_trace_measure(Sphere3Model(), (1.0, math.sqrt(2.0)), 50.0)
-        assert len(windows) == 1
+        assert len(calls) == 1
 
     def test_sphere_kernel_is_the_exterior_square_count(self):
         # sphere2: 1 + 2 [theta in 2 pi Z]; sphere3: 2 + 2 [theta1 - theta2 in

@@ -23,6 +23,8 @@ from equizeta import (
     ModelDiagnostics,
     NonConvergentError,
     SeriesResult,
+    Sphere2Model,
+    Sphere3Model,
     ZetaEvaluation,
     chi_primitive_period_numeric,
     flat_trace_measure,
@@ -109,6 +111,48 @@ class TestProbeModel:
             chi_primitive_period_numeric(model, None)
 
 
+@dataclass(frozen=True)
+class FamilyProbeModel(FlowModel):
+    """Two orbit families and a period: the orbits, the tail bound, the
+    continuation and the cutoff period are all inherited from ``families``."""
+
+    name = "family-probe"
+    infinite_spectrum = True
+    period = 3.0
+    validate = ProbeModel.validate
+
+    def element(self, g):
+        return g
+
+    def families(self, g):
+        return [(0.5, 0.25, 0.2 + 1j), (-2.0, 0.4, -0.1j)]
+
+
+class TestFamilyProbeModel:
+    def test_orbits_are_the_families(self):
+        lengths, holonomies = FamilyProbeModel().orbits(None, 2.0)
+        want = [(0.5 * (n + 0.25), 0.2 + 1j) for n in range(-4, 4)]
+        want += [(-2.0 * (n + 0.4), -0.1j) for n in (-1, 0)]
+        assert sorted(zip(lengths.tolist(), holonomies.tolist())) == sorted(
+            (l, complex(np.exp(alpha * l))) for l, alpha in want
+        )
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 0.7 + 2.0j])
+    def test_direct_sum_and_continuation_agree(self, sigma):
+        model = FamilyProbeModel()
+        direct = ruelle_log_direct(model, None, sigma)
+        closed = ruelle_log_closed(model, None, sigma)
+        assert closed.method == "continuation"
+        assert abs(direct.log_R - closed.log_R) <= direct.est_error + closed.est_error
+
+    def test_past_the_convergence_line_and_the_period(self):
+        model = FamilyProbeModel()
+        assert cmath.isfinite(ruelle_log_closed(model, None, -0.5 + 0.3j).log_R)
+        with pytest.raises(DomainError, match="does not converge absolutely"):
+            ruelle_log_direct(model, None, 0.15)
+        assert chi_primitive_period_numeric(model, None) == 3.0
+
+
 class TestContinuationConvergenceFlag:
     @pytest.fixture
     def unconverged(self, monkeypatch):
@@ -138,6 +182,8 @@ class TestOneRecordPerAnswer:
         (CircleModel(alpha=1j), 0.5, 0.5),
         (CircleModel(alpha=1j), 0.25, 0.5),
         (EuclideanLatticeModel.from_angle(3, 1.0, 2.0943951, 3, 0.25j), EuclideanElement(l0=1), 0.5),
+        (Sphere2Model(), 1.0, 0.5),
+        (Sphere3Model(), (1.0, 2.0), -0.3 + 0.2j),
     ])
     def test_log_closed_returns_the_record(self, model, g, sigma):
         ev = model.log_closed(g, complex(sigma))

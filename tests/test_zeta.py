@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from equizeta.series import BilateralSumParams, bilateral_exp_sum_continued_resu
 from equizeta.zeta import AtomicMeasure
 
 TWO_PI = 2.0 * math.pi
+SPHERES = [(Sphere2Model(), 1.0), (Sphere3Model(), (1.0, math.sqrt(2.0)))]
 
 
 def euclid_model(alpha_v0=0j, a=1.0):
@@ -203,7 +205,8 @@ class TestDirect:
         (ruelle_log_direct, CircleModel(alpha=1j), 0.25),
         (ruelle_log_closed, LineModel(alpha=1j), 2.0),
         (ruelle_log_closed, CircleModel(alpha=1j), 0.25),
-    ], ids=["direct", "line-closed", "circle-continuation"])
+        (ruelle_log_closed, Sphere2Model(), 1.0),
+    ], ids=["direct", "line-closed", "circle-continuation", "sphere-continuation"])
     def test_sigma_not_finite_refused(self, route, model, g, sigma):
         # Refused before any evaluation: inf once gave the line closed form 0,
         # and nan reached the continuation.
@@ -294,11 +297,48 @@ class TestClosed:
         with pytest.raises(SingularPointError):
             ruelle_log_closed(CircleModel(alpha=0j), 0.0, 0.0)
 
-    def test_sphere_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            ruelle_log_closed(Sphere2Model(), 1.0, 0.0)
-        with pytest.raises(NotApplicableError):
-            ruelle_log_closed(Sphere3Model(), (1.0, math.sqrt(2.0)), 1.0)
+    @pytest.mark.parametrize("sigma", [0j, 1j, -2j])
+    @pytest.mark.parametrize("model, g", SPHERES, ids=lambda v: getattr(v, "name", None))
+    def test_sphere_singular_points(self, model, g, sigma):
+        # 2*pi*sigma meets the excluded lattice 2*pi*i*Z; the error names sigma itself.
+        message = re.escape(f"sigma = {sigma} is a singular point")
+        with pytest.raises(SingularPointError, match=message):
+            ruelle_log_closed(model, g, sigma)
+
+    def test_sphere_offset_zero_is_left_to_the_direct_sum(self):
+        # theta in 2*pi*Z (a degenerate element) lists the family 2*pi*n, n != 0,
+        # outside the continuation; the CLI's auto route then sums it directly.
+        with pytest.raises(NotApplicableError, match="offset 0"):
+            ruelle_log_closed(Sphere2Model(), TWO_PI, 1.0)
+        assert ruelle_log_direct(Sphere2Model(), TWO_PI, 1.0).method == "direct"
+
+    def test_sphere3_is_the_sum_over_its_angles(self):
+        angles = (1.0, math.sqrt(2.0))
+        for sigma in (0.5, -0.3 + 0.2j, -1.0 + 0.1j):
+            whole = ruelle_log_closed(Sphere3Model(), angles, sigma)
+            parts = [ruelle_log_closed(Sphere2Model(), theta, sigma) for theta in angles]
+            gap = abs(whole.log_R - parts[0].log_R - parts[1].log_R)
+            assert whole.method == "continuation"
+            assert gap <= whole.est_error + parts[0].est_error + parts[1].est_error
+
+    def test_sphere_half_rule_matches_the_direct_sum(self):
+        # At theta = pi the mirror family -(theta + 2*pi*Z) is the same set, listed once.
+        assert len(Sphere2Model().families(math.pi)) == 1
+        direct = ruelle_log_direct(Sphere2Model(), math.pi, 0.7)
+        closed = ruelle_log_closed(Sphere2Model(), math.pi, 0.7)
+        assert abs(direct.log_R - closed.log_R) <= direct.est_error + closed.est_error
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.2, 1.0, 5.0, 0.3 + 2.0j])
+    @pytest.mark.parametrize(
+        "model, g",
+        SPHERES + [(Sphere2Model(), 2.5), (Sphere2Model(), -4.0), (Sphere3Model(), (0.4, -2.9))],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_sphere_direct_continuation_agreement(self, model, g, sigma):
+        direct = ruelle_log_direct(model, g, sigma)
+        closed = ruelle_log_closed(model, g, sigma)
+        assert closed.method == "continuation"
+        assert abs(direct.log_R - closed.log_R) <= direct.est_error + closed.est_error
 
     @pytest.mark.parametrize("r0", [0.25, 1.0 / 3.0, 0.5, 0.75])
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 5.0])
