@@ -5,10 +5,12 @@ A class r0 in (0,1) has spectrum {n + r0} and its log-zeta is the bilateral
 sum F(sigma; r0, alpha).  For Re(sigma) > 0 the sum converges absolutely;
 reaching sigma = 0 (the torsion comparison point) takes the continuation
 through Lerch's transcendent, which exists whenever alpha is not in
-2*pi*i*Z.  The value at
-0 is then cross-checked against a delayed-averaging resummation of the
-conditionally convergent boundary series, and the Fried residual compares
-it with the spectral torsion by Ewald's split: genuinely different routes.
+2*pi*i*Z.  The class r0 = 1/2 takes the same continuation, checked here
+against its atanh terms.  The value at 0 is then cross-checked against a
+delayed-averaging resummation of the conditionally convergent boundary
+series, and the Fried residual compares it with the spectral torsion by
+Ewald's split: genuinely different routes.  The identity class r0 = 0 has
+one logarithm per half, a closed form.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 from equizeta import (
     BilateralSumParams,
     CircleModel,
+    atanh_of_exp,
     bilateral_exp_sum_continued,
     bilateral_exp_sum_direct,
     bilateral_exp_sum_resummed,
@@ -60,13 +63,15 @@ def main():
         rep = fried_residual(model, r0)
         print(f"            fried residual {abs(rep.residual):.2e} ({rep.reason})")
 
-    print("\n== the class r0 = 1/2 collapses to atanh terms ==")
+    print("\n== the class r0 = 1/2: the continuation against its atanh terms ==")
     for sigma in (0.5, 1.0, 2.0):
-        closed = ruelle_log_closed(model, 0.5, sigma)
+        cont = ruelle_log_closed(model, 0.5, sigma)
+        atanh = 0.5 * (atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0))
         direct = ruelle_log_direct(model, 0.5, sigma)
         print(
-            f"  sigma = {sigma:4.2f}: closed {closed.log_R:+.12f} [{closed.method}] "
-            f"vs direct {direct.log_R:+.12f}, gap {abs(closed.log_R - direct.log_R):.1e}"
+            f"  sigma = {sigma:4.2f}: {cont.method} {cont.log_R:+.12f} "
+            f"vs atanh {atanh:+.12f} (gap {abs(cont.log_R - atanh):.1e}) "
+            f"vs direct (gap {abs(cont.log_R - direct.log_R):.1e})"
         )
 
     print("\n== identity class and the conjugacy-class product ==")

@@ -33,7 +33,8 @@ subclasses FlowModel and implements them.
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
     [0 for a finite spectrum, summed whole; from families otherwise]
   * log_closed(g, sigma): log R as a ZetaEvaluation, by closed form or
-    continuation [from families; DomainError for a finite spectrum]
+    continuation [derived from families for every family model, offset 0
+    included; DomainError for a finite spectrum]
   * torsion(g): log of the torsion as a SeriesResult, by closed form
     (est_error 0) or a spectral series [DomainError]
   * period_numeric(g, profile, quad): the cutoff-primitive period once
@@ -71,15 +72,13 @@ from .rotations import (
     unit_eigenvalue_multiplicity,
 )
 from .series import (
-    LATTICE_TOL,
     UNITARY_TOL,
     BilateralSumParams,
     SeriesResult,
     ZetaEvaluation,
-    _distance_to_singular_lattice,
+    _offset_zero_continued,
     _reduce_2pi,
     alpha_in_two_pi_i_z,
-    atanh_of_exp,
     bilateral_exp_sum_continued_result,
     bilateral_exp_sum_ewald,
     gauss_legendre,
@@ -339,24 +338,30 @@ class FlowModel:
         return self._continued(self.families(g), sigma)
 
     def _continued(self, families, sigma: complex) -> ZetaEvaluation:
-        """The sum of (period / 2|d|) F(|d| sigma; r, d alpha) over the families."""
-        value, est_error, terms = None, 0.0, 0
+        """The sum of (period / 2|d|) F(|d| sigma; r, d alpha) over the families, by
+        the closed form at r = 0 ("closed" when every r is 0), else the continuation."""
+        value, est_error, terms, method = None, 0.0, 0, "closed"
         for d, r, a in families:
-            if r == 0.0:
-                raise NotApplicableError("an orbit family with offset 0 has no continuation")
             z = sigma
             if d != 1.0:  # real factors scale each part alone, which keeps signed zeros
                 a = complex(d * a.real, d * a.imag)
                 z = complex(abs(d) * z.real, abs(d) * z.imag)
             try:
-                res = _converged(bilateral_exp_sum_continued_result(BilateralSumParams(r, a), z))
+                if r == 0.0:
+                    res = _offset_zero_continued(a, z)
+                else:
+                    method = "continuation"
+                    res = bilateral_exp_sum_continued_result(BilateralSumParams(r, a), z)
             except SingularPointError as exc:
                 msg = f"sigma = {sigma} is a singular point of the continuation"
                 raise SingularPointError(msg) from exc
+            if not res.converged:
+                msg = f"the continuation did not converge (est_error {res.est_error:.3e})"
+                raise NonConvergentError(msg, partial=res.value)
             res = res.scaled(self.period / (2.0 * abs(d)))
             value = res.value if value is None else value + res.value
             est_error, terms = est_error + res.est_error, terms + res.terms_used
-        return ZetaEvaluation(sigma, value, "continuation", est_error, terms)
+        return ZetaEvaluation(sigma, value, method, est_error, terms)
 
     def torsion(self, g) -> SeriesResult:
         raise DomainError(f"no torsion value registered for {self!r}")
@@ -379,15 +384,6 @@ def _unitary(alpha) -> complex:
 
 def _closed(value: complex) -> SeriesResult:
     return SeriesResult(value, 1, 0.0, True)
-
-
-def _converged(res: SeriesResult) -> SeriesResult:
-    if not res.converged:
-        raise NonConvergentError(
-            f"the continuation did not converge (est_error {res.est_error:.3e})",
-            partial=res.value,
-        )
-    return res
 
 
 @dataclass(frozen=True)
@@ -424,9 +420,9 @@ class LineModel(FlowModel):
         return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 
     def torsion(self, g) -> SeriesResult:
-        alpha = _unitary(self.alpha)
-        g = float(self.element(g))
-        return _closed(cmath.exp(alpha * g) / (2.0 * abs(g)) if g else 0j)
+        """log R(0) for a unitary alpha: Fried reads one formula twice until a spectral route."""
+        _unitary(self.alpha)
+        return _closed(self.log_closed(g, 0j).log_R)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         self.element(g)
@@ -475,28 +471,6 @@ class CircleModel(FlowModel):
             continuation_available=not in_lattice,
             laplacian_kernel_nonzero=in_lattice,
         )
-
-    def log_closed(self, r0, sigma: complex) -> ZetaEvaluation:
-        families = self.families(r0)
-        ((_, r0, alpha),) = families
-        if r0 == 0.0:
-            # -(1/2)[log(1 - e^{alpha-sigma}) + log(1 - e^{-alpha-sigma})], branch
-            # by continuity from sigma -> +oo (principal logs never cross the
-            # cut for imaginary alpha and Re(sigma) >= 0).
-            if _distance_to_singular_lattice(sigma, alpha) < LATTICE_TOL:
-                raise SingularPointError(
-                    f"sigma = {sigma} is a singular point of the identity-class closed form"
-                )
-            w1, w2 = cmath.exp(alpha - sigma), cmath.exp(-alpha - sigma)
-            value = 0.5 * (-cmath.log(1.0 - w1) - cmath.log(1.0 - w2))
-        elif abs(r0 - 0.5) < 1e-12 and sigma.real > abs(alpha.real):
-            # tanh form: each atanh term is half a half-integer exponential series.
-            value = 0.5 * (
-                atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0)
-            )
-        else:
-            return self._continued(families, sigma)
-        return ZetaEvaluation(sigma, value, "closed", 1e-15 * max(1.0, abs(value)), 2)
 
     def torsion(self, r0) -> SeriesResult:
         """The spectral torsion: Ewald's split off the identity class, else a closed form."""
@@ -677,9 +651,9 @@ class EuclideanLatticeModel(FlowModel):
         return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
 
     def torsion(self, g) -> SeriesResult:
-        alpha = _unitary(self.alpha_v0)
-        l = self._axial_length(g)
-        return _closed(self.period * cmath.exp(l * alpha) / abs(l))
+        """log R(0) for a unitary alpha_v0: Fried reads one formula twice until a spectral route."""
+        _unitary(self.alpha_v0)
+        return _closed(self.log_closed(g, 0j).log_R)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         self._axial_length(g)

@@ -25,7 +25,7 @@ and H is continued by three routes (DLMF 25.14, 24.2):
 The continued value exists for all z outside the lattice
 +-alpha + 2*pi*i*Z, where log(-u) is singular; in particular at z = 0
 whenever alpha is not in 2*pi*i*Z, which is what the torsion comparisons
-need.
+need.  The offset r = 0 (no n = 0 term) has a closed form at the same u.
 
 Everything here works in double precision with explicit error tracking;
 all logarithms are principal branch.  ``hyp2f1`` (Gauss's 2F1) stays as a
@@ -471,6 +471,17 @@ def _distance_to_singular_lattice(z: complex, alpha: complex) -> float:
     return min(abs(u0) for u0, _, _ in _lattice_offsets(complex(alpha), complex(z)))
 
 
+def _continuable_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, float]]:
+    """``_lattice_offsets`` of a finite z (else DomainError) off the excluded
+    lattice (else SingularPointError)."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"the continuation needs a finite z, got {z}")
+    halves = _lattice_offsets(alpha, z)
+    if min(abs(u0) for u0, _, _ in halves) < LATTICE_TOL:
+        raise SingularPointError(f"z = {z} lies on the excluded lattice +-alpha + 2*pi*i*Z")
+    return halves
+
+
 def alpha_in_two_pi_i_z(alpha: complex) -> bool:
     """True when z = 0 is on the excluded lattice (no continuation to 0)."""
     return _distance_to_singular_lattice(0j, alpha) < LATTICE_TOL
@@ -540,15 +551,7 @@ def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult
     excluded lattice).  terms_used counts the series terms summed over both
     halves.  Raises SingularPointError on the excluded lattice.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"the continuation needs a finite z, got {z}")
-    alpha = complex(p.alpha)
-    halves = _lattice_offsets(alpha, z)
-    if min(abs(u0) for u0, _, _ in halves) < LATTICE_TOL:
-        raise SingularPointError(
-            f"z = {z} lies on the excluded lattice +-alpha + 2*pi*i*Z"
-        )
+    halves = _continuable_offsets(complex(p.alpha), complex(z))
     r = p.r
     # min(r, 1 - r) is exact: 1 - r is, for r >= 1/2 (Sterbenz).
     small = min(r, 1.0 - r)
@@ -568,6 +571,24 @@ def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult
         terms += n
         est += sum(bounds)
     return SeriesResult(value, terms, est, True)
+
+
+def _offset_zero_continued(alpha: complex, z: complex) -> SeriesResult:
+    """F(z; 0, alpha) = -log(1 - e^{alpha - z}) - log(1 - e^{-alpha - z}), each
+    half -log(-expm1(u0)) at its reduced u0 (e^u is 2*pi*i-periodic: no phase).
+    est_error sums ROUNDING_ULPS ulps of the term moduli (|log|, and the parts
+    of expm1 over its modulus) and du |e^{u0}/(1 - e^{u0})| over both halves."""
+    value, est = 0j, 0.0
+    for u0, _, du in _continuable_offsets(alpha, z):
+        # expm1(x + iy) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y, each part to a few ulps.
+        s, e_x = math.sin(0.5 * u0.imag), math.exp(u0.real)
+        a, b, c = math.expm1(u0.real) * math.cos(u0.imag), 2.0 * s * s, e_x * math.sin(u0.imag)
+        w = complex(b - a, -c)  # 1 - e^{u0}
+        log = cmath.log(w)
+        value -= log
+        moduli = abs(log) + (abs(a) + b + abs(c)) / abs(w)
+        est += ROUNDING_ULPS * _EPS * moduli + du * e_x / abs(w)
+    return SeriesResult(value, 2, est, True)
 
 
 def bilateral_exp_sum_continued(p: BilateralSumParams, z) -> complex:

@@ -172,7 +172,8 @@ def _direct_sum(model: FlowModel, g, sigma: complex, tol: float, window) -> Zeta
 def ruelle_log_closed(model: FlowModel, g, sigma) -> ZetaEvaluation:
     """log R(sigma) by the model's closed form or continuation.
 
-    The circle and spheres continue past Re(sigma) = 0; singular points raise SingularPointError.
+    The circle and spheres take their families' routes (a closed form at offset
+    0), past Re(sigma) = 0; singular points raise SingularPointError.
     """
     return model.log_closed(g, sigma)
 

@@ -23,6 +23,7 @@ from equizeta import (
     SingularPointError,
     Sphere2Model,
     Sphere3Model,
+    atanh_of_exp,
     bilateral_exp_sum_direct,
     bilateral_exp_sum_resummed,
     chi_primitive_period_numeric,
@@ -113,16 +114,23 @@ def test_criterion_3_circle_identity_class():
 
 
 def test_criterion_4_half_class_tanh_identity():
+    # The class r0 = 1/2 takes the family continuation; the bilateral series
+    # and the atanh identity 2 log R = 2 atanh(e^{(alpha-sigma)/2})
+    # + 2 atanh(e^{(-alpha-sigma)/2}) are two independent values.
     worst = 0.0
     for alpha in (0j, 1j * math.pi / 3.0):
         for sigma in (0.5, 1.0, 2.0):
             series = bilateral_exp_sum_direct(
                 BilateralSumParams(0.5, alpha, unitary=True), sigma
             ).value
+            atanh = atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0)
             closed = ruelle_log_closed(CircleModel(alpha=alpha), 0.5, sigma)
-            assert closed.method == "closed"
-            worst = max(worst, abs(0.5 * series - closed.log_R))
-    report(4, worst < 1e-10, f"tanh closed form vs bilateral series: {worst:.2e} (< 1e-10)")
+            assert closed.method == "continuation"
+            worst = max(worst, abs(0.5 * series - closed.log_R), abs(0.5 * atanh - closed.log_R))
+    report(
+        4, worst < 1e-10,
+        f"half-class continuation vs bilateral series and atanh identity: {worst:.2e} (< 1e-10)",
+    )
 
 
 def test_criterion_5_euclidean_model():

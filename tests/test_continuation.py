@@ -51,6 +51,13 @@ def lerch_oracle(r, alpha, z):
         ) * mp.lerchphi(mp.exp(-a - w), 1, 1 - s)
 
 
+def identity_oracle(alpha, z):
+    """F(z; 0, alpha) = -log(1 - e^{alpha-z}) - log(1 - e^{-alpha-z}), as an mpc at DPS digits."""
+    with mp.workdps(DPS):
+        a, w = mp.mpc(alpha), mp.mpc(z)
+        return -mp.log(1 - mp.exp(a - w)) - mp.log(1 - mp.exp(-a - w))
+
+
 def error(value, ref) -> float:
     with mp.workdps(DPS):
         return float(abs(mp.mpc(value) - ref))
@@ -65,6 +72,18 @@ def grid_points():
         alpha = complex(rng.uniform(-3.0, 3.0), rng.uniform(-120.0, 120.0))
         z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-20.0, 20.0))
         yield r, alpha, z
+
+
+def identity_grid():
+    """3,000 seeded (alpha, sigma) for the identity class: Re alpha in (-1, 1)
+    or 0, |Im alpha| < 40, and sigma a log-uniform distance in (1e-9, 3) from
+    a point of the excluded lattice +-alpha + 2*pi*i*Z, in a uniform direction."""
+    rng = np.random.default_rng(3000)
+    for i in range(3000):
+        alpha = complex(0.0 if i % 2 else rng.uniform(-1.0, 1.0), rng.uniform(-40.0, 40.0))
+        centre = rng.choice((1.0, -1.0)) * alpha + 2j * math.pi * int(rng.integers(-3, 4))
+        distance = 10.0 ** rng.uniform(-9.0, math.log10(3.0))
+        yield alpha, centre + distance * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
 
 
 def certificate_terms(r, alpha, z):
@@ -196,6 +215,32 @@ class TestFaultPoints:
     def test_within_est_error(self, r, alpha):
         res = continued(r, alpha, 0.0)
         assert error(res.value, lerch_oracle(r, alpha, 0.0)) <= res.est_error
+
+    @pytest.mark.parametrize("r0, alpha, sigma", [
+        # next to 1/2, where a closed form for r0 = 1/2 alone was once taken
+        (0.5 + 9e-13, 0.3 + 1j, 0.5), (0.5 - 9e-13, 0.3 + 1j, 0.5),
+        (0.5 + 9e-13, 2j, 1.0), (0.5 - 9e-13, 2j, 1.0),
+        (0.5 + 9e-13, 0.8, 1.0), (0.5 - 9e-13, 0.8, 1.0),
+        (0.5, 0j, 1e-3),
+    ])
+    def test_half_class_within_est_error(self, r0, alpha, sigma):
+        ev = ruelle_log_closed(CircleModel(alpha=alpha), r0, sigma)
+        assert ev.method == "continuation"
+        assert error(2.0 * ev.log_R, lerch_oracle(r0, alpha, sigma)) <= 2.0 * ev.est_error
+
+    @pytest.mark.parametrize("alpha, sigma", [(0j, 1e-8), (0j, 1e-3)])
+    def test_identity_class_within_est_error(self, alpha, sigma):
+        ev = ruelle_log_closed(CircleModel(alpha=alpha), 0.0, sigma)
+        assert ev.method == "closed"
+        assert error(2.0 * ev.log_R, identity_oracle(alpha, sigma)) <= 2.0 * ev.est_error
+
+    def test_identity_class_grid_has_no_miss(self):
+        misses = []
+        for alpha, sigma in identity_grid():
+            ev = ruelle_log_closed(CircleModel(alpha=alpha), 0.0, sigma)
+            if not error(2.0 * ev.log_R, identity_oracle(alpha, sigma)) <= 2.0 * ev.est_error:
+                misses.append((alpha, sigma))
+        assert not misses, (len(misses), misses[:5])
 
     @pytest.mark.parametrize("r0", ["1e-13", "0.9999999999999"])
     def test_cli_exits_zero_with_one_json_line(self, r0):

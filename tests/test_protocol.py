@@ -145,6 +145,26 @@ class TestFamilyProbeModel:
         assert closed.method == "continuation"
         assert abs(direct.log_R - closed.log_R) <= direct.est_error + closed.est_error
 
+    @pytest.mark.parametrize("families, method", [
+        ([(0.5, 0.0, 0.2 + 1j), (-2.0, 0.4, -0.1j)], "continuation"),
+        ([(0.5, 0.0, 0.2 + 1j), (-2.0, 0.0, -0.1j)], "closed"),
+    ])
+    def test_offset_zero_families(self, monkeypatch, families, method):
+        # An offset-0 family (lengths d*n, n != 0) takes the closed form of
+        # F(z; 0, alpha); the method is "closed" only when every family does.
+        monkeypatch.setattr(FamilyProbeModel, "families", lambda self, g: families)
+        model = FamilyProbeModel()
+        for sigma in (0.5, 1.0, 0.7 + 2.0j):
+            direct = ruelle_log_direct(model, None, sigma)
+            closed = ruelle_log_closed(model, None, sigma)
+            assert closed.method == method
+            assert abs(direct.log_R - closed.log_R) <= direct.est_error + closed.est_error
+        assert cmath.isfinite(ruelle_log_closed(model, None, -0.5 + 0.3j).log_R)
+
+    def test_circle_and_spheres_answer_through_their_families(self):
+        for cls in (CircleModel, Sphere2Model, Sphere3Model, models._SphereModel):
+            assert "log_closed" not in vars(cls) and "_continued" not in vars(cls)
+
     def test_past_the_convergence_line_and_the_period(self):
         model = FamilyProbeModel()
         assert cmath.isfinite(ruelle_log_closed(model, None, -0.5 + 0.3j).log_R)

@@ -274,17 +274,20 @@ class TestClosed:
         assert abs(direct.log_R - ev.log_R) < 1e-14
 
     def test_circle_half_matches_direct_series(self):
-        # tanh-form closed route against the defining bilateral series.
-        from equizeta import BilateralSumParams, bilateral_exp_sum_direct
+        # The class r0 = 1/2 continues like any other, against the defining
+        # bilateral series and, independently, the atanh identity.
+        from equizeta import BilateralSumParams, atanh_of_exp, bilateral_exp_sum_direct
 
         for alpha in (0j, 1j * math.pi / 3.0, 1j * math.pi):
             for sigma in (0.5, 1.0, 2.0):
                 ev = ruelle_log_closed(CircleModel(alpha=alpha), 0.5, sigma)
-                assert ev.method == "closed"
+                assert ev.method == "continuation"
                 series = bilateral_exp_sum_direct(
                     BilateralSumParams(0.5, alpha), sigma
                 ).value
+                atanh = atanh_of_exp((alpha - sigma) / 2.0) + atanh_of_exp((-alpha - sigma) / 2.0)
                 assert abs(ev.log_R - 0.5 * series) < 1e-10
+                assert abs(ev.log_R - 0.5 * atanh) <= ev.est_error + 1e-15
 
     def test_circle_generic_continuation(self):
         ev = ruelle_log_closed(CircleModel(alpha=1j), 0.25, 0.0)
@@ -298,19 +301,35 @@ class TestClosed:
             ruelle_log_closed(CircleModel(alpha=0j), 0.0, 0.0)
 
     @pytest.mark.parametrize("sigma", [0j, 1j, -2j])
-    @pytest.mark.parametrize("model, g", SPHERES, ids=lambda v: getattr(v, "name", None))
+    @pytest.mark.parametrize(
+        "model, g",
+        # theta in 2*pi*Z is the offset-0 family: the same lattice rule
+        SPHERES + [(Sphere2Model(), 0.0), (Sphere2Model(), TWO_PI), (Sphere2Model(), 2.0 * TWO_PI)],
+        ids=lambda v: getattr(v, "name", None),
+    )
     def test_sphere_singular_points(self, model, g, sigma):
         # 2*pi*sigma meets the excluded lattice 2*pi*i*Z; the error names sigma itself.
         message = re.escape(f"sigma = {sigma} is a singular point")
         with pytest.raises(SingularPointError, match=message):
             ruelle_log_closed(model, g, sigma)
 
-    def test_sphere_offset_zero_is_left_to_the_direct_sum(self):
-        # theta in 2*pi*Z (a degenerate element) lists the family 2*pi*n, n != 0,
-        # outside the continuation; the CLI's auto route then sums it directly.
-        with pytest.raises(NotApplicableError, match="offset 0"):
-            ruelle_log_closed(Sphere2Model(), TWO_PI, 1.0)
-        assert ruelle_log_direct(Sphere2Model(), TWO_PI, 1.0).method == "direct"
+    def test_sphere_offset_zero_family_continues(self):
+        # theta in 2*pi*Z (a degenerate element) lists the one family 2*pi*n,
+        # n != 0: log R = -log(1 - e^{-2 pi sigma}), closed, and continued past
+        # Re(sigma) = 0.
+        for theta in (0.0, TWO_PI, 2.0 * TWO_PI):
+            assert Sphere2Model().families(theta) == [(TWO_PI, 0.0, 0j)]
+            closed = ruelle_log_closed(Sphere2Model(), theta, 0.5)
+            direct = ruelle_log_direct(Sphere2Model(), theta, 0.5)
+            assert closed.method == "closed"
+            assert abs(closed.log_R - direct.log_R) <= closed.est_error + direct.est_error
+            assert abs(closed.log_R + math.log(-math.expm1(-math.pi))) <= closed.est_error
+            assert cmath.isfinite(ruelle_log_closed(Sphere2Model(), theta, -0.3 + 0.2j).log_R)
+        # One angle in 2*pi*Z leaves the other's families on the continuation.
+        closed = ruelle_log_closed(Sphere3Model(), (0.0, 1.0), 0.5)
+        direct = ruelle_log_direct(Sphere3Model(), (0.0, 1.0), 0.5)
+        assert closed.method == "continuation"
+        assert abs(closed.log_R - direct.log_R) <= closed.est_error + direct.est_error
 
     def test_sphere3_is_the_sum_over_its_angles(self):
         angles = (1.0, math.sqrt(2.0))
@@ -363,6 +382,22 @@ class TestTorsion:
 
     def test_euclid(self):
         assert abs(torsion_log(euclid_model(), EuclideanElement(l0=1)) - 1.0 / 3.0) < 1e-16
+
+    def test_finite_spectra_read_torsion_off_log_r(self):
+        # log R(0) itself, bit for bit the formula e^{alpha l} * period / |l|.
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            alpha, g = 1j * float(rng.uniform(-50.0, 50.0)), float(rng.uniform(-20.0, 20.0))
+            n = int(rng.integers(-9, 10))
+            assert torsion_log(LineModel(alpha=alpha), g) == cmath.exp(alpha * g) / (2.0 * abs(g))
+            if n:
+                assert torsion_log(IntegerLatticeModel(alpha=alpha), n) == (
+                    cmath.exp(alpha * n) / (2.0 * abs(n)))
+                model = euclid_model(alpha_v0=alpha, a=abs(g) or 1.0)
+                l = model.a * n
+                assert torsion_log(model, EuclideanElement(l0=n)) == (
+                    model.period * cmath.exp(l * alpha) / abs(l))
+        assert torsion_log(LineModel(alpha=1j), 0.0) == 0j
 
     def test_alpha_conditions(self):
         with pytest.raises(DomainError):
