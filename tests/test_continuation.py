@@ -197,7 +197,8 @@ class TestCertificateTerms:
 
 
 class TestFaultPoints:
-    """Inputs on which the 2F1 continuation failed, each now within est_error."""
+    """Inputs on which a circle route missed its certificate (the 2F1 continuation,
+    the identity-class and half-class closed forms), each now within est_error."""
 
     def test_tiny_class_is_fast_and_certified(self):
         model = CircleModel(alpha=1j)
@@ -217,7 +218,7 @@ class TestFaultPoints:
         assert error(res.value, lerch_oracle(r, alpha, 0.0)) <= res.est_error
 
     @pytest.mark.parametrize("r0, alpha, sigma", [
-        # next to 1/2, where a closed form for r0 = 1/2 alone was once taken
+        # r0 next to and at 1/2, each on the continuation
         (0.5 + 9e-13, 0.3 + 1j, 0.5), (0.5 - 9e-13, 0.3 + 1j, 0.5),
         (0.5 + 9e-13, 2j, 1.0), (0.5 - 9e-13, 2j, 1.0),
         (0.5 + 9e-13, 0.8, 1.0), (0.5 - 9e-13, 0.8, 1.0),
