@@ -28,8 +28,13 @@ whenever alpha is not in 2*pi*i*Z, which is what the torsion comparisons
 need.  The offset r = 0 (no n = 0 term) has a closed form at the same u.
 
 Everything here works in double precision with explicit error tracking;
-all logarithms are principal branch.  ``hyp2f1`` (Gauss's 2F1) stays as a
-standalone function that no evaluation path calls.
+all logarithms are principal branch.  The disc's psi(a), a in (0, 1), is
+``_digamma``: Boost's rational approximation on [1, 2], the one Cephes and so
+scipy.special.digamma use, which gives scipy's bits without importing scipy.
+``hyp2f1`` (Gauss's 2F1) stays as a standalone function that no evaluation
+path calls.  scipy.special is imported only by the 2F1 code and by
+``bilateral_exp_sum_ewald`` (erfc and E1), so log R is evaluated without
+scipy.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NonConvergentError, SingularPointError
 
@@ -243,6 +247,8 @@ def _hyp2f1_logcase(a, b, z) -> SeriesResult:
                      * (2 psi(k+1) - psi(a+k) - psi(b+k) - log(1-z)) (1-z)^k,
     valid for |1-z| < 1 off the cut [1, oo).
     """
+    from scipy import special
+
     u = 1.0 - z
     uabs = abs(u)
     lg = cmath.log(u)
@@ -319,6 +325,8 @@ def hyp2f1(a, b, c, z) -> SeriesResult:
     on the singular locus z = 1 (when Re(c-a-b) <= 0) or when no route
     covers the argument, as for 0 < |z-1| < SERIES_TOL off the log case.
     """
+    from scipy import special
+
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _is_nonpositive_integer(c):
         raise DomainError(f"2F1 undefined for nonpositive integer c = {c}")
@@ -494,6 +502,36 @@ def _disc_coefficients(s: float) -> np.ndarray:
     return (_DISC_TABLE @ (s**_DISC_I * _INV_FACTORIAL)).reshape(2, DISC_TERMS)
 
 
+# psi on [1, 2] is (x - root) (Y + P(x - 1)/Q(x - 1)), with root the positive
+# zero of psi in three parts and Y a float32 constant (Boost's digamma_imp_1_2).
+_PSI_Y = 0.99558162689208984
+_PSI_ROOT_HI = 1569415565.0 / 1073741824.0
+_PSI_ROOT_MID = (381566830.0 / 1073741824.0) / 1073741824.0
+_PSI_ROOT_LO = 0.9016312093258695918615325266959189453125e-19
+
+
+def _digamma(a: float) -> float:
+    """psi(a) for a in (0, 1), as psi(a) = -1/a + psi(a + 1).
+
+    psi on [1, 2] is Boost's rational approximation, the one Cephes' psi
+    (and so scipy.special.digamma) takes, in the same operation order: the
+    result equals scipy's bit for bit.  Its relative error against mpmath at
+    40 digits is at most 3 ulps of |psi| (2.2 at worst on 200,016 seeded a,
+    uniform, log-uniform down to 1e-300 and 1 - 10^-k; tests/test_series.py
+    keeps 3,000 of them), inside the ROUNDING_ULPS = 8 ulps of |psi| that
+    the disc's certificate counts.
+    """
+    x = a + 1.0
+    t = x - 1.0
+    # P and Q by Horner's rule, highest power first.
+    p = (((((-0.0020713321167745952 * t + -0.045251321448739056) * t + -0.28919126444774784) * t
+           + -0.65031853770896507) * t + -0.32555031186804491) * t + 0.25479851061131551)
+    q = ((((((-0.55789841321675513e-6 * t + 0.0021284987017821144) * t + 0.054151797245674225) * t
+            + 0.43593529692665969) * t + 1.4606242909763515) * t + 2.0767117023730469) * t + 1.0)
+    g = x - _PSI_ROOT_HI - _PSI_ROOT_MID - _PSI_ROOT_LO
+    return -1.0 / a + (g * _PSI_Y + g * (p / q))
+
+
 def _exp_2pi_i(r: float, m: int) -> complex:
     """e^{2 pi i m r}, with m*r mod 1 exact: r is a dyadic fraction n/d."""
     n, d = r.as_integer_ratio()
@@ -528,7 +566,7 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
     c, c_moduli = coefficients
     powers = np.full(DISC_TERMS, -u0 if a > b else u0).cumprod()
     log = cmath.log(-u0)
-    psi = float(special.digamma(a))
+    psi = _digamma(a)
     value = -np.euler_gamma - log - psi - complex(c @ powers)
     moduli = np.euler_gamma + abs(log) + abs(psi) + float(c_moduli @ np.abs(powers))
     # |B_k(a)|/k! <= 2 zeta(k)/(2 pi)^k <= 4/(2 pi)^k for k >= 2 (DLMF 24.8.1-2).
@@ -576,18 +614,29 @@ def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult
 def _offset_zero_continued(alpha: complex, z: complex) -> SeriesResult:
     """F(z; 0, alpha) = -log(1 - e^{alpha - z}) - log(1 - e^{-alpha - z}), each
     half -log(-expm1(u0)) at its reduced u0 (e^u is 2*pi*i-periodic: no phase).
-    est_error sums ROUNDING_ULPS ulps of the term moduli (|log|, and the parts
-    of expm1 over its modulus) and du |e^{u0}/(1 - e^{u0})| over both halves."""
+    For Re u0 > 0, where e^{u0} may overflow, a half is the inversion
+    -log(1 - e^{-u0}) - u0 + i pi sign(Im u0), the sign taken from Im u0's
+    signed zero (the side of the cut that 1 - e^{u0} lands on).
+    est_error sums ROUNDING_ULPS ulps of the term moduli (|log|, the parts of
+    expm1 over its modulus, and |u0| + pi when inverted) and du |dH/du0| =
+    du / |1 - e^{-u0}| over both halves."""
     value, est = 0j, 0.0
     for u0, _, du in _continuable_offsets(alpha, z):
+        inverted = u0.real > 0.0
+        v = -u0 if inverted else u0
         # expm1(x + iy) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y, each part to a few ulps.
-        s, e_x = math.sin(0.5 * u0.imag), math.exp(u0.real)
-        a, b, c = math.expm1(u0.real) * math.cos(u0.imag), 2.0 * s * s, e_x * math.sin(u0.imag)
-        w = complex(b - a, -c)  # 1 - e^{u0}
+        s, e_x = math.sin(0.5 * v.imag), math.exp(v.real)
+        a, b, c = math.expm1(v.real) * math.cos(v.imag), 2.0 * s * s, e_x * math.sin(v.imag)
+        w = complex(b - a, -c)  # 1 - e^{v}
         log = cmath.log(w)
         value -= log
         moduli = abs(log) + (abs(a) + b + abs(c)) / abs(w)
-        est += ROUNDING_ULPS * _EPS * moduli + du * e_x / abs(w)
+        gain = e_x  # |dH/du0| = gain / |w|
+        if inverted:
+            value += complex(-u0.real, math.copysign(math.pi, u0.imag) - u0.imag)
+            moduli += abs(u0) + math.pi
+            gain = 1.0
+        est += ROUNDING_ULPS * _EPS * moduli + du * gain / abs(w)
     return SeriesResult(value, 2, est, True)
 
 
@@ -646,6 +695,8 @@ def bilateral_exp_sum_ewald(p: BilateralSumParams) -> SeriesResult:
     spectral window.  est_error: the tails, by erfc(t) <= e^{-t^2}/(t sqrt(pi))
     and E1(t) <= e^{-t}/t, plus 8 ulp of the summed term moduli.
     """
+    from scipy import special
+
     if abs(p.alpha.real) > UNITARY_TOL or alpha_in_two_pi_i_z(p.alpha):
         raise DomainError(f"the Ewald split needs alpha in i*R off 2*pi*i*Z, got {p.alpha}")
     beta, m = _reduce_2pi(p.alpha.imag)

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import pytest
 
 from equizeta.cli import CSV_HEADER, main, parse_complex
@@ -265,7 +266,6 @@ class TestEval:
         "eval --model line --params g=2 --sigma=-400 --method direct",
         f"eval --model euclid --params {EUCLID} --sigma=-400",
         f"eval --model euclid --params {EUCLID} --sigma=-400 --method direct",
-        "eval --model circle --params r0=0,alpha=1i --sigma=-800",
         "eval --model line --params g=2,alpha=400 --sigma 1",
     ])
     def test_overflowing_log_r_is_a_domain_error(self, capsys, argv):
@@ -274,6 +274,18 @@ class TestEval:
         assert len(out.splitlines()) == 1
         assert strict_json(out)["error"] == "DomainError"
         assert "overflows a float" in strict_json(out)["message"]
+
+    def test_identity_class_past_the_exp_range(self, capsys):
+        # e^{800 +- i} overflows a float, log R = -(1/2) sum log(1 - e^{800 +- i}) does not.
+        code, out = run_cli(
+            capsys, "eval", "--model", "circle", "--params", "r0=0,alpha=1i", "--sigma=-800")
+        assert code == 0
+        row = strict_json(out)
+        assert row["method"] == "closed" and row["R_modulus"] == 0.0
+        with mpmath.workdps(40):
+            ref = -sum(mpmath.log(1 - mpmath.exp(800 + s * 1j)) for s in (1, -1)) / 2
+            err = abs(mpmath.mpc(row["logR_re"], row["logR_im"]) - ref)
+        assert err <= row["est_error"] < 1e-11
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])

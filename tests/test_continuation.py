@@ -243,6 +243,21 @@ class TestFaultPoints:
                 misses.append((alpha, sigma))
         assert not misses, (len(misses), misses[:5])
 
+    @pytest.mark.parametrize("sigma", [-800.0, -3000.0 + 2.5j, -720.0 + 710.0j, -1.5 + 0.5j])
+    def test_identity_class_past_the_exp_range(self, sigma):
+        # Re u0 > 0: each half is the inversion, and past Re u0 = 709 e^{u0} overflows a float.
+        ev = ruelle_log_closed(CircleModel(alpha=1j), 0.0, sigma)
+        assert ev.method == "closed"
+        assert error(2.0 * ev.log_R, identity_oracle(1j, sigma)) <= 2.0 * ev.est_error
+
+    @pytest.mark.parametrize("theta", [0.0, TWO_PI])
+    @pytest.mark.parametrize("sigma", [-120.0 + 0.1j, -200.0 + 0.1j])
+    def test_sphere2_on_two_pi_z_past_the_exp_range(self, theta, sigma):
+        # The offset-0 family of sphere2 at z = 2 pi sigma, with the float 2 pi.
+        ev = ruelle_log_closed(Sphere2Model(), theta, sigma)
+        z = complex(TWO_PI * sigma.real, TWO_PI * sigma.imag)
+        assert error(2.0 * ev.log_R, identity_oracle(0j, z)) <= 2.0 * ev.est_error
+
     @pytest.mark.parametrize("r0", ["1e-13", "0.9999999999999"])
     def test_cli_exits_zero_with_one_json_line(self, r0):
         buf = io.StringIO()

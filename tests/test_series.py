@@ -5,7 +5,12 @@ loops, huge direct summations, and mpmath reference values.
 """
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -27,6 +32,7 @@ from equizeta import models, series
 from equizeta.series import bilateral_exp_sum_continued_result, bilateral_exp_sum_ewald
 
 mp.mp.dps = 30
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def hyp_series_oracle(a, b, c, z, n_terms=200):
@@ -293,6 +299,84 @@ class TestQuadratureRules:
             assert cached.flags.writeable is False
             with pytest.raises(ValueError):
                 cached[0] = 0.0
+
+
+def digamma_points(n: int, seed: int) -> list[float]:
+    """Seeded a in (0, 1): n uniform, n log-uniform down to 1e-300, and
+    1 - 10^-k for k = 1..16."""
+    rng = np.random.default_rng(seed)
+    points = np.concatenate(
+        (rng.random(n), 10.0 ** rng.uniform(-300.0, 0.0, n), 1.0 - 10.0 ** -np.arange(1.0, 17.0)))
+    assert np.all((points > 0.0) & (points < 1.0))
+    return points.tolist()
+
+
+class TestDigamma:
+    """The disc route's psi on (0, 1), in place of scipy.special.digamma."""
+
+    def test_scipy_bits(self):
+        from scipy import special
+
+        points = digamma_points(50_000, seed=100)
+        expected = special.digamma(np.array(points)).tolist()
+        misses = [a for a, e in zip(points, expected) if series._digamma(a).hex() != e.hex()]
+        assert not misses, (len(misses), misses[:5])
+
+    def test_against_mpmath(self):
+        # Relative error in ulps of |psi|, the unit of the disc's rounding term.
+        worst = 0.0
+        with mp.workdps(40):
+            for a in digamma_points(1_492, seed=101):  # 3,000 points
+                ref = mp.digamma(mp.mpf(a))
+                worst = max(worst, float(abs((series._digamma(a) - ref) / ref)))
+        assert worst <= 3.0 * np.finfo(float).eps < series.ROUNDING_ULPS * np.finfo(float).eps
+
+
+class TestScipyImport:
+    """scipy.special is loaded only by the Ewald route and the 2F1 code."""
+
+    SCRIPT = """
+import contextlib, io, sys
+import equizeta
+from equizeta import CircleModel, Sphere2Model, Sphere3Model, cli
+from equizeta import ruelle_log_closed, ruelle_log_direct
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+assert not scipy_modules(), "import equizeta"
+# The circle's disc (sigma = 0), series (3) and inversion (-3) halves, and the offset-0 rule.
+for alpha, sigma in ((1j, 0.0), (1j, 3.0), (1j, -3.0), (0.3 + 1.5j, -1 + 2j)):
+    for r0 in (0.25, 0.0):
+        ruelle_log_closed(CircleModel(alpha=alpha), r0, sigma)
+ruelle_log_closed(Sphere2Model(), 1.0, -0.3 + 0.2j)
+ruelle_log_closed(Sphere3Model(), (1.0, 2.0), 0.5 + 0.3j)
+ruelle_log_direct(CircleModel(alpha=1j), 0.25, 1.0)
+params = ("--params", "r0=0.25,alpha=1i")
+for argv in (
+    ["eval", "--model", "circle", *params, "--sigma", "0"],
+    ["sweep", "--model", "circle", *params, "--sigma-start", "1", "--sigma-end", "2",
+     "--steps", "3", "--method", "direct"],
+    ["trace", "--model", "circle", *params, "--window", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert not scipy_modules(), scipy_modules()
+# The circle's Fried check takes the torsion by Ewald's split (erfc, E1).
+assert cli.main(["fried", "--model", "circle", *params]) == 0
+assert "scipy.special" in scipy_modules()
+"""
+
+    def test_evaluation_paths_load_no_scipy(self):
+        # A fresh interpreter, so no earlier test has loaded scipy.
+        paths = (SRC, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        argv = ["fried", "--model", "circle", "--params", "r0=0.25,alpha=1i"]
+        golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+        (record,) = [r for r in golden if r["argv"] == argv]
+        assert proc.stdout == record["stdout"]
 
 
 class TestBilateralDirect:
