@@ -138,14 +138,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _evaluate(model, g, sigma: complex, method: str, tol: float):
-    if method != "direct":
-        # auto: prefer the closed/continued route, fall back to direct sums.
-        try:
-            return ruelle_log_closed(model, g, sigma)
-        except NotApplicableError:
-            if method == "closed":
-                raise
-    return ruelle_log_direct(model, g, sigma, tol=tol)
+    if method == "direct":
+        return ruelle_log_direct(model, g, sigma, tol=tol)
+    return ruelle_log_closed(model, g, sigma)  # closed and auto: the closed form or continuation
 
 
 def _modulus(ev) -> float:

@@ -33,8 +33,9 @@ subclasses FlowModel and implements them.
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
     [0 for a finite spectrum, summed whole; from families otherwise]
   * log_closed(g, sigma): log R as a ZetaEvaluation, by closed form or
-    continuation [derived from families for every family model, offset 0
-    included; DomainError for a finite spectrum]
+    continuation [for a family model, the sum over families(g) of
+    series._continued_family, weighted period / 2|d|, offset 0 included;
+    DomainError for a finite spectrum]
   * torsion(g): log of the torsion as a SeriesResult, by closed form
     (est_error 0) or a spectral series [DomainError]
   * period_numeric(g, profile, quad): the cutoff-primitive period once
@@ -58,12 +59,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NonConvergentError,
-    NotApplicableError,
-    SingularPointError,
-)
+from .errors import DomainError, NonConvergentError, NotApplicableError
 from .rotations import (
     AxisRotation,
     block_rotation,
@@ -76,10 +72,9 @@ from .series import (
     BilateralSumParams,
     SeriesResult,
     ZetaEvaluation,
-    _offset_zero_continued,
+    _continued_family,
     _reduce_2pi,
     alpha_in_two_pi_i_z,
-    bilateral_exp_sum_continued_result,
     bilateral_exp_sum_ewald,
     gauss_legendre,
 )
@@ -338,29 +333,16 @@ class FlowModel:
         return self._continued(self.families(g), sigma)
 
     def _continued(self, families, sigma: complex) -> ZetaEvaluation:
-        """The sum of (period / 2|d|) F(|d| sigma; r, d alpha) over the families, by
-        the closed form at r = 0 ("closed" when every r is 0), else the continuation."""
+        """The sum of (period / 2|d|) F(|d| sigma; r, d alpha) over the families
+        (``series._continued_family``): "closed" when every r is 0, else "continuation"."""
         value, est_error, terms, method = None, 0.0, 0, "closed"
         for d, r, a in families:
-            z = sigma
-            if d != 1.0:  # real factors scale each part alone, which keeps signed zeros
-                a = complex(d * a.real, d * a.imag)
-                z = complex(abs(d) * z.real, abs(d) * z.imag)
-            try:
-                if r == 0.0:
-                    res = _offset_zero_continued(a, z)
-                else:
-                    method = "continuation"
-                    res = bilateral_exp_sum_continued_result(BilateralSumParams(r, a), z)
-            except SingularPointError as exc:
-                msg = f"sigma = {sigma} is a singular point of the continuation"
-                raise SingularPointError(msg) from exc
-            if not res.converged:
-                msg = f"the continuation did not converge (est_error {res.est_error:.3e})"
-                raise NonConvergentError(msg, partial=res.value)
-            res = res.scaled(self.period / (2.0 * abs(d)))
-            value = res.value if value is None else value + res.value
-            est_error, terms = est_error + res.est_error, terms + res.terms_used
+            if r:
+                method = "continuation"
+            v, n, e = _continued_family(d, r, a, sigma)
+            c = self.period / (2.0 * abs(d))
+            value = c * v if value is None else value + c * v
+            est_error, terms = est_error + c * e, terms + n
         return ZetaEvaluation(sigma, value, method, est_error, terms)
 
     def torsion(self, g) -> SeriesResult:

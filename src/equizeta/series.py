@@ -25,7 +25,13 @@ and H is continued by three routes (DLMF 25.14, 24.2):
 The continued value exists for all z outside the lattice
 +-alpha + 2*pi*i*Z, where log(-u) is singular; in particular at z = 0
 whenever alpha is not in 2*pi*i*Z, which is what the torsion comparisons
-need.  The offset r = 0 (no n = 0 term) has a closed form at the same u.
+need.  The offset r = 0 (no n = 0 term) is the a = 1 half on both sides,
+H(u; 1) = -log(1 - e^u), a closed form with no phase.  On the cut, u0 real
+and positive (a real z past a real singular point), every route takes the
+side Im u0 < 0, the limit from Im z > 0: sign(0) = -1 in both inversions,
+and log(-u0) = log(u0) + i pi on the disc.  ``_continued_family`` is the
+one kernel: it scales one orbit family (d, r, alpha), reduces both halves
+and sends each to its route.
 
 Everything here works in double precision with explicit error tracking;
 all logarithms are principal branch.  The disc's psi(a), a in (0, 1), is
@@ -474,25 +480,9 @@ def _lattice_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, flo
     return offsets
 
 
-def _distance_to_singular_lattice(z: complex, alpha: complex) -> float:
-    """Distance from z to the excluded lattice {+-alpha + 2*pi*i*Z}: the one lattice rule."""
-    return min(abs(u0) for u0, _, _ in _lattice_offsets(complex(alpha), complex(z)))
-
-
-def _continuable_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, float]]:
-    """``_lattice_offsets`` of a finite z (else DomainError) off the excluded
-    lattice (else SingularPointError)."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"the continuation needs a finite z, got {z}")
-    halves = _lattice_offsets(alpha, z)
-    if min(abs(u0) for u0, _, _ in halves) < LATTICE_TOL:
-        raise SingularPointError(f"z = {z} lies on the excluded lattice +-alpha + 2*pi*i*Z")
-    return halves
-
-
 def alpha_in_two_pi_i_z(alpha: complex) -> bool:
     """True when z = 0 is on the excluded lattice (no continuation to 0)."""
-    return _distance_to_singular_lattice(0j, alpha) < LATTICE_TOL
+    return min(abs(u0) for u0, _, _ in _lattice_offsets(complex(alpha), 0j)) < LATTICE_TOL
 
 
 def _disc_coefficients(s: float) -> np.ndarray:
@@ -565,7 +555,8 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
     # B_k(1 - s) = (-1)^k B_k(s): the larger offset sums its power series at -u0.
     c, c_moduli = coefficients
     powers = np.full(DISC_TERMS, -u0 if a > b else u0).cumprod()
-    log = cmath.log(-u0)
+    # On the cut (u0 > 0 real) the side of Im u0 < 0, as the inversion's sign(0) = -1.
+    log = cmath.log(complex(-u0.real, 0.0) if u0.real > 0.0 and not u0.imag else -u0)
     psi = _digamma(a)
     value = -np.euler_gamma - log - psi - complex(c @ powers)
     moduli = np.euler_gamma + abs(log) + abs(psi) + float(c_moduli @ np.abs(powers))
@@ -578,66 +569,83 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
     return value, DISC_TERMS, tail, ROUNDING_ULPS * _EPS * moduli, conditioning
 
 
-def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult:
-    """Analytic continuation of F(z; r, alpha) with an error certificate.
-
-    F = H(alpha - z; r) + H(-alpha - z; 1 - r), each half by the route of
-    its reduced u0 (see the module notes), times the phase e^{2 pi i m a}
-    taken from the exact m*a mod 1.  est_error sums, over both halves, the
-    tail bounds, ROUNDING_ULPS ulps of the summed term moduli and the
-    conditioning of H on the error of u0 (1/|u0| from log(-u0) near the
-    excluded lattice).  terms_used counts the series terms summed over both
-    halves.  Raises SingularPointError on the excluded lattice.
+def _offset_zero_half(u0: complex, du: float):
+    """H(u0; 1) = -log(1 - e^{u0}), the half of an offset-0 family, as
+    -log(-expm1(u0)) (e^u is 2*pi*i-periodic: no phase).  For Re u0 > 0,
+    where e^{u0} may overflow, it is the inversion
+    -log(1 - e^{-u0}) - u0 + i pi sign(Im u0), sign(0) = -1 as in
+    ``_lerch_half``.  Returns (value, terms, tail, rounding, conditioning)
+    as ``_lerch_half`` does: no tail, ROUNDING_ULPS ulps of the term moduli
+    (|log|, the parts of expm1 over its modulus, and |u0| + pi when
+    inverted) and du |dH/du0| = du / |1 - e^{-u0}|.
     """
-    halves = _continuable_offsets(complex(p.alpha), complex(z))
-    r = p.r
-    # min(r, 1 - r) is exact: 1 - r is, for r >= 1/2 (Sterbenz).
-    small = min(r, 1.0 - r)
-    cot = math.pi / math.tan(math.pi * small)  # pi cot(pi r), up to sign
-    if small != r:
-        cot = -cot
-    coefficients = None
-    if any(abs(u0.real) < DISC_RADIUS for u0, _, _ in halves):
-        coefficients = _disc_coefficients(small)
+    inverted = u0.real > 0.0
+    v = -u0 if inverted else u0
+    # expm1(x + iy) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y, each part to a few ulps.
+    s, e_x = math.sin(0.5 * v.imag), math.exp(v.real)
+    a, b, c = math.expm1(v.real) * math.cos(v.imag), 2.0 * s * s, e_x * math.sin(v.imag)
+    w = complex(b - a, -c)  # 1 - e^{v}
+    log = cmath.log(w)
+    value = -log
+    moduli = abs(log) + (abs(a) + b + abs(c)) / abs(w)
+    gain = e_x  # |dH/du0| = gain / |w|
+    if inverted:
+        value += complex(-u0.real, (math.pi if u0.imag > 0 else -math.pi) - u0.imag)
+        moduli += abs(u0) + math.pi
+        gain = 1.0
+    return value, 1, 0.0, ROUNDING_ULPS * _EPS * moduli, du * gain / abs(w)
+
+
+def _continued_family(d: float, r: float, alpha: complex, sigma: complex) -> tuple[complex, int, float]:
+    """F(|d| sigma; r, d alpha) of one orbit family, as (value, terms, est_error).
+
+    F = H(d alpha - z; r) + H(-d alpha - z; 1 - r) at z = |d| sigma, each
+    half by the route of its reduced u0 (see the module notes) times the
+    phase e^{2 pi i m a}, taken from the exact m*a mod 1; at r = 0 each half
+    is H(u0; 1) (``_offset_zero_half``).  est_error sums, over both halves,
+    the tail bounds, ROUNDING_ULPS ulps of the summed term moduli and the
+    conditioning of H on the error of u0 (1/|u0| from log(-u0) near the
+    excluded lattice).  terms counts the series terms summed over both
+    halves.  Raises DomainError for a z that is not finite, and on the
+    excluded lattice SingularPointError, which names sigma.
+    """
+    z = sigma
+    if d != 1.0:  # real factors scale each part alone, which keeps signed zeros
+        alpha = complex(d * alpha.real, d * alpha.imag)
+        z = complex(abs(d) * z.real, abs(d) * z.imag)
+    if not cmath.isfinite(z):
+        raise DomainError(f"the continuation needs a finite z, got {z}")
+    halves = _lattice_offsets(alpha, z)
+    if min(abs(u0) for u0, _, _ in halves) < LATTICE_TOL:
+        raise SingularPointError(f"sigma = {sigma} is a singular point of the continuation")
+    if r:
+        # min(r, 1 - r) is exact: 1 - r is, for r >= 1/2 (Sterbenz).
+        small = min(r, 1.0 - r)
+        cot = math.pi / math.tan(math.pi * small)  # pi cot(pi r), up to sign
+        if small != r:
+            cot = -cot
+        coefficients = None
+        if any(abs(u0.real) < DISC_RADIUS for u0, _, _ in halves):
+            coefficients = _disc_coefficients(small)
     value, terms, est = 0j, 0, 0.0
     for (u0, m, du), sign in zip(halves, (1, -1)):
-        a, b, c = (r, 1.0 - r, cot) if sign > 0 else (1.0 - r, r, -cot)
-        h, n, *bounds = _lerch_half(u0, du, a, b, c, coefficients)
-        if m:  # e^{2 pi i m a}, with e^{2 pi i m (1 - r)} = e^{-2 pi i m r}
-            h *= _exp_2pi_i(r, sign * m)
+        if not r:
+            h, n, *bounds = _offset_zero_half(u0, du)
+        else:
+            a, b, c = (r, 1.0 - r, cot) if sign > 0 else (1.0 - r, r, -cot)
+            h, n, *bounds = _lerch_half(u0, du, a, b, c, coefficients)
+            if m:  # e^{2 pi i m a}, with e^{2 pi i m (1 - r)} = e^{-2 pi i m r}
+                h *= _exp_2pi_i(r, sign * m)
         value += h
         terms += n
         est += sum(bounds)
-    return SeriesResult(value, terms, est, True)
+    return value, terms, est
 
 
-def _offset_zero_continued(alpha: complex, z: complex) -> SeriesResult:
-    """F(z; 0, alpha) = -log(1 - e^{alpha - z}) - log(1 - e^{-alpha - z}), each
-    half -log(-expm1(u0)) at its reduced u0 (e^u is 2*pi*i-periodic: no phase).
-    For Re u0 > 0, where e^{u0} may overflow, a half is the inversion
-    -log(1 - e^{-u0}) - u0 + i pi sign(Im u0), the sign taken from Im u0's
-    signed zero (the side of the cut that 1 - e^{u0} lands on).
-    est_error sums ROUNDING_ULPS ulps of the term moduli (|log|, the parts of
-    expm1 over its modulus, and |u0| + pi when inverted) and du |dH/du0| =
-    du / |1 - e^{-u0}| over both halves."""
-    value, est = 0j, 0.0
-    for u0, _, du in _continuable_offsets(alpha, z):
-        inverted = u0.real > 0.0
-        v = -u0 if inverted else u0
-        # expm1(x + iy) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y, each part to a few ulps.
-        s, e_x = math.sin(0.5 * v.imag), math.exp(v.real)
-        a, b, c = math.expm1(v.real) * math.cos(v.imag), 2.0 * s * s, e_x * math.sin(v.imag)
-        w = complex(b - a, -c)  # 1 - e^{v}
-        log = cmath.log(w)
-        value -= log
-        moduli = abs(log) + (abs(a) + b + abs(c)) / abs(w)
-        gain = e_x  # |dH/du0| = gain / |w|
-        if inverted:
-            value += complex(-u0.real, math.copysign(math.pi, u0.imag) - u0.imag)
-            moduli += abs(u0) + math.pi
-            gain = 1.0
-        est += ROUNDING_ULPS * _EPS * moduli + du * gain / abs(w)
-    return SeriesResult(value, 2, est, True)
+def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult:
+    """Analytic continuation of F(z; r, alpha) with an error certificate: the
+    family (1, r, alpha) of ``_continued_family`` at sigma = z."""
+    return SeriesResult(*_continued_family(1.0, p.r, complex(p.alpha), complex(z)), True)
 
 
 def bilateral_exp_sum_continued(p: BilateralSumParams, z) -> complex:

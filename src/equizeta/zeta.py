@@ -3,6 +3,9 @@
 All arithmetic stays in log space (log R), so the half-powers appearing in
 the circle closed forms become 1/2-scaled logarithms with the branch fixed
 by continuity along the real-sigma ray from +infinity, where log R -> 0.
+Past a real singular point that ray runs along a cut of log R; there (real
+sigma and a real connection) log R is the limit from Im(sigma) > 0, on every
+route of the continuation (see ``series``).
 
 The flat-trace distribution of the flow pullback is realized as an atomic
 measure: one atom per delocalised length l inside the window, with

@@ -40,6 +40,16 @@ def test_cli_output_matches_golden(record, monkeypatch):
     assert out == record["stdout"]
 
 
+AUTO = [(i, r) for i, r in enumerate(RECORDS) if r["argv"][0] in ("eval", "sweep") and "--method" not in r["argv"]]
+
+
+@pytest.mark.parametrize("record", [r for _, r in AUTO], ids=[f"{i:02d}" for i, _ in AUTO])
+def test_auto_prints_what_closed_prints(record, monkeypatch):
+    # --method auto, the default, takes the closed form or continuation: the bytes of --method closed.
+    monkeypatch.delenv("EQUIZETA_TOL", raising=False)
+    assert run(record["argv"] + ["--method", "closed"]) == (record["code"], record["stdout"])
+
+
 if __name__ == "__main__":
     os.environ.pop("EQUIZETA_TOL", None)
     fresh = []

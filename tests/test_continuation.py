@@ -298,6 +298,72 @@ class TestSpheres:
         assert error(ev.log_R, sphere2_oracle(theta, 0.5)) <= ev.est_error
 
 
+class TestOneKernel:
+    """The circle's log R and the bilateral sum are one family kernel."""
+
+    @staticmethod
+    def points():
+        """Seeded (r0, alpha, sigma) over r0 in (0, 1) and at 1/2, with Re(alpha) and
+        Re(sigma) wide enough for every route of each half, and |Im| past pi."""
+        rng = np.random.default_rng(21)
+        for i in range(120):
+            r0 = 0.5 if i % 10 == 0 else float(rng.uniform(0.0, 1.0))
+            alpha = complex(rng.uniform(-2.0, 2.0), rng.uniform(-12.0, 12.0))
+            sigma = complex(rng.uniform(-3.0, 3.0), rng.uniform(-12.0, 12.0))
+            yield r0, alpha, sigma
+
+    def test_log_closed_is_half_the_bilateral_sum(self):
+        routes, phased = set(), set()
+        for r0, alpha, sigma in self.points():
+            ev = CircleModel(alpha=alpha).log_closed(r0, sigma)
+            res = bilateral_exp_sum_continued_result(BilateralSumParams(r0, alpha), sigma)
+            assert (ev.log_R, ev.est_error, ev.terms) == (0.5 * res.value, 0.5 * res.est_error, res.terms_used)
+            for half, (u0, m, _) in enumerate(series._lattice_offsets(alpha, sigma)):
+                x = u0.real
+                routes.add((half, "disc" if abs(x) < 1.0 else "series" if x <= -1.0 else "inversion"))
+                phased.add(half if m else None)
+        assert len(routes) == 6 and {0, 1} <= phased
+
+    def test_offset_zero_against_the_identity_oracle(self):
+        for _, alpha, sigma in list(self.points())[::8]:
+            ev = CircleModel(alpha=alpha).log_closed(0.0, sigma)
+            assert ev.method == "closed"
+            assert error(2.0 * ev.log_R, identity_oracle(alpha, sigma)) <= 2.0 * ev.est_error
+
+
+class TestOneSideOfTheCut:
+    """Real sigma past a real singular point puts u0 on the cut u0 > 0: every
+    route of a half takes the limit from Im(sigma) > 0 there."""
+
+    @pytest.mark.parametrize("alpha", [0j, 0.5 + 0j])
+    def test_offset_zero(self, alpha):
+        # Both halves are inverted: -log(1 - e^{-u0}) - u0 - i pi.
+        model, sigma = CircleModel(alpha=alpha), -1.5
+        ev = ruelle_log_closed(model, 0.0, sigma)
+        assert error(2.0 * ev.log_R, identity_oracle(alpha, sigma)) <= 2.0 * ev.est_error
+        above = ruelle_log_closed(model, 0.0, complex(sigma, 1e-12))
+        assert abs(ev.log_R - above.log_R) <= 1e-10 and ev.log_R.imag == pytest.approx(-math.pi)
+
+    def test_sphere2_on_two_pi_z(self):
+        sigma = -0.3
+        ev = ruelle_log_closed(Sphere2Model(), 0.0, sigma)
+        z = complex(TWO_PI * sigma, 0.0)
+        assert error(2.0 * ev.log_R, identity_oracle(0j, z)) <= 2.0 * ev.est_error
+        above = ruelle_log_closed(Sphere2Model(), 0.0, complex(sigma, 1e-12))
+        assert abs(ev.log_R - above.log_R) <= 1e-10
+
+    @pytest.mark.parametrize("r0, alpha, sigma", [
+        (0.3, 0j, -0.3),         # both halves on the disc
+        (0.3, 0j, -1.5),         # both halves inverted
+        (0.3, 0.5 + 0j, -0.7),   # one inverted, one on the disc
+        (1e-9, -0.425 + 0j, -0.968),
+    ])
+    def test_continuation(self, r0, alpha, sigma):
+        ev = ruelle_log_closed(CircleModel(alpha=alpha), r0, sigma)
+        ref = lerch_oracle(r0, alpha, complex(sigma, 1e-12))
+        assert error(2.0 * ev.log_R, ref) <= 2.0 * ev.est_error + 1e-10
+
+
 def test_inputs_not_finite_refused():
     with pytest.raises(series.DomainError, match="alpha must be finite"):
         BilateralSumParams(0.25, complex(math.nan, 1.0))

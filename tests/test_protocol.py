@@ -1,8 +1,7 @@
-"""The model protocol: a geometry defined outside the package, and the
-continuation's convergence flag reaching the caller."""
+"""The model protocol: a geometry defined outside the package, and the one
+record every log R comes back in."""
 
 import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from equizeta import (
     IntegerLatticeModel,
     LineModel,
     ModelDiagnostics,
-    NonConvergentError,
     SeriesResult,
     Sphere2Model,
     Sphere3Model,
@@ -35,7 +33,6 @@ from equizeta import (
     torsion_log,
     torsion_log_resummed,
 )
-from equizeta.cli import main
 
 
 @dataclass(frozen=True)
@@ -171,27 +168,6 @@ class TestFamilyProbeModel:
         with pytest.raises(DomainError, match="does not converge absolutely"):
             ruelle_log_direct(model, None, 0.15)
         assert chi_primitive_period_numeric(model, None) == 3.0
-
-
-class TestContinuationConvergenceFlag:
-    @pytest.fixture
-    def unconverged(self, monkeypatch):
-        def fake(params, z, tol=1e-14):
-            return SeriesResult(1.0 + 0j, 7, 1e-3, False)
-
-        monkeypatch.setattr(models, "bilateral_exp_sum_continued_result", fake)
-
-    def test_library_raises(self, unconverged):
-        model = CircleModel(alpha=1j)
-        with pytest.raises(NonConvergentError):
-            ruelle_log_closed(model, 0.25, 0.0)
-        with pytest.raises(NonConvergentError):
-            fried_residual(model, 0.25)
-
-    def test_cli_exit_code(self, unconverged, capsys):
-        code = main(["eval", "--model", "circle", "--params", "r0=0.25,alpha=1i", "--sigma", "0"])
-        assert code == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "NonConvergentError"
 
 
 class TestOneRecordPerAnswer:
