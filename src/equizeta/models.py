@@ -52,6 +52,7 @@ Eigenvalue-one and rotation-axis decisions are made only in ``rotations``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -73,6 +74,7 @@ from .series import (
     SeriesResult,
     ZetaEvaluation,
     _continued_family,
+    _read_only,
     _reduce_2pi,
     alpha_in_two_pi_i_z,
     bilateral_exp_sum_ewald,
@@ -467,13 +469,13 @@ class CircleModel(FlowModel):
         return bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha)).scaled(0.5)
 
 
-def _invariant_lattice_2d(order: int) -> np.ndarray:
-    """Generators (as rows) of a 2D lattice invariant under rotation by
-    2*pi/order; only the crystallographic orders admit one."""
+def _lattice_basis(order: int) -> np.ndarray:
+    """Generators (as rows) of a lattice in the plane x3 = 0 invariant under
+    rotation by 2*pi/order; only the crystallographic orders admit one."""
     if order in (1, 2, 4):
-        return np.array([[1.0, 0.0], [0.0, 1.0]])
+        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     if order in (3, 6):
-        return np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        return np.array([[1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]])
     raise DomainError(
         f"no rotation-invariant plane lattice of order {order} (crystallographic restriction)"
     )
@@ -574,10 +576,7 @@ class EuclideanLatticeModel(FlowModel):
 
     def lattice_basis(self) -> np.ndarray:
         """Rows: generators of Gamma' embedded in the axis complement."""
-        plane = _invariant_lattice_2d(self.order)
-        out = np.zeros((2, 3))
-        out[:, :2] = plane
-        return out
+        return _lattice_basis(self.order)
 
     def conjugate_element(self, g, lam: int, gamma_coeffs, j: int) -> EuclideanElement:
         """h g h^{-1} for h = (a*lam*v0 + gamma', r^j), gamma' in Gamma'."""
@@ -842,8 +841,33 @@ def _admissible_reach(
 # array is built; every default-QuadratureSpec period at a >= 0.5 fits (<= 7e7).
 _PERIOD_BUDGET = 10**8
 
+# Elements of one profile call in a cutoff period: whole axis-shift rows of
+# (cosets x nodes) up to this many, or one row when a row is larger.
+_PERIOD_BLOCK = 2**14
+
 # The 12-node Gauss-Legendre rule of every cutoff-period panel.
 _PERIOD_RULE = gauss_legendre(12)
+
+
+@functools.lru_cache(maxsize=8)
+def _period_nodes(reach: float, panel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights in the flow parameter s,
+    panels of width ``panel`` from -reach, as read-only arrays."""
+    nodes, weights = _PERIOD_RULE
+    edges = np.arange(-reach, reach + panel, panel)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    s = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
+    return _read_only(s), _read_only((half[:, None] * weights[None, :]).ravel())
+
+
+@functools.lru_cache(maxsize=8)
+def _coset_grid(order: int, span: int) -> np.ndarray:
+    """The (2 span + 1)^2 points of Gamma' with coefficients in [-span, span],
+    as a read-only array of rows."""
+    k = np.arange(-span, span + 1)
+    coeffs = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    return _read_only(coeffs @ _lattice_basis(order))
 
 
 def _period_euclidean(
@@ -858,6 +882,17 @@ def _period_euclidean(
     r^j gives the same sum; D is Gamma-periodic, so at x = w + gamma + s v0 it
     depends on s alone: D(s) = order * sum_k N(s + k a), with
     N(t) = sum_gamma f(|w + gamma + t v0|^2) the numerator summed over cosets.
+
+    N(s + k a) is one array, a row per shift k from -shift_reach; row
+    shift_reach (k = 0) is the numerator itself.  Each profile call takes
+    whole rows of (cosets x nodes), as many as fit in _PERIOD_BLOCK elements,
+    or one row when a row is larger.  The cap keeps the memory peak: one call
+    over every shift would hold (cosets x shifts x nodes) temporaries, about
+    1 MB each for the default Gaussian, whose period sets the peak of the
+    bench certify workload.  Sums run over cosets and then over shifts in
+    order, as a row-at-a-time sum does, so the bits do not depend on the
+    block.  The nodes (per reach and panel) and the coset grid (per order
+    and span) are built once and cached.
     """
     v0 = model._axis()
     rm = np.linalg.matrix_power(model.rotation.matrix, g.m)
@@ -886,9 +921,7 @@ def _period_euclidean(
             f"over the budget of {_PERIOD_BUDGET:.0e}"
         )
 
-    k = np.arange(-span, span + 1)
-    coeffs = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    gamma_all = coeffs @ model.lattice_basis()
+    gamma_all = _coset_grid(model.order, span)
     # Only cosets whose shifted orbit meets the profile support contribute.
     gamma_pts = gamma_all[np.linalg.norm(gamma_all + w, axis=1) <= reach + 1e-9]
     # v0 is orthogonal to Gamma' and to w: |w + gamma + t v0|^2 = rho^2 + t^2.
@@ -896,23 +929,18 @@ def _period_euclidean(
     # The cosets are known only now: their translates must cover the orbit.
     _admissible_reach(profile, quad.tol * 1e-4, spacing=model.a, rho2=rho2)
 
-    # Composite Gauss-Legendre in the flow parameter s.
-    nodes, weights = _PERIOD_RULE
-    edges = np.arange(-reach, reach + panel, panel)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    s = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    s_weights = (half[:, None] * weights[None, :]).ravel()
-
-    def numerator(t: np.ndarray) -> np.ndarray:
-        return profile(rho2[:, None] + t[None, :] ** 2).sum(axis=0)
-
-    denom = model.order * sum(
-        numerator(s + shift * model.a) for shift in range(-shift_reach, shift_reach + 1)
-    )
+    s, s_weights = _period_nodes(reach, panel)
+    t = s[None, :] + np.arange(-shift_reach, shift_reach + 1)[:, None] * model.a
+    # Rows per profile call; with no coset in reach a row is empty and D = 0.
+    rows = max(1, _PERIOD_BLOCK // max(1, len(rho2) * len(s)))
+    numerators = np.empty_like(t)
+    for start in range(0, len(t), rows):
+        block = t[start:start + rows] ** 2
+        numerators[start:start + rows] = profile(rho2[:, None, None] + block[None]).sum(axis=0)
+    denom = model.order * numerators.sum(axis=0)
     if np.any(denom <= 0):
         raise NonConvergentError("translate sum vanished inside the quadrature ball")
-    return float(np.sum(s_weights * numerator(s) / denom))
+    return float(np.sum(s_weights * numerators[shift_reach] / denom))
 
 
 # ---------------------------------------------------------------------------

@@ -571,7 +571,8 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
 
 def _offset_zero_half(u0: complex, du: float):
     """H(u0; 1) = -log(1 - e^{u0}), the half of an offset-0 family, as
-    -log(-expm1(u0)) (e^u is 2*pi*i-periodic: no phase).  For Re u0 > 0,
+    -log(-expm1(u0)) (e^u is 2*pi*i-periodic: no phase), its real part by
+    log1p where |e^{u0}| < 1/2, so that it stays relative.  For Re u0 > 0,
     where e^{u0} may overflow, it is the inversion
     -log(1 - e^{-u0}) - u0 + i pi sign(Im u0), sign(0) = -1 as in
     ``_lerch_half``.  Returns (value, terms, tail, rounding, conditioning)
@@ -582,10 +583,13 @@ def _offset_zero_half(u0: complex, du: float):
     inverted = u0.real > 0.0
     v = -u0 if inverted else u0
     # expm1(x + iy) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y, each part to a few ulps.
-    s, e_x = math.sin(0.5 * v.imag), math.exp(v.real)
-    a, b, c = math.expm1(v.real) * math.cos(v.imag), 2.0 * s * s, e_x * math.sin(v.imag)
+    s, e_x, cos_y = math.sin(0.5 * v.imag), math.exp(v.real), math.cos(v.imag)
+    a, b, c = math.expm1(v.real) * cos_y, 2.0 * s * s, e_x * math.sin(v.imag)
     w = complex(b - a, -c)  # 1 - e^{v}
     log = cmath.log(w)
+    if e_x < 0.5:
+        # |w|^2 = 1 + e^x (e^x - 2 cos y): log1p keeps Re log w relative where |e^v| is small.
+        log = complex(0.5 * math.log1p(e_x * (e_x - 2.0 * cos_y)), log.imag)
     value = -log
     moduli = abs(log) + (abs(a) + b + abs(c)) / abs(w)
     gain = e_x  # |dH/du0| = gain / |w|

@@ -243,6 +243,14 @@ class TestFaultPoints:
                 misses.append((alpha, sigma))
         assert not misses, (len(misses), misses[:5])
 
+    @pytest.mark.parametrize("sigma", [5.0, 20.0, 30.0, 40.0])
+    def test_identity_class_is_relative_where_e_u0_is_small(self, sigma):
+        # |e^{u0}| = e^{-sigma}: 1 - e^{u0} keeps only an absolute ulp of it,
+        # so Re log(1 - e^{u0}) must come from log1p to stay relative.
+        ev = ruelle_log_closed(CircleModel(alpha=1j), 0.0, sigma)
+        ref = identity_oracle(1j, sigma)
+        assert error(2.0 * ev.log_R, ref) <= 4.0 * sys.float_info.epsilon * float(abs(ref))
+
     @pytest.mark.parametrize("sigma", [-800.0, -3000.0 + 2.5j, -720.0 + 710.0j, -1.5 + 0.5j])
     def test_identity_class_past_the_exp_range(self, sigma):
         # Re u0 > 0: each half is the inversion, and past Re u0 = 709 e^{u0} overflows a float.

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -463,6 +464,119 @@ class TestChiPeriods:
             chi_primitive_period_numeric(
                 m, g, chi_profile=CutoffProfile(kind="raised_cosine", radius=0.3)
             )
+
+
+@dataclass(frozen=True)
+class CountingProfile(CutoffProfile):
+    """A profile that records the number of elements of each call."""
+
+    sizes: list = field(default_factory=list, compare=False)
+
+    def __call__(self, dist2):
+        self.sizes.append(dist2.size)
+        return super().__call__(dist2)
+
+
+def period_or_refusal(order, a, m, w_prime, kind, width, radius, panel) -> str:
+    """The Euclidean period as float.hex, or the refusal as 'Type: message'."""
+    try:
+        model = EuclideanLatticeModel.from_angle(3, a, TWO_PI / order, order)
+        w = None if w_prime is None else np.array([*w_prime, 0.0])
+        g = EuclideanElement(l0=1, m=m, w_prime=w)
+        profile = CutoffProfile(kind=kind, width=width, radius=radius)
+        return chi_primitive_period_numeric(
+            model, g, chi_profile=profile, quad=QuadratureSpec(panel=panel)
+        ).hex()
+    except (DomainError, NonConvergentError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestEuclidPeriodBlocks:
+    """The Euclidean cutoff period fills its numerators N(s + k a) in blocks
+    of whole axis-shift rows, from cached nodes and coset grid."""
+
+    # Seeded over orders 1-6, a in [0.3, 2.5], m in [-7, 7], w' zero or not,
+    # the four profile kinds and panels 0.08, 0.12 and 0.2, recorded from the
+    # row-at-a-time evaluation: (order, a, m, w', kind, width, radius, panel,
+    # the period's float.hex or its refusal).
+    TABLE = [
+        (2, 0.76, -7, None, 'raised_cosine', 0.45, 2.1, 0.12, '0x1.851eb8391f5cep-2'),
+        (4, 1.09, 3, None, 'gaussian', 0.48, 1.93, 0.08, '0x1.170a3d70a3c07p-2'),
+        (6, 1.1, -1, None, 'gaussian', 0.48, 1.73, 0.2, '0x1.7777777777594p-3'),
+        (4, 1.41, 2, None, 'smoothed_indicator', 0.53, 1.4, 0.08, '0x1.68f5c30c90580p-2'),
+        (4, 1.66, -1, None, 'raised_cosine', 0.49, 2.02, 0.12, '0x1.a8f5c2b153828p-2'),
+        (2, 0.62, 5, None, 'raised_cosine', 0.28, 0.61, 0.08, '0x1.3d70a3d79ee92p-2'),
+        (2, 0.39, -7, (0.55, 0.55), 'smoothed_indicator', 0.52, 0.64, 0.08, '0x1.8f5c2a7e0954ap-3'),
+        (4, 1.02, 7, None, 'smoothed_indicator', 0.26, 1.5, 0.08, '0x1.051eb7d5b5492p-2'),
+        (4, 0.64, -1, (0.34, 0.79), 'smoothed_indicator', 0.53, 1.55, 0.12, '0x1.47ae1497e8fcbp-3'),
+        (4, 1.9, -3, (4.49, 2.52), 'smoothed_indicator', 0.21, 1.49, 0.12, '0x1.e66674b690b99p-2'),
+        (6, 0.6, 2, None, 'smoothed_indicator', 0.59, 0.8, 0.12, '0x1.9999999999998p-4'),
+        (4, 1.95, -1, (7.78, 5.42), 'smoothed_indicator', 0.4, 1.55, 0.08, '0x1.f3333347201b6p-2'),
+        (2, 0.45, -5, None, 'smoothed_indicator', 0.43, 1.48, 0.2, '0x1.ccccd6e784b80p-3'),
+        (3, 0.94, -1, (0.62, 2.41), 'gaussian', 0.51, 1.13, 0.2, '0x1.40da740da7200p-2'),
+        (4, 0.9, 7, None, 'smoothed_indicator', 0.32, 2.04, 0.2, '0x1.ccccd30626922p-3'),
+        (4, 1.34, -2, (-0.28, -8.16), 'smoothed_indicator', 0.37, 0.81, 0.2, '0x1.5709f78db68e6p-2'),
+        (3, 0.9, -7, None, 'smoothed_indicator', 0.55, 1.77, 0.12, '0x1.3333333333333p-2'),
+        (4, 1.28, -3, None, 'gaussian', 0.2, 1.95, 0.08, '0x1.47ae147ae136ep-2'),
+        (3, 2.45, -7, None, 'gaussian', 0.32, 0.95, 0.12, '0x1.a222222222172p-1'),
+        (4, 1.18, -2, (-0.32, 0.8), 'raised_cosine', 0.31, 1.61, 0.2, '0x1.2e147b6785c9ap-2'),
+        (4, 0.33, -3, None, 'raised_cosine', 0.54, 1.1, 0.2, '0x1.51eb885afa68ap-4'),
+        (3, 1.99, 1, None, 'gaussian', 0.27, 1.89, 0.2, '0x1.53a06d3a06ca2p-1'),
+        (3, 2.15, -7, (0.43, 0.75), 'raised_cosine', 0.26, 1.66, 0.12, '0x1.6eeeefceef5c0p-1'),
+        (4, 0.95, 1, (-0.03, 0.69), 'raised_cosine', 0.57, 1.31, 0.12, '0x1.e66665a155b0ep-3'),
+        (3, 2.03, 4, (-0.08, -0.81), 'gaussian', 0.34, 0.87, 0.2, '0x1.5a740da740ad2p-1'),
+        (6, 0.9, 2, None, 'raised_cosine', 0.22, 1.4, 0.08, '0x1.33333368a7432p-3'),
+        (2, 0.78, -1, (-11.69, -0.22), 'raised_cosine', 0.22, 1.85, 0.2, '0x1.8f5c2956242cfp-2'),
+        (6, 0.9, 2, (0.55, -0.35), 'gaussian', 0.25, 2.07, 0.08, '0x1.3333333333222p-3'),
+        (2, 1.4, 1, None, 'gaussian', 0.27, 2.16, 0.12, '0x1.6666666665d50p-1'),
+        (4, 1.46, 6, (0.19, 0.72), 'gaussian', 0.59, 2.05, 0.12, '0x1.75c28f5c28dc6p-2'),
+        (6, 0.32, -4, None, 'raised_cosine', 0.43, 1.96, 0.2, '0x1.b4e81a3adcf5ep-5'),
+        (6, 2.36, -1, (-5.44, -0.41), 'gaussian', 0.27, 1.31, 0.08, '0x1.92c5f92c5f838p-2'),
+        (3, 0.96, 1, (11.93, -4.23), 'raised_cosine', 0.34, 1.97, 0.12, 'NonConvergentError: lattice truncation radius 9.0 cannot certify the profile tail (needs 9.28)'),
+        (1, 2.06, -4, None, 'gaussian', 0.42, 1.8, 0.2, 'DomainError: rotation has no one-dimensional fixed axis; the flow is degenerate for this model (see validate())'),
+        (4, 1.64, 3, None, 'constant', 0.58, 0.86, 0.08, 'DomainError: a constant profile has no decay on a noncompact group'),
+        (4, 1.08, 0, None, 'constant', 0.33, 1.38, 0.12, 'DomainError: axis given but ker(r - I) has dimension 3'),
+        (5, 1.39, -4, None, 'gaussian', 0.54, 1.14, 0.2, 'DomainError: no rotation-invariant plane lattice of order 5 (crystallographic restriction)'),
+        (3, 1.46, -4, (0.49, -0.2), 'raised_cosine', 0.27, 0.72, 0.12, 'DomainError: the translates of a radius-0.72 cutoff leave gaps along the orbit'),
+        # no coset within reach of the orbit: an empty row
+        (4, 1.0, 1, (0.5, 0.5), 'gaussian', 0.05, 1.2, 0.12, 'NonConvergentError: translate sum vanished inside the quadrature ball'),
+    ]
+
+    @pytest.mark.parametrize(
+        "order, a, m, w_prime, kind, width, radius, panel, expected", TABLE,
+        ids=[f"{i:02d}" for i in range(len(TABLE))],
+    )
+    def test_seeded_table(self, order, a, m, w_prime, kind, width, radius, panel, expected):
+        assert period_or_refusal(order, a, m, w_prime, kind, width, radius, panel) == expected
+
+    @pytest.mark.parametrize("kind, order, a, row, shifts, calls", [
+        # (cosets x nodes) per shift row; 2**14 elements hold 8, 12 or 1 rows.
+        ("raised_cosine", 3, 1.0, 7 * 264, 7, 1),
+        ("raised_cosine", 3, 0.7, 7 * 264, 9, 2),
+        ("raised_cosine", 4, 0.7, 5 * 264, 9, 1),
+        ("gaussian", 3, 1.0, 19 * 528, 13, 13),
+    ])
+    def test_profile_calls(self, kind, order, a, row, shifts, calls):
+        profile = CountingProfile(kind=kind, radius=1.3)
+        model = EuclideanLatticeModel.from_angle(3, a, TWO_PI / order, order)
+        chi_primitive_period_numeric(model, EuclideanElement(l0=1), chi_profile=profile)
+        assert len(profile.sizes) == calls
+        # Each shift row once (shift 0 is not evaluated again), whole rows per call.
+        assert sum(profile.sizes) == shifts * row
+        assert all(size % row == 0 and (size <= 2**14 or size == row) for size in profile.sizes)
+
+    def test_cached_arrays_are_read_only(self):
+        chi_primitive_period_numeric(
+            euclid_model(), EuclideanElement(l0=1),
+            chi_profile=CutoffProfile(kind="raised_cosine", radius=1.3),
+        )
+        nodes = models._period_nodes(1.3, 0.12)
+        grid = models._coset_grid(3, 4)
+        assert nodes is models._period_nodes(1.3, 0.12) and grid is models._coset_grid(3, 4)
+        for array in (*nodes, grid):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestValidate:
