@@ -89,6 +89,9 @@ _FAMILY_TOL = 1e-10  # orbits closer than this are one atom of the spectrum
 # 2/pi, sphere3 4/pi).
 _ORBIT_BUDGET = 2 * 10**6
 
+# The cutoff profile kinds that vanish at distance radius and beyond.
+_COMPACT_KINDS = ("raised_cosine", "smoothed_indicator")
+
 
 def _integer(name: str, value) -> int:
     """The one integer rule: a real equal to an integer as that int, else DomainError."""
@@ -179,25 +182,31 @@ class CutoffProfile:
     width: float = 0.35
     radius: float = 1.2
 
-    def __call__(self, dist2: np.ndarray) -> np.ndarray:
+    def _support(self, dist2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distance d = sqrt(max(dist2, 0)) and the support mask d < radius
+        of a compact kind (raised cosine, smoothed indicator): the profile is
+        0 at every finite distance where the mask is False."""
         d = np.sqrt(np.maximum(dist2, 0.0))
+        return d, d < self.radius
+
+    def __call__(self, dist2: np.ndarray) -> np.ndarray:
         if self.kind == "gaussian":
             return np.exp(-dist2 / (2.0 * self.width**2))
+        if self.kind == "constant":
+            return np.ones(np.shape(dist2))
+        if self.kind not in _COMPACT_KINDS:
+            raise DomainError(f"unknown cutoff profile kind {self.kind!r}")
+        d, inside = self._support(dist2)
         if self.kind == "raised_cosine":
             out = np.zeros_like(d)
-            inside = d < self.radius
             out[inside] = 0.5 * (1.0 + np.cos(math.pi * d[inside] / self.radius))
             return out
-        if self.kind == "smoothed_indicator":
-            out = np.ones_like(d)
-            edge = self.radius - self.width
-            ramp = (d > edge) & (d < self.radius)
-            out[d >= self.radius] = 0.0
-            out[ramp] = 0.5 * (1.0 + np.cos(math.pi * (d[ramp] - edge) / self.width))
-            return out
-        if self.kind == "constant":
-            return np.ones_like(d)
-        raise DomainError(f"unknown cutoff profile kind {self.kind!r}")
+        out = np.ones_like(d)
+        edge = self.radius - self.width
+        ramp = (d > edge) & inside
+        out[d >= self.radius] = 0.0
+        out[ramp] = 0.5 * (1.0 + np.cos(math.pi * (d[ramp] - edge) / self.width))
+        return out
 
 
 @dataclass(frozen=True)
@@ -884,32 +893,41 @@ def _period_euclidean(
     N(t) = sum_gamma f(|w + gamma + t v0|^2) the numerator summed over cosets.
 
     N(s + k a) is one array, a row per shift k from -shift_reach; row
-    shift_reach (k = 0) is the numerator itself.  Each profile call takes
-    whole rows of (cosets x nodes), as many as fit in _PERIOD_BLOCK elements,
-    or one row when a row is larger.  The cap keeps the memory peak: one call
-    over every shift would hold (cosets x shifts x nodes) temporaries, about
-    1 MB each for the default Gaussian, whose period sets the peak of the
-    bench certify workload.  Sums run over cosets and then over shifts in
-    order, as a row-at-a-time sum does, so the bits do not depend on the
-    block.  The nodes (per reach and panel) and the coset grid (per order
-    and span) are built once and cached.
+    shift_reach (k = 0) is the numerator itself.  A compact profile is
+    evaluated only at the (shift, node) pairs whose nearest coset lies inside
+    its support, sqrt(max(min(rho^2) + t^2, 0)) < radius: rounded + and sqrt
+    are monotone, so at every other pair each coset's value is an exact 0.
+    The Gaussian and constant kinds are evaluated at every pair.  Each
+    profile call takes at most as many pairs as whole rows of (cosets x
+    nodes) fit in _PERIOD_BLOCK elements, or one row when a row is larger,
+    split evenly so that no call takes a single pair: numpy sums a (cosets x
+    1) array pairwise, not in coset order.  The cap keeps the memory peak:
+    one call over every shift would hold (cosets x shifts x nodes)
+    temporaries, about 1 MB each for the default Gaussian, whose period sets
+    the peak of the bench certify workload.  Sums run over cosets and then
+    over shifts in order, as a row-at-a-time sum does, so the bits depend
+    neither on the pruning nor on the block.  The nodes (per reach and
+    panel), the coset grid (per order and span) and the transverse basis
+    behind w (per axis) are built once and cached.
     """
     v0 = model._axis()
     rm = np.linalg.matrix_power(model.rotation.matrix, g.m)
     # Basepoint of the closed-up geodesic: (I - r^m) w = w_prime; the rotation
     # check refuses an r^m whose kernel is not the axis alone.
     w = solve_transverse(AxisRotation(matrix=rm, axis=v0), model._w_prime(g))
+    w_norm = float(np.linalg.norm(w))
 
     reach = _admissible_reach(profile, quad.tol * 1e-4)
-    if reach + float(np.linalg.norm(w)) > quad.radius:
+    # Negated so that a NaN radius is refused too.
+    if not reach + w_norm <= quad.radius:
         raise NonConvergentError(
             f"lattice truncation radius {quad.radius} cannot certify the "
-            f"profile tail (needs {reach + float(np.linalg.norm(w)):.2f})"
+            f"profile tail (needs {reach + w_norm:.2f})"
         )
 
     # The nodes have |s| < reach + panel, so the shifts |k a| <= 2 reach +
     # panel cover every translate within reach of a node.
-    span = math.ceil(reach + float(np.linalg.norm(w))) + 2
+    span = math.ceil(reach + w_norm) + 2
     panel = min(quad.panel, profile.width / 2.0)
     if not panel > 0:
         raise DomainError("the quadrature panel must be positive")
@@ -921,22 +939,32 @@ def _period_euclidean(
             f"over the budget of {_PERIOD_BUDGET:.0e}"
         )
 
-    gamma_all = _coset_grid(model.order, span)
+    offsets = _coset_grid(model.order, span) + w
     # Only cosets whose shifted orbit meets the profile support contribute.
-    gamma_pts = gamma_all[np.linalg.norm(gamma_all + w, axis=1) <= reach + 1e-9]
+    offsets = offsets[np.linalg.norm(offsets, axis=1) <= reach + 1e-9]
     # v0 is orthogonal to Gamma' and to w: |w + gamma + t v0|^2 = rho^2 + t^2.
-    rho2 = np.einsum("ij,ij->i", gamma_pts + w, gamma_pts + w)
+    rho2 = np.einsum("ij,ij->i", offsets, offsets)
     # The cosets are known only now: their translates must cover the orbit.
     _admissible_reach(profile, quad.tol * 1e-4, spacing=model.a, rho2=rho2)
 
     s, s_weights = _period_nodes(reach, panel)
-    t = s[None, :] + np.arange(-shift_reach, shift_reach + 1)[:, None] * model.a
-    # Rows per profile call; with no coset in reach a row is empty and D = 0.
-    rows = max(1, _PERIOD_BLOCK // max(1, len(rho2) * len(s)))
-    numerators = np.empty_like(t)
-    for start in range(0, len(t), rows):
-        block = t[start:start + rows] ** 2
-        numerators[start:start + rows] = profile(rho2[:, None, None] + block[None]).sum(axis=0)
+    t2 = ((s[None, :] + np.arange(-shift_reach, shift_reach + 1)[:, None] * model.a) ** 2).ravel()
+    keep = slice(None)
+    if profile.kind in _COMPACT_KINDS:
+        # Admissibility (radius^2 - min(rho^2) > a^2 / 4) keeps each node's
+        # pair with its nearest shift, |t| <= a / 2: no call has a single pair.
+        keep = np.flatnonzero(profile._support(np.min(rho2) + t2)[1])
+    kept = t2[keep]
+    # With no coset in reach every sum is empty and D = 0.
+    per_call = max(1, _PERIOD_BLOCK // max(1, len(rho2) * len(s))) * len(s)
+    calls = -(-len(kept) // per_call)
+    sums = np.empty(len(kept))
+    for j in range(calls):
+        lo, hi = len(kept) * j // calls, len(kept) * (j + 1) // calls
+        sums[lo:hi] = profile(rho2[:, None] + kept[None, lo:hi]).sum(axis=0)
+    numerators = np.zeros(len(t2))
+    numerators[keep] = sums
+    numerators = numerators.reshape(-1, len(s))
     denom = model.order * numerators.sum(axis=0)
     if np.any(denom <= 0):
         raise NonConvergentError("translate sum vanished inside the quadrature ball")

@@ -8,17 +8,19 @@ classifier that only the selftest suite and the tests call.  This module
 is the only place that decides whether an eigenvalue is 1
 (``unit_eigenvalue_multiplicity``: a gap of 1e-8, borderline inputs
 rejected instead of coerced) and the only place that derives a rotation
-axis (``axis_and_kernel``, once per AxisRotation).
+axis (``axis_and_kernel``, only for an AxisRotation built without one).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
+from .series import _read_only
 
 EIG_GAP = 1e-8
 # Inputs whose eigenvalues sit in the dead band around the gap are rejected.
@@ -76,13 +78,20 @@ def unit_eigenvalue_multiplicity(eigvals) -> tuple[int, float]:
     """Multiplicity of the eigenvalue 1 among ``eigvals`` (within EIG_GAP)
     and the distance from 1 of the next eigenvalue (inf if none); an
     eigenvalue in the dead band up to 1e-6 raises DomainError."""
-    dist = np.sort(np.abs(np.asarray(eigvals) - 1.0))
-    if np.any((dist > EIG_GAP) & (dist < EIG_REJECT_BAND)):
+    # numpy forms the distances (its complex abs, not Python's); a handful of
+    # eigenvalues is then compared faster as a list.
+    dist = np.sort(np.abs(np.asarray(eigvals) - 1.0)).tolist()
+    if any(EIG_GAP < d < EIG_REJECT_BAND for d in dist):
         raise DomainError(
             "eigenvalue too close to 1 to classify reliably; refusing to coerce"
         )
-    mult = int(np.sum(dist <= EIG_GAP))
-    return mult, float(dist[mult]) if mult < len(dist) else math.inf
+    mult = sum(d <= EIG_GAP for d in dist)
+    return mult, dist[mult] if mult < len(dist) else math.inf
+
+
+def _kernel_dim(r: np.ndarray) -> int:
+    """dim ker(r - I) by the one eigenvalue-one rule."""
+    return unit_eigenvalue_multiplicity(np.linalg.eigvals(r))[0]
 
 
 def axis_and_kernel(r: np.ndarray):
@@ -94,7 +103,7 @@ def axis_and_kernel(r: np.ndarray):
     """
     r = np.asarray(r, dtype=float)
     _check_special_orthogonal(r, 1e-10)
-    kernel_dim, _ = unit_eigenvalue_multiplicity(np.linalg.eigvals(r))
+    kernel_dim = _kernel_dim(r)
     if kernel_dim != 1:
         return kernel_dim, None
     # Null vector of r - I via SVD; the smallest singular vector is the axis.
@@ -115,8 +124,10 @@ class AxisRotation:
 
     ``axis`` is the unit vector spanning ker(matrix - I) and is present
     exactly when that kernel is one-dimensional.  The matrix is classified
-    once, at construction: a given axis is checked against it, a missing one
-    is derived from it.
+    once, at construction.  The axis is derived by ``axis_and_kernel`` only
+    when it is not given; a given axis is checked against the matrix after
+    one orthogonality check and one kernel classification by the same
+    eigenvalue-one rule, with no SVD.
     """
 
     matrix: np.ndarray
@@ -126,8 +137,10 @@ class AxisRotation:
         m = np.asarray(self.matrix, dtype=float)
         _check_special_orthogonal(m, 1e-12)
         object.__setattr__(self, "matrix", m)
-        kdim, v0 = axis_and_kernel(m)
-        if self.axis is not None:
+        if self.axis is None:
+            kdim, v0 = axis_and_kernel(m)
+        else:
+            kdim = _kernel_dim(m)
             if kdim != 1:
                 raise DomainError(f"axis given but ker(r - I) has dimension {kdim}")
             v0 = np.asarray(self.axis, dtype=float)
@@ -185,9 +198,19 @@ class PoincareData:
             raise DomainError("det_abs must be positive (nondegeneracy)")
 
 
+@functools.lru_cache(maxsize=8)
+def _axis_complement(axis: tuple[float, ...]) -> np.ndarray:
+    """Orthonormal basis (columns) of the plane orthogonal to a unit axis,
+    from the SVD of I - v0 v0^T, as a read-only array."""
+    n = len(axis)
+    v0 = np.array(axis)
+    return _read_only(np.linalg.svd(np.eye(n) - np.outer(v0, v0))[0][:, : n - 1])
+
+
 def _transverse(r: AxisRotation) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (columns) orthogonal to the axis, and I - r on it."""
-    basis = np.linalg.svd(np.eye(r.n) - np.outer(r.axis, r.axis))[0][:, : r.n - 1]
+    """Orthonormal basis (columns) orthogonal to the axis, built once per
+    axis, and I - r on it."""
+    basis = _axis_complement(tuple(r.axis.tolist()))
     return basis, basis.T @ (np.eye(r.n) - r.matrix) @ basis
 
 

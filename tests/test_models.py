@@ -378,6 +378,25 @@ class TestChiPeriods:
         )
         assert abs(val - 1.0 / 3.0) < 1e-6
 
+    @pytest.mark.parametrize("radius", [math.nan, -1.0])
+    def test_truncation_radius_refused(self, radius):
+        # NaN fails every comparison, so the check must refuse it as it
+        # refuses a negative radius rather than let it through.
+        with pytest.raises(NonConvergentError, match="lattice truncation radius"):
+            chi_primitive_period_numeric(
+                euclid_model(), EuclideanElement(l0=1),
+                chi_profile=CutoffProfile(kind="raised_cosine", radius=1.3),
+                quad=QuadratureSpec(radius=radius),
+            )
+
+    def test_truncation_radius_infinite(self):
+        val = chi_primitive_period_numeric(
+            euclid_model(), EuclideanElement(l0=1),
+            chi_profile=CutoffProfile(kind="raised_cosine", radius=1.3),
+            quad=QuadratureSpec(radius=math.inf),
+        )
+        assert abs(val - 1.0 / 3.0) < 1e-6
+
     def test_truncation_certificate(self):
         m = euclid_model()
         with pytest.raises(Exception) as err:
@@ -549,21 +568,55 @@ class TestEuclidPeriodBlocks:
     def test_seeded_table(self, order, a, m, w_prime, kind, width, radius, panel, expected):
         assert period_or_refusal(order, a, m, w_prime, kind, width, radius, panel) == expected
 
-    @pytest.mark.parametrize("kind, order, a, row, shifts, calls", [
-        # (cosets x nodes) per shift row; 2**14 elements hold 8, 12 or 1 rows.
-        ("raised_cosine", 3, 1.0, 7 * 264, 7, 1),
-        ("raised_cosine", 3, 0.7, 7 * 264, 9, 2),
-        ("raised_cosine", 4, 0.7, 5 * 264, 9, 1),
-        ("gaussian", 3, 1.0, 19 * 528, 13, 13),
+    @pytest.mark.parametrize("kind, radius, order, a, cosets, nodes, shifts", [
+        # row = cosets x nodes per axis shift; 2**14 elements hold 8, 12 or 1 rows
+        ("raised_cosine", 1.3, 3, 1.0, 7, 264, 7),
+        ("raised_cosine", 1.3, 3, 0.7, 7, 264, 9),
+        ("raised_cosine", 1.3, 4, 0.7, 5, 264, 9),
+        ("smoothed_indicator", 1.3, 3, 1.0, 7, 264, 7),
+        ("gaussian", 1.3, 3, 1.0, 19, 528, 13),
+        # a row past 2**14 elements: one row's worth per call
+        ("raised_cosine", 6.0, 3, 1.0, 127, 1212, 27),
     ])
-    def test_profile_calls(self, kind, order, a, row, shifts, calls):
-        profile = CountingProfile(kind=kind, radius=1.3)
+    def test_profile_calls(self, kind, radius, order, a, cosets, nodes, shifts):
+        profile = CountingProfile(kind=kind, radius=radius)
         model = EuclideanLatticeModel.from_angle(3, a, TWO_PI / order, order)
         chi_primitive_period_numeric(model, EuclideanElement(l0=1), chi_profile=profile)
-        assert len(profile.sizes) == calls
-        # Each shift row once (shift 0 is not evaluated again), whole rows per call.
-        assert sum(profile.sizes) == shifts * row
-        assert all(size % row == 0 and (size <= 2**14 or size == row) for size in profile.sizes)
+        row = cosets * nodes
+        evaluated = sum(profile.sizes)
+        # Every coset at each (shift, node) pair evaluated: a compact profile
+        # only where the nearest coset is inside its support, the Gaussian
+        # at every pair, shift 0 not again.
+        assert evaluated % cosets == 0
+        if kind == "gaussian":
+            assert evaluated == shifts * row
+        else:
+            assert evaluated < shifts * row / 2
+        # Calls split the pairs evenly, at most a block's worth of whole
+        # rows each, and never take a single pair.
+        pairs, per_call = evaluated // cosets, max(1, 2**14 // row) * nodes
+        assert len(profile.sizes) == -(-pairs // per_call)
+        assert all(size % cosets == 0 and size // cosets > 1 for size in profile.sizes)
+        assert all(size <= max(2**14, row) for size in profile.sizes)
+
+    @pytest.mark.parametrize("kind", ["raised_cosine", "smoothed_indicator"])
+    def test_outside_the_nearest_coset_every_coset_is_zero(self, kind):
+        # The rule that prunes a (shift, node) pair: where the nearest coset
+        # is outside the support, each coset's value is an exact 0.
+        rng = np.random.default_rng(7)
+        profile = CutoffProfile(kind=kind, width=0.4, radius=1.3)
+        edge = [0, 0]
+        for _ in range(200):
+            rho2 = rng.uniform(0.0, 1.69, size=int(rng.integers(1, 30)))
+            t2 = rng.uniform(0.0, 2.0, size=400) ** 2
+            # pairs whose nearest coset sits on the support's edge
+            t2[:50] = 1.69 - np.min(rho2) + rng.uniform(-1e-15, 1e-15, size=50)
+            inside = profile._support(np.min(rho2) + t2)[1]
+            values = profile(rho2[:, None] + t2[None])
+            assert not np.any(values[:, ~inside])
+            edge[0] += int(np.sum(inside[:50]))
+            edge[1] += int(np.sum(~inside[:50]))
+        assert min(edge) > 1000
 
     def test_cached_arrays_are_read_only(self):
         chi_primitive_period_numeric(
@@ -784,7 +837,8 @@ class TestConjugationInvariance:
 
 class TestOneClassification:
     """An AxisRotation classifies its matrix once: axis_and_kernel runs once
-    per model construction and once per Euclidean cutoff period."""
+    per model construction, and a Euclidean cutoff period, which gives the
+    axis, classifies r^m once without it."""
 
     def calls(self, monkeypatch, run):
         calls = []
@@ -806,10 +860,28 @@ class TestOneClassification:
         assert self.calls(monkeypatch, euclid_model) == 1
 
     def test_period(self, monkeypatch):
+        # One kernel classification of r^m per period, and no SVD: the axis
+        # is given and the transverse basis is cached per axis.
         m = euclid_model()
         profile = CutoffProfile(kind="raised_cosine", radius=1.3)
         run = lambda: chi_primitive_period_numeric(m, EuclideanElement(l0=1), chi_profile=profile)
-        assert self.calls(monkeypatch, run) == 1
+        run()
+        calls = {"classify": 0, "svd": 0}
+        rule, svd = rotations.unit_eigenvalue_multiplicity, np.linalg.svd
+
+        def classify(*args):
+            calls["classify"] += 1
+            return rule(*args)
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(rotations, "unit_eigenvalue_multiplicity", classify)
+        monkeypatch.setattr(models, "unit_eigenvalue_multiplicity", classify)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        assert self.calls(monkeypatch, run) == 0
+        assert calls == {"classify": 1, "svd": 0}
 
     def test_axis_derived_without_from_matrix(self):
         rot = AxisRotation(matrix=np.eye(3)[[1, 2, 0]])

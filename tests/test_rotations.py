@@ -21,6 +21,7 @@ from equizeta import (
     solve_transverse,
     sphere_fixed_classifier,
 )
+from equizeta import rotations
 
 W_MINUS = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -86,6 +87,71 @@ class TestAxisAndKernel:
         with pytest.raises(TypeError):
             AxisRotation(matrix=m, n=7)
         assert AxisRotation(matrix=m).n == 3
+
+
+class TestGivenAxis:
+    def test_no_svd(self, monkeypatch):
+        # A given axis is checked against the matrix, not derived from it.
+        m = so3_about_e3(2.0 * math.pi / 3.0)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        monkeypatch.setattr(rotations, "axis_and_kernel", lambda r: calls.append(1))
+        rot = AxisRotation(matrix=m, axis=np.array([0.0, 0.0, 2.0]))
+        assert calls == []
+        assert rot.axis.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("matrix, axis, message", [
+        (np.eye(3), [0.0, 0.0, 1.0], "dimension 3"),
+        (so3_about_e3(1.0), [1.0, 0.0, 0.0], "not fixed"),
+        (np.diag([1.0, 2.0, 1.0]), [0.0, 0.0, 1.0], "not orthogonal"),
+    ], ids=["kernel", "axis", "orthogonality"])
+    def test_checks_kept(self, matrix, axis, message):
+        with pytest.raises(DomainError, match=message):
+            AxisRotation(matrix=matrix, axis=np.array(axis))
+
+
+def numpy_unit_eigenvalue_multiplicity(eigvals):
+    """The eigenvalue-one rule in numpy array operations, kept as the oracle."""
+    dist = np.sort(np.abs(np.asarray(eigvals) - 1.0))
+    if np.any((dist > rotations.EIG_GAP) & (dist < rotations.EIG_REJECT_BAND)):
+        raise DomainError("eigenvalue too close to 1 to classify reliably; refusing to coerce")
+    mult = int(np.sum(dist <= rotations.EIG_GAP))
+    return mult, float(dist[mult]) if mult < len(dist) else math.inf
+
+
+def classified(rule, eigvals):
+    try:
+        mult, gap = rule(eigvals)
+    except DomainError as exc:
+        return str(exc)
+    return type(mult), mult, type(gap), gap.hex()
+
+
+class TestUnitEigenvalueMultiplicity:
+    def test_matches_the_numpy_oracle(self):
+        # 20,000 seeded sets, n = 2-5, real and complex: a planted exact 1
+        # beside distances inside the gap, in the 1e-8-1e-6 dead band and
+        # beyond.
+        rng = np.random.default_rng(2024)
+        scales = np.array([0.0, 1e-12, 1e-9, 3e-9, 1e-8, 2e-8, 1e-7, 1e-6, 2e-6, 1e-3, 1.0])
+        refusals = 0
+        for _ in range(20_000):
+            n = int(rng.integers(2, 6))
+            dist = scales[rng.integers(0, len(scales), size=n)] * rng.uniform(0.5, 1.5, size=n)
+            dist[rng.integers(0, n)] = 0.0
+            if rng.random() < 0.5:
+                eigvals = 1.0 + dist * rng.choice([-1.0, 1.0], size=n)
+            else:
+                eigvals = 1.0 + dist * np.exp(1j * rng.uniform(-math.pi, math.pi, size=n))
+            want = classified(numpy_unit_eigenvalue_multiplicity, eigvals)
+            assert classified(rotations.unit_eigenvalue_multiplicity, eigvals) == want
+            refusals += isinstance(want, str)
+        assert 2_000 < refusals < 18_000
+
+    def test_empty_and_exact(self):
+        assert rotations.unit_eigenvalue_multiplicity([]) == (0, math.inf)
+        assert rotations.unit_eigenvalue_multiplicity([1.0, 1.0]) == (2, math.inf)
 
 
 class TestSolveTransverse:
