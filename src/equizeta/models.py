@@ -183,13 +183,21 @@ class CutoffProfile:
     radius: float = 1.2
 
     def _support(self, dist2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distance d = sqrt(max(dist2, 0)) and the support mask d < radius
-        of a compact kind (raised cosine, smoothed indicator): the profile is
-        0 at every finite distance where the mask is False."""
-        d = np.sqrt(np.maximum(dist2, 0.0))
+        """The distance d = sqrt(dist2), dist2 >= 0, and the support mask
+        d < radius of a compact kind (raised cosine, smoothed indicator): the
+        profile is 0 at every distance where the mask is False."""
+        d = np.sqrt(dist2)
         return d, d < self.radius
 
     def __call__(self, dist2: np.ndarray) -> np.ndarray:
+        """The profile at the squared distances dist2; a NaN or negative one
+        is refused (DomainError) whatever the kind."""
+        if not np.all(np.asarray(dist2) >= 0.0):
+            raise DomainError("a squared distance must be a number >= 0")
+        return self._values(dist2)
+
+    def _values(self, dist2: np.ndarray) -> np.ndarray:
+        """The profile at squared distances the caller knows are >= 0, unchecked."""
         if self.kind == "gaussian":
             return np.exp(-dist2 / (2.0 * self.width**2))
         if self.kind == "constant":
@@ -262,6 +270,12 @@ def _merge(lengths: list, weights: list, inside: list) -> tuple[np.ndarray, np.n
             cluster[0] = cluster[1] = l
     kept = [c for c in clusters if c[1] is not None]
     return np.array([c[1] for c in kept], dtype=float), np.array([c[2] for c in kept], dtype=complex)
+
+
+def _distinct(values: np.ndarray) -> int:
+    """The number of values left once those closer than _FAMILY_TOL merge."""
+    values = np.sort(values).tolist()
+    return len(_merge(values, [0] * len(values), [True] * len(values))[0])
 
 
 class FlowModel:
@@ -500,6 +514,14 @@ class EuclideanLatticeModel(FlowModel):
     one-form along v0 (the transverse components must vanish for the
     connection to be invariant).  Gamma' and the cutoff periods are built
     for n = 3 only, so any other n is refused.
+
+    The closed orbits are one line of geodesics per length +-a l0: the
+    direction v0 closes up at a l0 and -v0 at -a l0, the only directions r^m
+    fixes.  The sign of det(1 - P) stays the constant +1 rather than being
+    read off on the evaluation path: det(1 - P) = det((I - r^m)|v0-perp)^2 > 0
+    for every l (``rotations.poincare_determinant_euclidean``, checked by the
+    models/orbit-signs selftest suite), so a determinant per orbit would
+    change no value.
     """
 
     n: int = 3
@@ -655,8 +677,13 @@ class _SphereModel(FlowModel):
     """Geodesic flow on a sphere frame bundle.  The group element is its
     dim - 2 rotation angles alone; each angle theta contributes the orbit
     families +-(theta + 2*pi*Z) with unit holonomy and period 2*pi (log R
-    continues off sigma in i*Z).  The trivial connection (the only invariant
-    flat Hermitian one) is a constant, not a field.
+    continues off sigma in i*Z).  Each family is one closed orbit per length:
+    on SO(3) the flow circle through the x with x e3 = e3, or x e3 = -e3;
+    on SO(4) one periodic-point pattern of ``rotations.sphere_fixed_classifier``.
+    At theta in pi*Z both close up at every length of the angle, so both are
+    listed (tests/test_orbit_counts.py counts the components).  The trivial
+    connection (the only invariant flat Hermitian one) is a constant, not a
+    field.
 
     The sign of det(1-P) stays hard-coded at +1 because it is +1 by
     structure.  The frame bundle is the group SO(dim) with its bi-invariant
@@ -681,19 +708,23 @@ class _SphereModel(FlowModel):
         return _real("theta1", theta1), _real("theta2", theta2)
 
     def families(self, g) -> list[tuple[float, float, complex]]:
-        """Per angle, theta + 2*pi*Z = d(n + r) and its mirror -d(n + r) (once
-        where it is the same set: r in {0, 1/2} up to _FAMILY_TOL).  r and the
-        sign of d come from the exact theta = beta + 2*pi*m, so r is about 2 ulp
-        off, relative: each term e^{u(n+r)}/(n+r) of F moves by 2 ulp of
-        (|u|(n+r) + 1) times its modulus at most, inside the certificate's
-        ROUNDING_ULPS.  (theta / 2pi) % 1 is an ulp off, absolute: far more at small r."""
+        """Per angle, theta + 2*pi*Z = d(n + r) and its mirror -d(n + r), both
+        for every r > 0: at theta in pi*Z (r = 1/2) the two are one set of
+        lengths with two closed orbits at each, which orbit_data merges into
+        one atom and the continuation sums.  An angle in 2*pi*Z (r = 0; on
+        sphere2 the identity, whose fixed set at each l in 2*pi*Z is all of
+        SO(3)) lists one family.  r and the sign of d come from the exact
+        theta = beta + 2*pi*m, so r is about 2 ulp off, relative: each term
+        e^{u(n+r)}/(n+r) of F moves by 2 ulp of (|u|(n+r) + 1) times its
+        modulus at most, inside the certificate's ROUNDING_ULPS.
+        (theta / 2pi) % 1 is an ulp off, absolute: far more at small r."""
         families = []
         for theta in self.element(g):
             beta, _ = _reduce_2pi(theta)
             beta = beta if abs(beta) > 1e-12 else 0.0  # no orbit has |l| <= 1e-12
             d, r = math.copysign(TWO_PI, beta), abs(beta) / TWO_PI
             families.append((d, r, 0j))
-            if TWO_PI * min(2.0 * r, abs(1.0 - 2.0 * r)) > _FAMILY_TOL:
+            if r:
                 families.append((-d, r, 0j))
         return families
 
@@ -720,17 +751,20 @@ class _SphereModel(FlowModel):
             alpha_in_lattice=True,
             continuation_available=False,
             laplacian_kernel_nonzero=True,
-            # A value shared by two families needs theta1 -+ theta2 in 2*pi*Z,
+            # A value shared by two angles needs theta1 -+ theta2 in 2*pi*Z,
             # an eigenvalue of Ad(g^-1) at 1: only a degenerate element has one.
             spectrum_collisions=0 if nondegenerate else self._collisions(g),
             **self._angle_diagnostics(*angles),
         )
 
     def _collisions(self, g) -> int:
-        """Values shared by two families (a family's own values are distinct)."""
-        values = np.sort(self.orbits(g, 10.0 * TWO_PI)[0])
-        distinct, _ = _merge(values.tolist(), [0] * len(values), [True] * len(values))
-        return len(values) - len(distinct)
+        """Values that two different angles share: each angle's distinct values
+        (its orbits are sphere2's at that angle), summed, less the distinct
+        values of all.  An angle's mirror pair at theta in pi Z is two orbits
+        at one value, not a collision."""
+        window = 10.0 * TWO_PI
+        own = sum(_distinct(Sphere2Model().orbits(theta, window)[0]) for theta in self.element(g))
+        return own - _distinct(self.orbits(g, window)[0])
 
     def torsion(self, g) -> SeriesResult:
         raise NotApplicableError("torsion comparison undefined: Laplacian kernel is nonzero")
@@ -895,9 +929,11 @@ def _period_euclidean(
     N(s + k a) is one array, a row per shift k from -shift_reach; row
     shift_reach (k = 0) is the numerator itself.  A compact profile is
     evaluated only at the (shift, node) pairs whose nearest coset lies inside
-    its support, sqrt(max(min(rho^2) + t^2, 0)) < radius: rounded + and sqrt
-    are monotone, so at every other pair each coset's value is an exact 0.
-    The Gaussian and constant kinds are evaluated at every pair.  Each
+    its support, sqrt(min(rho^2) + t^2) < radius: rounded + and sqrt are
+    monotone, so at every other pair each coset's value is an exact 0.  The
+    Gaussian and constant kinds are evaluated at every pair.  Every distance
+    rho^2 + t^2 is >= 0 by construction, so the profile is called unchecked
+    (``CutoffProfile._values``), with no pass spent refusing a NaN.  Each
     profile call takes at most as many pairs as whole rows of (cosets x
     nodes) fit in _PERIOD_BLOCK elements, or one row when a row is larger,
     split evenly so that no call takes a single pair: numpy sums a (cosets x
@@ -961,7 +997,7 @@ def _period_euclidean(
     sums = np.empty(len(kept))
     for j in range(calls):
         lo, hi = len(kept) * j // calls, len(kept) * (j + 1) // calls
-        sums[lo:hi] = profile(rho2[:, None] + kept[None, lo:hi]).sum(axis=0)
+        sums[lo:hi] = profile._values(rho2[:, None] + kept[None, lo:hi]).sum(axis=0)
     numerators = np.zeros(len(t2))
     numerators[keep] = sums
     numerators = numerators.reshape(-1, len(s))

@@ -4,11 +4,15 @@ Covers exactly what the worked geometries need: 2x2 rotation blocks,
 axis/kernel extraction for SO(n), transverse linear solves against (I-r),
 the Euclidean closed-up-to-g condition, the block Poincare determinant,
 the signed exterior-power trace identity, and an SO(4) periodic-point
-classifier that only the selftest suite and the tests call.  This module
-is the only place that decides whether an eigenvalue is 1
-(``unit_eigenvalue_multiplicity``: a gap of 1e-8, borderline inputs
-rejected instead of coerced) and the only place that derives a rotation
-axis (``axis_and_kernel``, only for an AxisRotation built without one).
+classifier.  The closed-up condition, the determinant and the classifier
+are the oracles of the orbit data, off the evaluation path:
+tests/test_orbit_counts.py counts the fixed-point components behind every
+orbit weight with them, and the models/orbit-signs selftest suite checks the
+sign +1 of det(1 - P).  This module is the only place that decides whether
+an eigenvalue is 1 (``unit_eigenvalue_multiplicity``: a gap of 1e-8,
+borderline inputs rejected instead of coerced) and the only place that
+derives a rotation axis (``axis_and_kernel``, only for an AxisRotation built
+without one).
 """
 
 from __future__ import annotations

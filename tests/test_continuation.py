@@ -1,7 +1,7 @@
 """The continuation of F(z; r, alpha) against mpmath.lerchphi.
 
 F(z) = e^{r(alpha-z)} Phi(e^{alpha-z}, 1, r) + e^{-(1-r)(alpha+z)} Phi(e^{-alpha-z}, 1, 1-r),
-with Phi = mpmath.lerchphi at 40 digits, is the oracle.  est_error must
+with Phi = mpmath.lerchphi at 40 digits (tests/oracle.py), is the oracle.  est_error must
 bound the error at every point, and each of its three terms (tail bound,
 rounding, conditioning near the excluded lattice) is checked on its own.
 
@@ -14,6 +14,7 @@ live.  Regenerate the file (about a minute) with
 
 import cmath
 import contextlib
+import functools
 import io
 import json
 import math
@@ -28,6 +29,7 @@ import pytest
 from equizeta import (
     CircleModel,
     Sphere2Model,
+    Sphere3Model,
     cli,
     ruelle_log_closed,
     ruelle_log_direct,
@@ -37,25 +39,15 @@ from equizeta import (
 from equizeta.selftest import run_selftest
 from equizeta.series import BilateralSumParams, bilateral_exp_sum_continued_result
 
+import oracle
+
 GRID = Path(__file__).parent / "data" / "lerch_grid.json"
 DPS = 40
 TWO_PI = 2.0 * math.pi
 
-
-def lerch_oracle(r, alpha, z):
-    """F(z; r, alpha) by mpmath.lerchphi, as an mpc at DPS digits."""
-    with mp.workdps(DPS):
-        a, w, s = mp.mpc(alpha), mp.mpc(z), mp.mpf(r)
-        return mp.exp(s * (a - w)) * mp.lerchphi(mp.exp(a - w), 1, s) + mp.exp(
-            -(1 - s) * (a + w)
-        ) * mp.lerchphi(mp.exp(-a - w), 1, 1 - s)
-
-
-def identity_oracle(alpha, z):
-    """F(z; 0, alpha) = -log(1 - e^{alpha-z}) - log(1 - e^{-alpha-z}), as an mpc at DPS digits."""
-    with mp.workdps(DPS):
-        a, w = mp.mpc(alpha), mp.mpc(z)
-        return -mp.log(1 - mp.exp(a - w)) - mp.log(1 - mp.exp(-a - w))
+lerch_oracle = functools.partial(oracle.lerch_oracle, dps=DPS)
+identity_oracle = functools.partial(oracle.identity_oracle, dps=DPS)
+sphere2_oracle = functools.lru_cache(functools.partial(oracle.sphere2_oracle, dps=DPS))
 
 
 def error(value, ref) -> float:
@@ -276,14 +268,6 @@ class TestFaultPoints:
         assert json.loads(line)["method"] == "continuation"
 
 
-def sphere2_oracle(theta, sigma):
-    """sphere2's log R at the float theta: F(2 pi sigma; r, 0) with
-    r = (theta mod 2 pi) / 2 pi, both families of the angle."""
-    with mp.workdps(DPS):
-        tp = 2 * mp.pi
-        return lerch_oracle((mp.mpf(theta) % tp) / tp, 0, tp * mp.mpc(sigma))
-
-
 class TestSpheres:
     """sphere2 continues through F(2 pi sigma; r, 0), the circle's sum."""
 
@@ -304,6 +288,54 @@ class TestSpheres:
         assert validate_model(Sphere2Model(), theta).nondegenerate
         ev = route(Sphere2Model(), theta, 0.5)
         assert error(ev.log_R, sphere2_oracle(theta, 0.5)) <= ev.est_error
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.3 + 2.0j, -0.3 + 0.2j])
+    @pytest.mark.parametrize("theta", [
+        base + offset
+        for base in (math.pi, -math.pi, 3.0 * math.pi)
+        for offset in (0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-9, -1e-9)
+    ])
+    def test_continuous_across_pi_z(self, theta, sigma):
+        # theta + 2*pi*Z and its mirror are listed at every angle off 2*pi*Z:
+        # at theta in pi*Z they are one set of lengths with two orbits at
+        # each, so log R does not halve next to it.  sphere3 sums its angles.
+        cases = [
+            (Sphere2Model(), theta, sphere2_oracle(theta, sigma)),
+            (Sphere3Model(), (theta, 1.0), sphere2_oracle(theta, sigma) + sphere2_oracle(1.0, sigma)),
+        ]
+        routes = [ruelle_log_closed, ruelle_log_direct] if complex(sigma).real > 0 else [ruelle_log_closed]
+        for model, g, ref in cases:
+            for route in routes:
+                ev = route(model, g, sigma)
+                assert error(ev.log_R, ref) <= ev.est_error, (model.name, route.__name__)
+
+    @staticmethod
+    def log_leading_coefficient(theta):
+        """log C of one angle off 2*pi*Z, R ~ C sigma^-2 as sigma -> 0:
+        -2 log 2 pi - 2 gamma - psi(r) - psi(1 - r), r = (theta mod 2 pi) / 2 pi."""
+        with mp.workdps(DPS):
+            tp = 2 * mp.pi
+            r = (mp.mpf(theta) % tp) / tp
+            return float(-2 * mp.log(tp) - 2 * mp.euler - mp.digamma(r) - mp.digamma(1 - r))
+
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-4, 1e-6])
+    def test_order_at_zero_on_pi_z(self, sigma):
+        # Each angle's R ~ C sigma^-2, with an O(sigma^2) remainder of at most
+        # 2 sigma^2: order -2 per angle at theta = pi too, where log C is
+        # 2 log(2 / pi); sphere3 at (pi, 1) has order -4 and sums the log C.
+        assert self.log_leading_coefficient(math.pi) == pytest.approx(2.0 * math.log(2.0 / math.pi))
+        cases = [
+            (Sphere2Model(), math.pi, -2.0, 2.0 * math.log(2.0 / math.pi),
+             sphere2_oracle(math.pi, sigma)),
+            (Sphere3Model(), (math.pi, 1.0), -4.0,
+             2.0 * math.log(2.0 / math.pi) + self.log_leading_coefficient(1.0),
+             sphere2_oracle(math.pi, sigma) + sphere2_oracle(1.0, sigma)),
+        ]
+        for model, g, order, log_c, ref in cases:
+            ev = ruelle_log_closed(model, g, sigma)
+            assert error(ev.log_R, ref) <= ev.est_error, model.name
+            gap = abs(ev.log_R - order * math.log(sigma) - log_c)
+            assert gap <= -order * sigma**2 + ev.est_error, model.name
 
 
 class TestOneKernel:

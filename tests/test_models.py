@@ -485,15 +485,46 @@ class TestChiPeriods:
             )
 
 
+PROFILE_KINDS = ["gaussian", "raised_cosine", "smoothed_indicator", "constant"]
+
+
+class TestCutoffProfile:
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    @pytest.mark.parametrize("dist2", [[math.nan, -1.0, 0.0], [math.nan], [-1.0], [0.5, -1e-300]])
+    def test_nan_or_negative_distance_refused(self, kind, dist2):
+        # No kind has a value there: every kind refuses alike.
+        with pytest.raises(DomainError, match="squared distance"):
+            CutoffProfile(kind=kind)(np.array(dist2))
+
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    def test_checked_call_returns_the_unchecked_values(self, kind):
+        profile = CutoffProfile(kind=kind)
+        dist2 = np.linspace(0.0, 3.0, 31)
+        assert profile(dist2).tolist() == profile._values(dist2).tolist()
+        assert profile(np.array([-0.0, 0.0])).tolist() == [1.0, 1.0]
+
+    def test_period_takes_the_unchecked_path(self, monkeypatch):
+        def refuse(self, dist2):
+            raise AssertionError("checked profile call")
+
+        monkeypatch.setattr(CutoffProfile, "__call__", refuse)
+        for kind in PROFILE_KINDS[:3]:
+            val = chi_primitive_period_numeric(
+                euclid_model(), EuclideanElement(l0=1), chi_profile=CutoffProfile(kind=kind, radius=1.3)
+            )
+            assert abs(val - 1.0 / 3.0) < 1e-6
+
+
 @dataclass(frozen=True)
 class CountingProfile(CutoffProfile):
-    """A profile that records the number of elements of each call."""
+    """A profile that records the number of elements of each call the
+    Euclidean period makes (it calls the unchecked evaluation)."""
 
     sizes: list = field(default_factory=list, compare=False)
 
-    def __call__(self, dist2):
+    def _values(self, dist2):
         self.sizes.append(dist2.size)
-        return super().__call__(dist2)
+        return super()._values(dist2)
 
 
 def period_or_refusal(order, a, m, w_prime, kind, width, radius, panel) -> str:
@@ -686,10 +717,17 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "g, collisions",
-        [((math.pi, math.sqrt(2.0)), 0), ((0.0, math.sqrt(2.0)), 0), ((1.0, 1.0), 40)],
+        [
+            ((math.pi, math.sqrt(2.0)), 0), ((0.0, math.sqrt(2.0)), 0), ((1.0, 1.0), 40),
+            # degenerate elements with both angles in pi Z, then nondegenerate ones
+            ((math.pi, math.pi), 20), ((math.pi, -math.pi), 20), ((math.pi, 3.0 * math.pi), 20),
+            ((0.0, 0.0), 20), ((TWO_PI, math.pi), 0), ((math.pi, 0.0), 0),
+        ],
     )
     def test_sphere3_collisions_are_between_families(self, g, collisions):
-        # +theta and -theta values that meet are one family, not a collision.
+        # Only values that two different angles share count: an angle's own
+        # +theta and -theta families that meet (theta in pi Z) are two orbits
+        # at one value, not a collision.  Nondegenerate elements report 0.
         assert validate_model(Sphere3Model(), g).spectrum_collisions == collisions
 
     def test_sphere3_trace_builds_families_once(self, monkeypatch):

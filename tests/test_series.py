@@ -31,6 +31,8 @@ from equizeta import (
 from equizeta import models, series
 from equizeta.series import bilateral_exp_sum_continued_result, bilateral_exp_sum_ewald
 
+from oracle import lerch_oracle
+
 mp.mp.dps = 30
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -455,7 +457,7 @@ class TestBilateralContinued:
 
     def test_certificate_against_lerchphi(self):
         # F(z) = e^{r(alpha-z)} Phi(e^{alpha-z}, 1, r)
-        #      + e^{-(1-r)(alpha+z)} Phi(e^{-alpha-z}, 1, 1-r), by mpmath.lerchphi,
+        #      + e^{-(1-r)(alpha+z)} Phi(e^{-alpha-z}, 1, 1-r) (oracle.lerch_oracle),
         # at seeded points of r in [0.02, 0.98], Re alpha in [-1.5, 1.5],
         # Im alpha in [-6, 6], Re z in [-4, 4], Im z in [-8, 8], kept 0.05 off
         # the excluded lattice +-alpha + 2*pi*i*Z.
@@ -474,11 +476,8 @@ class TestBilateralContinued:
             if lattice_gap < 0.05:
                 continue
             res = bilateral_exp_sum_continued_result(BilateralSumParams(r, alpha), z)
-            with mp.workdps(20):  # the errors checked are ~1e-15; 20 digits halve the cost
-                a, w = mp.mpc(alpha), mp.mpc(z)
-                ref = mp.exp(r * (a - w)) * mp.lerchphi(mp.exp(a - w), 1, r) + mp.exp(
-                    -(1 - r) * (a + w)
-                ) * mp.lerchphi(mp.exp(-a - w), 1, 1 - r)
+            # The errors checked are ~1e-15; 20 digits halve the cost.
+            ref = lerch_oracle(r, alpha, z, 20)
             assert abs(res.value - complex(ref)) <= res.est_error, (r, alpha, z)
             checked += 1
 
@@ -514,10 +513,7 @@ class TestBilateralEwald:
         # centred on round(beta / 2 pi) misses the leading E1 terms.
         for p in self.unitary_points(2026, 40, 120.0):
             res = bilateral_exp_sum_ewald(p)
-            a, r = mp.mpc(p.alpha), mp.mpf(p.r)
-            ref = mp.exp(r * a) * mp.lerchphi(mp.exp(a), 1, r) + mp.exp(
-                -(1 - r) * a
-            ) * mp.lerchphi(mp.exp(-a), 1, 1 - r)
+            ref = lerch_oracle(p.r, p.alpha, 0, mp.mp.dps)
             assert abs(res.value - complex(ref)) <= res.est_error, (p, res)
 
     def test_agrees_with_continuation(self):

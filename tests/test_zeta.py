@@ -57,6 +57,13 @@ class TestFlatTraceMeasure:
         for l, coeff in m.atoms:
             assert abs(coeff - (-cmath.exp(1j * l))) < 1e-15
 
+    @pytest.mark.parametrize("theta", [math.pi, -math.pi, 3.0 * math.pi])
+    def test_sphere2_on_pi_z_has_two_orbits_per_atom(self, theta):
+        # Both families of the angle close up at each length pi + 2*pi*n.
+        m = flat_trace_measure(Sphere2Model(), theta, 4.0)
+        assert [l for l, _ in m.atoms] == pytest.approx([-math.pi, math.pi], rel=0.0, abs=1e-14)
+        assert [c for _, c in m.atoms] == [-2.0 * TWO_PI, -2.0 * TWO_PI]
+
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(DomainError):
             AtomicMeasure(atoms=((1.0, 1.0 + 0j), (1.0, 2.0 + 0j)), window=2.0)
@@ -341,8 +348,9 @@ class TestClosed:
             assert gap <= whole.est_error + parts[0].est_error + parts[1].est_error
 
     def test_sphere_half_rule_matches_the_direct_sum(self):
-        # At theta = pi the mirror family -(theta + 2*pi*Z) is the same set, listed once.
-        assert len(Sphere2Model().families(math.pi)) == 1
+        # At theta = pi the mirror family -(theta + 2*pi*Z) is the same set of
+        # lengths, listed again: two closed orbits close up at each length.
+        assert len(Sphere2Model().families(math.pi)) == 2
         direct = ruelle_log_direct(Sphere2Model(), math.pi, 0.7)
         closed = ruelle_log_closed(Sphere2Model(), math.pi, 0.7)
         assert abs(direct.log_R - closed.log_R) <= direct.est_error + closed.est_error
