@@ -36,6 +36,7 @@ from .models import model_from_params
 from .models import parse_complex as _parse_complex_domain
 from .selftest import run_selftest
 from .zeta import (
+    _direct_evaluations,
     flat_trace_measure,
     fried_residual,
     ruelle_log_closed,
@@ -214,16 +215,20 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep needs steps <= {MAX_SWEEP_STEPS}")
     if start == end:
         raise ConfigError("sweep needs sigma start != end")
+    sigmas = [start + (end - start) * (k / (args.steps - 1)) for k in range(args.steps)]
+    if args.method == "direct":
+        # One orbit build for the whole sweep, cut to each sigma's window.
+        evaluations = _direct_evaluations(model, g, sigmas, tol)
+    else:
+        evaluations = (ruelle_log_closed(model, g, sigma) for sigma in sigmas)
     lines = [CSV_HEADER]
-    for k in range(args.steps):
-        sigma = start + (end - start) * (k / (args.steps - 1))
-        try:
-            ev = _evaluate(model, g, sigma, args.method, tol)
-        except EquizetaError as exc:
-            _emit("\n".join(lines), args.output)
-            _report_error(exc)
-            return _code_for(exc)
-        lines.append(_row_csv(ev))
+    try:
+        for ev in evaluations:
+            lines.append(_row_csv(ev))
+    except EquizetaError as exc:
+        _emit("\n".join(lines), args.output)
+        _report_error(exc)
+        return _code_for(exc)
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 

@@ -30,6 +30,9 @@ subclasses FlowModel and implements them.
     (lengths, holonomy traces); every sign of det(1-P) is +1 [from families]
   * period: the folded cutoff-primitive period of every orbit [1.0]
   * validate(g): diagnostics [NotImplementedError]; infinite_spectrum [False]
+  * nondegeneracy(g): (nondegenerate, witness), the one verdict the flat
+    trace reads; the spheres decide it by the eigenvalue rule alone, without
+    validate's other diagnostics [validate's two fields]
   * tail_bound(g, sigma, window): bound on the direct sum beyond the window
     [0 for a finite spectrum, summed whole; from families otherwise]
   * log_closed(g, sigma): log R as a ZetaEvaluation, by closed form or
@@ -44,7 +47,10 @@ FlowModel alone derives three views from orbits: orbit_data(g, window) (the
 spectrum as a float array and the summed sign * holonomy * period per length;
 the direct sum and the flat trace read only this), length_spectrum(g, window)
 and orbit_contributions(g, l).  All three share one orbit budget: an
-infinite spectrum is built only out to _ORBIT_BUDGET / 2 in |l|.
+infinite spectrum is built only out to _ORBIT_BUDGET / 2 in |l|.  orbit_data
+is a sorted build (``_orbit_table``) and a window cut (``_window_cut``): a
+direct sweep builds once, at its largest window, and cuts each sigma's window
+from that build.
 
 Eigenvalue-one and rotation-axis decisions are made only in ``rotations``.
 """
@@ -272,6 +278,16 @@ def _merge(lengths: list, weights: list, inside: list) -> tuple[np.ndarray, np.n
     return np.array([c[1] for c in kept], dtype=float), np.array([c[2] for c in kept], dtype=complex)
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of a dim x dim matrix (np.triu_indices), as
+    read-only arrays built once per dimension."""
+    pairs = np.triu_indices(dim, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _distinct(values: np.ndarray) -> int:
     """The number of values left once those closer than _FAMILY_TOL merge."""
     values = np.sort(values).tolist()
@@ -298,31 +314,52 @@ class FlowModel:
             holonomies.append(np.exp(alpha * family))
         return np.concatenate(lengths), np.concatenate(holonomies)
 
+    def _check_budget(self, window: float) -> None:
+        """Refuse a window in which an infinite spectrum would pass the orbit budget."""
+        if self.infinite_spectrum and 2 * window > _ORBIT_BUDGET:
+            raise NonConvergentError(f"window {window:.3g} would exceed the term cap")
+
     def _orbits(self, g, window: float, margin: float) -> tuple[np.ndarray, np.ndarray]:
         """orbits(g, window + margin), refused before any is built when an
         infinite spectrum would pass the orbit budget inside the window."""
-        if self.infinite_spectrum and 2 * window > _ORBIT_BUDGET:
-            raise NonConvergentError(f"window {window:.3g} would exceed the term cap")
+        self._check_budget(window)
         return self.orbits(g, window + margin)
 
-    def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        if not window > 0:
-            raise DomainError("window must be positive")
+    def _orbit_table(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+        """The orbits out to a tolerance past the window, sorted by length
+        (stably), and the weight of each: one build that ``_window_cut`` cuts
+        to this window or any smaller one."""
         # Orbits a tolerance past the window: one just outside it still merges
         # with a length just inside, as in orbit_contributions.
         lengths, holonomies = self._orbits(g, window, _FAMILY_TOL)
         lengths = np.asarray(lengths, dtype=float)
         order = np.argsort(lengths, kind="stable")
-        lengths = lengths[order]
         # 0 + sign * holonomy * period, with Python's complex operations in
         # Python's order: the floats sum(c.weight for c in orbit_contributions)
         # makes, an overflowed holonomy's nan included (Python makes it silently).
         with np.errstate(invalid="ignore"):
             weights = 0 + 1 * np.asarray(holonomies, dtype=complex)[order] * self.period
+        return lengths[order], weights
+
+    @staticmethod
+    def _window_cut(table: tuple[np.ndarray, np.ndarray], window: float) -> tuple[np.ndarray, np.ndarray]:
+        """orbit_data at the window from an ``_orbit_table`` built at it or past
+        it.  The rows with |l| <= window + _FAMILY_TOL are one slice of the
+        sorted table, in the order and with the weights a build at the window
+        gives them (a family's lengths d(n + r) do not depend on the window)."""
+        lengths, weights = table
+        reach = window + _FAMILY_TOL
+        lo, hi = np.searchsorted(lengths, -reach, "left"), np.searchsorted(lengths, reach, "right")
+        lengths, weights = lengths[lo:hi], weights[lo:hi]
         inside = np.abs(lengths) <= window
         if np.all(lengths[1:] - lengths[:-1] > _FAMILY_TOL):
             return lengths[inside], weights[inside]
         return _merge(lengths.tolist(), weights.tolist(), inside.tolist())
+
+    def orbit_data(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+        if not window > 0:
+            raise DomainError("window must be positive")
+        return self._window_cut(self._orbit_table(g, window), window)
 
     def length_spectrum(self, g, window: float) -> list[float]:
         return self.orbit_data(g, window)[0].tolist()
@@ -339,6 +376,10 @@ class FlowModel:
 
     def validate(self, g) -> ModelDiagnostics:
         raise NotImplementedError
+
+    def nondegeneracy(self, g) -> tuple[bool, str]:
+        diag = self.validate(g)
+        return diag.nondegenerate, diag.witness
 
     def tail_bound(self, g, sigma: complex, window: float) -> float:
         if not self.infinite_spectrum:
@@ -728,23 +769,29 @@ class _SphereModel(FlowModel):
                 families.append((-d, r, 0j))
         return families
 
-    def validate(self, g=None) -> ModelDiagnostics:
+    def nondegeneracy(self, g=None) -> tuple[bool, str]:
         """Nondegenerate when the fixed space of Ad(g^-1) on so(dim) is the
-        torus of g's rotation planes, one direction per angle."""
-        g = self._default_g if g is None else g
-        angles = self.element(g)
+        torus of g's rotation planes, one direction per angle: the eigenvalue
+        rule alone, with none of validate's other diagnostics."""
+        angles = self.element(self._default_g if g is None else g)
         # Ad(g) on so(dim) is the exterior square of g: eigenvalues lam_i lam_j, i < j.
         lam = np.linalg.eigvals(block_rotation(angles, self.dim))
         try:
-            kdim, _ = unit_eigenvalue_multiplicity(np.outer(lam, lam)[np.triu_indices(self.dim, 1)])
+            kdim, _ = unit_eigenvalue_multiplicity(np.outer(lam, lam)[_upper_pairs(self.dim)])
         except DomainError as exc:
-            kdim, witness = None, f"kernel classification failed: {exc}"
-        else:
-            witness = (
-                f"dim ker(Ad(g^-1) - 1) = {kdim} on so({self.dim}), "
-                f"expected {len(angles)}{self._witness_note}"
-            )
-        nondegenerate = kdim == len(angles)
+            return False, f"kernel classification failed: {exc}"
+        witness = (
+            f"dim ker(Ad(g^-1) - 1) = {kdim} on so({self.dim}), "
+            f"expected {len(angles)}{self._witness_note}"
+        )
+        return kdim == len(angles), witness
+
+    def validate(self, g=None) -> ModelDiagnostics:
+        """The nondegeneracy verdict and witness, the dense-powers proxy of the
+        angles and, at a degenerate element, the spectrum collisions."""
+        g = self._default_g if g is None else g
+        nondegenerate, witness = self.nondegeneracy(g)
+        angles = self.element(g)
         return ModelDiagnostics(
             nondegenerate=nondegenerate,
             witness=witness,

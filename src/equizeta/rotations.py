@@ -11,8 +11,8 @@ orbit weight with them, and the models/orbit-signs selftest suite checks the
 sign +1 of det(1 - P).  This module is the only place that decides whether
 an eigenvalue is 1 (``unit_eigenvalue_multiplicity``: a gap of 1e-8,
 borderline inputs rejected instead of coerced) and the only place that
-derives a rotation axis (``axis_and_kernel``, only for an AxisRotation built
-without one).
+derives a rotation axis (``axis_and_kernel``, and its unchecked step for an
+AxisRotation built without one).
 """
 
 from __future__ import annotations
@@ -107,6 +107,12 @@ def axis_and_kernel(r: np.ndarray):
     """
     r = np.asarray(r, dtype=float)
     _check_special_orthogonal(r, 1e-10)
+    return _axis_of(r)
+
+
+def _axis_of(r: np.ndarray):
+    """``axis_and_kernel`` of a float matrix the caller has already checked
+    special orthogonal."""
     kernel_dim = _kernel_dim(r)
     if kernel_dim != 1:
         return kernel_dim, None
@@ -128,9 +134,10 @@ class AxisRotation:
 
     ``axis`` is the unit vector spanning ker(matrix - I) and is present
     exactly when that kernel is one-dimensional.  The matrix is classified
-    once, at construction.  The axis is derived by ``axis_and_kernel`` only
-    when it is not given; a given axis is checked against the matrix after
-    one orthogonality check and one kernel classification by the same
+    once, at construction, after one orthogonality check (1e-12).  The axis
+    is derived as ``axis_and_kernel`` derives it only when it is not given,
+    without that function's second, looser check; a given axis is checked
+    against the matrix after one kernel classification by the same
     eigenvalue-one rule, with no SVD.
     """
 
@@ -142,7 +149,7 @@ class AxisRotation:
         _check_special_orthogonal(m, 1e-12)
         object.__setattr__(self, "matrix", m)
         if self.axis is None:
-            kdim, v0 = axis_and_kernel(m)
+            kdim, v0 = _axis_of(m)
         else:
             kdim = _kernel_dim(m)
             if kdim != 1:

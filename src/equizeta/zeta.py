@@ -11,7 +11,11 @@ The flat-trace distribution of the flow pullback is realized as an atomic
 measure: one atom per delocalised length l inside the window, with
 coefficient -sum_orbits sign * holonomy * period.  Pairing that measure
 with psi_sigma(t) = e^{-sigma|t|}/|t| at matched truncation reproduces
--2 log R exactly, atom for atom, which the engine exploits as a test.
+-2 log R exactly, atom for atom, which the engine exploits as a test: the
+direct sum forms its terms elementwise as arrays, with the floats the
+pairing's loop makes one term at a time, and sums them sequentially in
+spectrum order, as the loop does.  A direct sweep builds the orbits once and
+sums each sigma's window as a cut of that build.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergentError
+import numpy as np
+
+from .errors import DomainError, EquizetaError, NonConvergentError
 from .models import (
     CircleModel,
     FlowModel,
@@ -77,9 +84,9 @@ def flat_trace_measure(model: FlowModel, g, window: float) -> AtomicMeasure:
     Coefficient at l: -sum over orbits of sign(det(1-P)) tr(rho) T; colliding
     lengths (possible for the 3-sphere families) are merged by summing.
     """
-    diag = validate_model(model, g)
-    if not diag.nondegenerate:
-        raise DomainError(f"model is degenerate at this element: {diag.witness}")
+    nondegenerate, witness = model.nondegeneracy(g)
+    if not nondegenerate:
+        raise DomainError(f"model is degenerate at this element: {witness}")
     lengths, weights = model.orbit_data(g, window)
     atoms = tuple(zip(lengths.tolist(), [-w for w in weights.tolist()]))
     return AtomicMeasure(atoms=atoms, window=window)
@@ -97,6 +104,14 @@ def pair_with_test_function(measure: AtomicMeasure, psi) -> complex:
 # log R: direct orbit sums, closed forms and continuation
 # ---------------------------------------------------------------------------
 
+def _finite_sigma(sigma) -> complex:
+    """sigma as a complex, refused (DomainError) unless finite."""
+    sigma = complex(sigma)
+    if not cmath.isfinite(sigma):
+        raise DomainError("sigma must be finite")
+    return sigma
+
+
 def _float_range(evaluate):
     """The one range rule of log R: a sigma that is not finite is refused
     before any evaluation, and an OverflowError on the way to log R, or a
@@ -104,9 +119,7 @@ def _float_range(evaluate):
 
     @functools.wraps(evaluate)
     def checked(model: FlowModel, g, sigma, *args) -> ZetaEvaluation:
-        sigma = complex(sigma)
-        if not cmath.isfinite(sigma):
-            raise DomainError("sigma must be finite")
+        sigma = _finite_sigma(sigma)
         try:
             ev = evaluate(model, g, sigma, *args)
             if cmath.isfinite(ev.log_R):
@@ -139,18 +152,47 @@ def ruelle_log_direct(
     exactly; its certificate comes back whatever it is.  The model's orbit
     budget refuses a window it cannot build (NonConvergentError).
     """
-    ev = _direct_sum(model, g, sigma, _tolerance(tol), window)
-    if window is None and ev.est_error > tol * max(1.0, abs(ev.log_R)):
-        raise NonConvergentError(
-            f"the direct sum at sigma = {ev.sigma} has est_error {ev.est_error:.3e}, "
-            f"above tol {tol:g}",
-            partial=ev.log_R,
-        )
-    return ev
+    return next(_direct_evaluations(model, g, (sigma,), tol, window))
 
 
-@_float_range
-def _direct_sum(model: FlowModel, g, sigma: complex, tol: float, window) -> ZetaEvaluation:
+def _direct_evaluations(model: FlowModel, g, sigmas, tol: float, window: float | None = None):
+    """``ruelle_log_direct`` at each sigma in turn, as a generator; a direct
+    sweep iterates it, and ruelle_log_direct is its one-element case.
+
+    Every sigma is checked in order before any orbit is built (finite sigma,
+    Re(sigma) > 0, the window, a finite tail, the orbit budget) up to the
+    first refused one.  The orbits are then built once, at the largest window
+    of the sigmas before it, and each of those sums its own window's cut of
+    that build (the floats a build at its window gives), then passes the
+    range and tol checks.  Their evaluations are yielded in order, and the
+    refusal is raised after them, where one sigma at a time would raise it.
+    """
+    _tolerance(tol)
+    plans, refusal = [], None
+    for sigma in sigmas:
+        try:
+            plans.append(_direct_plan(model, g, sigma, tol, window))
+        except EquizetaError as exc:  # raised where a sigma-by-sigma sweep reaches it
+            refusal = exc
+            break
+    if plans:
+        table = model._orbit_table(g, max(w for _, w, _ in plans))
+    for sigma, w, tail in plans:
+        ev = _direct_sum(model, g, sigma, model._window_cut(table, w), tail)
+        if window is None and ev.est_error > tol * max(1.0, abs(ev.log_R)):
+            raise NonConvergentError(
+                f"the direct sum at sigma = {ev.sigma} has est_error {ev.est_error:.3e}, "
+                f"above tol {tol:g}",
+                partial=ev.log_R,
+            )
+        yield ev
+    if refusal is not None:
+        raise refusal
+
+
+def _direct_plan(model: FlowModel, g, sigma, tol: float, window) -> tuple[complex, float, float]:
+    """The checks of one direct sum before its orbits: (sigma, window, tail)."""
+    sigma = _finite_sigma(sigma)
     if model.infinite_spectrum and sigma.real <= 0:
         raise DomainError("direct evaluation needs Re(sigma) > 0 for this model")
     if window is None:
@@ -160,12 +202,53 @@ def _direct_sum(model: FlowModel, g, sigma: complex, tol: float, window) -> Zeta
     tail = model.tail_bound(g, sigma, window)
     if not math.isfinite(tail):
         raise DomainError(f"the orbit sum does not converge absolutely at sigma = {sigma}")
-    lengths, weights = model.orbit_data(g, window)
-    # Summed in spectrum order, term by term: pairing flat_trace_measure with
-    # psi_sigma repeats these operations, and matches -2 log R bit for bit.
-    total = 0.0 + 0j
-    for l, weight in zip(lengths.tolist(), weights.tolist()):
-        total += weight * (cmath.exp(-sigma * abs(l)) / abs(l))
+    model._check_budget(window)
+    return sigma, window, tail
+
+
+# Past this real part cmath.exp scales by e (CPython's CM_LOG_LARGE_DOUBLE,
+# log(DBL_MAX / 4)), and a libm cexp may round otherwise.
+_EXP_SCALED = math.log(sys.float_info.max / 4.0)
+
+
+def _direct_terms(sigma: complex, lengths: np.ndarray, weights: np.ndarray):
+    """The real and imaginary parts of weight * e^{-sigma|l|} / |l|, one
+    array each: elementwise, the floats that Python's complex operations
+    make one term at a time, but for the sign of a zero part, which no sum
+    started from 0.0 keeps.  numpy's complex exp is libm's cexp, which
+    rounds as cmath.exp does; an exponent that is not finite or is past
+    _EXP_SCALED (only a finite spectrum at Re(sigma) < 0 reaches one) takes
+    cmath.exp itself, its OverflowError and ValueError included.  The product
+    is written out in real arithmetic, as Python forms it."""
+    x = np.abs(lengths)
+    exponent = np.empty(len(x), dtype=complex)
+    exponent.real = -sigma.real * x
+    exponent.imag = -sigma.imag * x
+    e = np.exp(exponent)
+    rare = ~(np.isfinite(exponent) & (exponent.real <= _EXP_SCALED))
+    if rare.any():
+        e[rare] = [cmath.exp(z) for z in exponent[rare].tolist()]
+    t_re, t_im = e.real / x, e.imag / x
+    w_re, w_im = weights.real, weights.imag
+    return w_re * t_re - w_im * t_im, w_re * t_im + w_im * t_re
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., rounded in that order."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+@_float_range
+def _direct_sum(model: FlowModel, g, sigma: complex, orbits, tail: float) -> ZetaEvaluation:
+    lengths, weights = orbits
+    # The terms come elementwise and are summed sequentially, in spectrum
+    # order: pairing flat_trace_measure with psi_sigma repeats these
+    # operations one term at a time, and matches -2 log R bit for bit.
+    # An inf or nan on the way is silent, as in Python's complex arithmetic;
+    # _float_range refuses the total.
+    with np.errstate(all="ignore"):
+        re, im = _direct_terms(sigma, lengths, weights)
+        total = complex(_sequential_sum(re), _sequential_sum(im))
     return ZetaEvaluation(
         sigma, 0.5 * total, "direct", 0.5 * tail + 1e-15 * max(1.0, abs(total)), len(lengths)
     )

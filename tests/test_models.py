@@ -874,28 +874,64 @@ class TestConjugationInvariance:
 
 
 class TestOneClassification:
-    """An AxisRotation classifies its matrix once: axis_and_kernel runs once
-    per model construction, and a Euclidean cutoff period, which gives the
-    axis, classifies r^m once without it."""
+    """An AxisRotation classifies its matrix once: a model construction
+    checks orthogonality once and derives the axis once, through the
+    unchecked step behind axis_and_kernel, and a Euclidean cutoff period,
+    which gives the axis, classifies r^m once without deriving it."""
 
-    def calls(self, monkeypatch, run):
-        calls = []
+    NAMES = ("axis_and_kernel", "_axis_of", "_check_special_orthogonal")
+
+    def counts(self, monkeypatch, run):
+        calls = dict.fromkeys(self.NAMES, 0)
         for mod in (rotations, models):
-            original = getattr(mod, "axis_and_kernel", None)
-            if original is None:
-                continue
+            for name in self.NAMES:
+                original = getattr(mod, name, None)
+                if original is None:
+                    continue
 
-            def counting(*args, _fn=original, **kwargs):
-                calls.append(1)
-                return _fn(*args, **kwargs)
+                def counting(*args, _fn=original, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(mod, "axis_and_kernel", counting)
+                monkeypatch.setattr(mod, name, counting)
         run()
         monkeypatch.undo()
-        return len(calls)
+        return calls
+
+    def calls(self, monkeypatch, run):
+        """Axis derivations, checked or not."""
+        counts = self.counts(monkeypatch, run)
+        return counts["axis_and_kernel"] + counts["_axis_of"]
 
     def test_from_angle(self, monkeypatch):
-        assert self.calls(monkeypatch, euclid_model) == 1
+        assert self.counts(monkeypatch, euclid_model) == {
+            "axis_and_kernel": 0, "_axis_of": 1, "_check_special_orthogonal": 1,
+        }
+
+    def test_public_axis_and_kernel_keeps_its_check(self, monkeypatch):
+        run = lambda: rotations.axis_and_kernel(rotations.block_rotation((1.0,), 3))
+        assert self.counts(monkeypatch, run) == {
+            "axis_and_kernel": 1, "_axis_of": 1, "_check_special_orthogonal": 1,
+        }
+        with pytest.raises(DomainError, match="not orthogonal within 1e-10"):
+            rotations.axis_and_kernel(np.diag([1.0, 1.0 + 1e-9, 1.0]))
+
+    @pytest.mark.parametrize("matrix, axis, message", [
+        (np.ones((2, 3)), None, "expected a square matrix, got shape (2, 3)"),
+        (np.diag([1.0, 1.0 + 1e-11, 1.0]), None, "matrix is not orthogonal within 1e-12 (defect 2.000e-11)"),
+        (np.diag([1.0, 1.0, -1.0]), None, "matrix must have determinant +1"),
+        (np.eye(3), [0.0, 0.0, 1.0], "axis given but ker(r - I) has dimension 3"),
+        (rotations.block_rotation((1.0,), 3), [1.0, 0.0, 0.0], "axis is not fixed by the rotation"),
+    ], ids=["square", "orthogonal", "determinant", "kernel", "axis"])
+    def test_refusals(self, monkeypatch, matrix, axis, message):
+        # Every refusal of a construction comes from its one orthogonality
+        # check or its one classification, with the message it had.
+        def run():
+            with pytest.raises(DomainError) as refused:
+                AxisRotation(matrix=matrix, axis=None if axis is None else np.array(axis))
+            assert str(refused.value) == message
+
+        assert self.counts(monkeypatch, run)["_check_special_orthogonal"] == 1
 
     def test_period(self, monkeypatch):
         # One kernel classification of r^m per period, and no SVD: the axis
