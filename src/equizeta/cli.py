@@ -25,6 +25,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .errors import (
     DomainError,
     EquizetaError,
@@ -37,7 +39,7 @@ from .models import parse_complex as _parse_complex_domain
 from .selftest import run_selftest
 from .zeta import (
     _direct_evaluations,
-    flat_trace_measure,
+    _trace_atoms,
     fried_residual,
     ruelle_log_closed,
     ruelle_log_direct,
@@ -55,6 +57,15 @@ DEFAULT_TOL = 1e-12
 
 # A sweep holds its rows until the end: this caps its time and memory.
 MAX_SWEEP_STEPS = 10_000
+
+# Atoms per block of trace text: only one block's strings are alive at a time.
+_TRACE_BLOCK = 1 << 15
+
+# The pieces of trace text before each of an atom's three numbers; the first
+# closes the atom before (the first atom of all opens with '{"l": ').
+_ATOM_KEYS = ('}, {"l": ', ', "coeff_re": ', ', "coeff_im": ')
+
+_NOT_FINITE = "the result is not a finite number; JSON cannot carry it"
 
 _SIGMA_FLAGS = ("--sigma", "--sigma-start", "--sigma-end")
 
@@ -126,7 +137,41 @@ def _json(payload: dict) -> str:
     try:
         return json.dumps(payload, allow_nan=False)
     except ValueError as exc:
-        raise DomainError("the result is not a finite number; JSON cannot carry it") from exc
+        raise DomainError(_NOT_FINITE) from exc
+
+
+def _trace_json(lengths: np.ndarray, coeffs: np.ndarray, window: float) -> str:
+    """The bytes _json makes of {"atoms": [{"l": l, "coeff_re": c.real,
+    "coeff_im": c.imag}, ...], "window": window}, written from the atom
+    arrays with no dict per atom; a non-finite number is refused, as _json
+    refuses it, before any text is made."""
+    values = np.stack((lengths, coeffs.real, coeffs.imag), axis=1)
+    if not (np.isfinite(values).all() and math.isfinite(window)):
+        raise DomainError(_NOT_FINITE)
+    blocks = [
+        _atoms_text(values[i:i + _TRACE_BLOCK], _ATOM_KEYS[0] if i else '{"l": ')
+        for i in range(0, len(values), _TRACE_BLOCK)
+    ]
+    close = "}" if blocks else ""
+    # One join: the blocks are not copied into a second text on the way.
+    return "".join(['{"atoms": [', *blocks, close, '], "window": ', repr(window), "}"])
+
+
+def _atoms_text(values: np.ndarray, opening: str) -> str:
+    """The JSON text of the atoms in the rows (l, coeff_re, coeff_im) of
+    ``values``, from ``opening`` (which ends the atom before, if any) to the
+    last atom's coeff_im.  float.__repr__, which json.dumps writes, is called
+    once per distinct magnitude (keyed by its bits); a negative value, -0.0
+    too, is '-' and its magnitude's text."""
+    flat = values.ravel()
+    bits, index = np.unique(np.abs(flat).view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    texts = np.concatenate((texts, "-" + texts))
+    pieces = np.empty((len(values), 6), dtype=object)
+    pieces[:, 0::2] = _ATOM_KEYS
+    pieces[:, 1::2] = texts[index + len(bits) * np.signbit(flat)].reshape(-1, 3)
+    pieces[0, 0] = opening
+    return "".join(pieces.ravel().tolist())
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -259,17 +304,18 @@ def cmd_fried(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    """Print the flat-trace atoms inside the window as one JSON object.
+
+    The atoms are zeta's one definition of them, ``_trace_atoms`` (which
+    flat_trace_measure wraps): the sorted orbit arrays, checked as arrays.
+    Their text is written straight from those arrays, the bytes json.dumps
+    makes of one dict per atom.
+    """
     model, g = build_model(args.model, parse_params(args.params, args.config))
     if not math.isfinite(args.window):
         raise ConfigError("window must be finite")
-    measure = flat_trace_measure(model, g, args.window)
-    payload = {
-        "atoms": [
-            {"l": l, "coeff_re": c.real, "coeff_im": c.imag} for l, c in measure.atoms
-        ],
-        "window": measure.window,
-    }
-    _emit(_json(payload), args.output)
+    lengths, coeffs = _trace_atoms(model, g, args.window)
+    _emit(_trace_json(lengths, coeffs, args.window), args.output)
     return EXIT_OK
 
 

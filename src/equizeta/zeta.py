@@ -9,12 +9,16 @@ route of the continuation (see ``series``).
 
 The flat-trace distribution of the flow pullback is realized as an atomic
 measure: one atom per delocalised length l inside the window, with
-coefficient -sum_orbits sign * holonomy * period.  Pairing that measure
-with psi_sigma(t) = e^{-sigma|t|}/|t| at matched truncation reproduces
--2 log R exactly, atom for atom, which the engine exploits as a test: the
-direct sum forms its terms elementwise as arrays, with the floats the
-pairing's loop makes one term at a time, and sums them sequentially in
-spectrum order, as the loop does.  A direct sweep builds the orbits once and
+coefficient -sum_orbits sign * holonomy * period.  The atoms have one
+definition, ``_trace_atoms``: the sorted orbit arrays of ``orbit_data``,
+weights negated, checked (inside the window, strictly ascending) in one
+vectorised pass, the check ``AtomicMeasure`` runs too.
+``flat_trace_measure`` wraps those arrays, and the CLI's trace writes its
+text from them.  Pairing that measure with psi_sigma(t) = e^{-sigma|t|}/|t|
+at matched truncation reproduces -2 log R exactly, atom for atom, which the
+engine exploits as a test: the direct sum forms its terms elementwise as
+arrays, with the floats the pairing's loop makes one term at a time, and
+sums them sequentially in spectrum order, as the loop does.  A direct sweep builds the orbits once and
 sums each sigma's window as a cut of that build.
 """
 
@@ -49,14 +53,25 @@ class AtomicMeasure:
     window: float
 
     def __post_init__(self):
-        prev = None
-        for l, _ in self.atoms:
-            if abs(l) > self.window + 1e-12:
-                raise DomainError(f"atom at {l} outside window {self.window}")
-            if prev is not None:
-                if l - prev <= 1e-12:
-                    raise DomainError("atoms must be strictly ascending (no duplicates)")
-            prev = l
+        _check_atoms([l for l, _ in self.atoms], self.window)
+
+
+def _check_atoms(lengths, window) -> None:
+    """Refuse (DomainError) atom lengths outside the window or not strictly
+    ascending, in one array pass with a loop's verdict: the first failing
+    atom in order is reported, outside before ascending, and a NaN length
+    (which no comparison fails) passes.  Both are shown as the caller gave
+    them."""
+    values = np.asarray(lengths, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        outside = np.abs(values) > window + 1e-12
+        bad = outside.copy()
+        bad[1:] |= values[1:] - values[:-1] <= 1e-12
+    if bad.any():
+        i = int(bad.argmax())
+        if outside[i]:
+            raise DomainError(f"atom at {lengths[i]} outside window {window}")
+        raise DomainError("atoms must be strictly ascending (no duplicates)")
 
 
 @dataclass(frozen=True)
@@ -78,18 +93,26 @@ class FriedReport:
 # Flat-trace atoms and pairing
 # ---------------------------------------------------------------------------
 
+def _trace_atoms(model: FlowModel, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """The flat-trace atoms inside the window as two arrays, the ascending
+    lengths and their coefficients: the one definition of the atoms, which
+    flat_trace_measure wraps and the CLI's trace formats directly."""
+    nondegenerate, witness = model.nondegeneracy(g)
+    if not nondegenerate:
+        raise DomainError(f"model is degenerate at this element: {witness}")
+    lengths, weights = model.orbit_data(g, window)
+    _check_atoms(lengths, window)
+    return lengths, -weights
+
+
 def flat_trace_measure(model: FlowModel, g, window: float) -> AtomicMeasure:
     """Atomic realization of the flat-trace distribution inside the window.
 
     Coefficient at l: -sum over orbits of sign(det(1-P)) tr(rho) T; colliding
     lengths (possible for the 3-sphere families) are merged by summing.
     """
-    nondegenerate, witness = model.nondegeneracy(g)
-    if not nondegenerate:
-        raise DomainError(f"model is degenerate at this element: {witness}")
-    lengths, weights = model.orbit_data(g, window)
-    atoms = tuple(zip(lengths.tolist(), [-w for w in weights.tolist()]))
-    return AtomicMeasure(atoms=atoms, window=window)
+    lengths, coeffs = _trace_atoms(model, g, window)
+    return AtomicMeasure(atoms=tuple(zip(lengths.tolist(), coeffs.tolist())), window=window)
 
 
 def pair_with_test_function(measure: AtomicMeasure, psi) -> complex:
@@ -218,8 +241,10 @@ def _direct_terms(sigma: complex, lengths: np.ndarray, weights: np.ndarray):
     started from 0.0 keeps.  numpy's complex exp is libm's cexp, which
     rounds as cmath.exp does; an exponent that is not finite or is past
     _EXP_SCALED (only a finite spectrum at Re(sigma) < 0 reaches one) takes
-    cmath.exp itself, its OverflowError and ValueError included.  The product
-    is written out in real arithmetic, as Python forms it."""
+    cmath.exp itself, its OverflowError included; its ValueError, an
+    imaginary part past the floats (Im(sigma)|l| overflows), is a DomainError
+    that names sigma.  The product is written out in real arithmetic, as
+    Python forms it."""
     x = np.abs(lengths)
     exponent = np.empty(len(x), dtype=complex)
     exponent.real = -sigma.real * x
@@ -227,7 +252,13 @@ def _direct_terms(sigma: complex, lengths: np.ndarray, weights: np.ndarray):
     e = np.exp(exponent)
     rare = ~(np.isfinite(exponent) & (exponent.real <= _EXP_SCALED))
     if rare.any():
-        e[rare] = [cmath.exp(z) for z in exponent[rare].tolist()]
+        try:
+            e[rare] = [cmath.exp(z) for z in exponent[rare].tolist()]
+        except ValueError:
+            raise DomainError(
+                f"e^(-sigma|l|) has no value at sigma = {sigma}: "
+                "the exponent's imaginary part overflows a float"
+            ) from None
     t_re, t_im = e.real / x, e.imag / x
     w_re, w_im = weights.real, weights.imag
     return w_re * t_re - w_im * t_im, w_re * t_im + w_im * t_re

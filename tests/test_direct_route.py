@@ -3,6 +3,7 @@ build per sweep, sweep rows against single evaluations, and the flat trace's
 nondegeneracy gate."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -287,6 +288,38 @@ class TestSweepRows:
     def test_tol_flag(self, capsys):
         assert assert_rows_are_evaluations(
             capsys, "sphere2", "theta=1", 0.3, 0.05, 4, "--tol", "1e-6")[:2] == (0, 4)
+
+
+class TestImaginaryPartPastTheFloats:
+    """At sigma = 1 + 1e308i the exponent -sigma|l| has an infinite imaginary
+    part: e^(-sigma|l|) has no value, and the direct route refuses sigma with
+    one JSON error line (exit 1), not a traceback."""
+
+    @staticmethod
+    def error_line(sigma: complex) -> str:
+        message = (f"e^(-sigma|l|) has no value at sigma = {sigma}: "
+                   "the exponent's imaginary part overflows a float")
+        return json.dumps({"error": "DomainError", "code": 1, "message": message})
+
+    @pytest.mark.parametrize("model, params", [
+        ("circle", "r0=0.25,alpha=1i"), ("sphere2", "theta=1"), ("line", "g=2,alpha=0.5i"),
+    ])
+    def test_eval(self, capsys, model, params):
+        code, out = run_cli(capsys, "eval", "--model", model, "--params", params,
+                            "--sigma", "1+1e308i", "--method", "direct")
+        assert (code, out.splitlines()) == (1, [self.error_line(1 + 1e308j)])
+
+    def test_sweep_prints_its_finished_rows(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--model", "circle", "--params", "r0=0.25,alpha=1i",
+                            "--sigma-start", "1", "--sigma-end", "1+1e308i", "--steps", "3",
+                            "--method", "direct")
+        lines = out.splitlines()
+        assert (code, len(lines)) == (1, 3)
+        assert lines[1].startswith("1.0,0.0,")
+        assert lines[2] == self.error_line(1 + 5e307j)
+        code, rows, last = assert_rows_are_evaluations(
+            capsys, "circle", "r0=0.25,alpha=1i", 1.0, 1 + 1e308j, 3)
+        assert (code, rows, last) == (1, 1, lines[2])
 
 
 def validate_oracle(model, g) -> ModelDiagnostics:
