@@ -31,7 +31,10 @@ and positive (a real z past a real singular point), every route takes the
 side Im u0 < 0, the limit from Im z > 0: sign(0) = -1 in both inversions,
 and log(-u0) = log(u0) + i pi on the disc.  ``_continued_family`` is the
 one kernel: it scales one orbit family (d, r, alpha), reduces both halves
-and sends each to its route.
+(``_lattice_offsets``) and sends each to its route in straight-line code.
+``_lerch_half`` takes the disc, the series, or the inversion in one call
+(the series at -u plus the jump); the disc's coefficient row B_k(a)/(k k!)
+is built once per family, already complex (``_disc_coefficients``).
 
 Everything here works in double precision with explicit error tracking;
 all logarithms are principal branch.  The disc's psi(a), a in (0, 1), is
@@ -485,11 +488,14 @@ def alpha_in_two_pi_i_z(alpha: complex) -> bool:
     return min(abs(u0) for u0, _, _ in _lattice_offsets(complex(alpha), 0j)) < LATTICE_TOL
 
 
-def _disc_coefficients(s: float) -> np.ndarray:
-    """B_k(s)/(k k!) for k = 1..DISC_TERMS in row 0, and in row 1 the
-    summed moduli of the convolution that forms each, which bound its
-    rounding."""
-    return (_DISC_TABLE @ (s**_DISC_I * _INV_FACTORIAL)).reshape(2, DISC_TERMS)
+def _disc_coefficients(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(c, moduli): B_k(s)/(k k!) for k = 1..DISC_TERMS as a complex row,
+    and as a real row the summed moduli of the convolution that forms each,
+    which bound its rounding.  c is cast to complex once per family, the
+    cast that a real row's ``c @ powers`` makes in every disc half, so the
+    product is the same float."""
+    rows = _DISC_TABLE @ (s**_DISC_I * _INV_FACTORIAL)
+    return rows[:DISC_TERMS].astype(complex), rows[DISC_TERMS:]
 
 
 # psi on [1, 2] is (x - root) (Y + P(x - 1)/Q(x - 1)), with root the positive
@@ -533,25 +539,30 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
 
     b = 1 - a and cot = pi cot(pi a) come in exactly; coefficients are
     ``_disc_coefficients(min(a, b))``, needed on the disc only.  du bounds
-    the error of u0 itself.  Returns (value, terms, tail, rounding,
-    conditioning): the truncation bound, ROUNDING_ULPS ulps of the summed
-    term moduli, and du times a bound on |dH/du0|.
+    the error of u0 itself.  Re u0 >= DISC_RADIUS is inverted in this call:
+    the defining series at -u0 with offset b, then the jump
+    pi cot(pi a) + i pi sign(Im u0) and its rounding.  Returns (value,
+    terms, tail, rounding, conditioning): the truncation bound,
+    ROUNDING_ULPS ulps of the summed term moduli, and du times a bound on
+    |dH/du0|.
     """
-    if u0.real >= DISC_RADIUS:
-        value, terms, tail, rounding, conditioning = _lerch_half(-u0, du, b, a, -cot, coefficients)
-        jump = complex(cot, math.pi if u0.imag > 0 else -math.pi)
-        rounding += ROUNDING_ULPS * _EPS * abs(jump)
-        return value + jump, terms, tail, rounding, conditioning
-    if u0.real <= -DISC_RADIUS:
-        x = _SERIES_N + a
-        t = np.exp(u0 * x) / x
+    inverted = u0.real >= DISC_RADIUS
+    if inverted or u0.real <= -DISC_RADIUS:
+        v, s = (-u0, b) if inverted else (u0, a)
+        x = _SERIES_N + s
+        t = np.exp(v * x) / x
         moduli = np.abs(t)
         slope = float(moduli @ x)  # sum |dt/du0|
-        q = math.exp(u0.real)
-        tail = q ** (SERIES_TERMS + a) / ((SERIES_TERMS + a) * (1.0 - q))
-        # The exponent u0 x is rounded too: |u0| x ulps of each term.
-        rounding = ROUNDING_ULPS * _EPS * (float(moduli.sum()) + abs(u0) * slope)
-        return complex(t.sum()), SERIES_TERMS, tail, rounding, du * slope
+        q = math.exp(v.real)
+        tail = q ** (SERIES_TERMS + s) / ((SERIES_TERMS + s) * (1.0 - q))
+        # The exponent v x is rounded too: |v| x ulps of each term.
+        rounding = ROUNDING_ULPS * _EPS * (float(moduli.sum()) + abs(v) * slope)
+        value = complex(t.sum())
+        if inverted:
+            jump = complex(cot, math.pi if u0.imag > 0 else -math.pi)
+            value += jump
+            rounding += ROUNDING_ULPS * _EPS * abs(jump)
+        return value, SERIES_TERMS, tail, rounding, du * slope
     # B_k(1 - s) = (-1)^k B_k(s): the larger offset sums its power series at -u0.
     c, c_moduli = coefficients
     powers = np.full(DISC_TERMS, -u0 if a > b else u0).cumprod()
@@ -604,46 +615,49 @@ def _continued_family(d: float, r: float, alpha: complex, sigma: complex) -> tup
     """F(|d| sigma; r, d alpha) of one orbit family, as (value, terms, est_error).
 
     F = H(d alpha - z; r) + H(-d alpha - z; 1 - r) at z = |d| sigma, each
-    half by the route of its reduced u0 (see the module notes) times the
-    phase e^{2 pi i m a}, taken from the exact m*a mod 1; at r = 0 each half
-    is H(u0; 1) (``_offset_zero_half``).  est_error sums, over both halves,
-    the tail bounds, ROUNDING_ULPS ulps of the summed term moduli and the
-    conditioning of H on the error of u0 (1/|u0| from log(-u0) near the
-    excluded lattice).  terms counts the series terms summed over both
-    halves.  Raises DomainError for a z that is not finite, and on the
-    excluded lattice SingularPointError, which names sigma.
+    half by the route of its reduced u0 (see the module notes; the inversion
+    happens inside ``_lerch_half``) times the phase e^{2 pi i m a}, taken
+    from the exact m*a mod 1; at r = 0 each half is H(u0; 1)
+    (``_offset_zero_half``); the disc coefficients are built once, and only
+    when a half is on the disc.  est_error sums, over both halves, the tail bounds, ROUNDING_ULPS ulps of
+    the summed term moduli and the conditioning of H on the error of u0
+    (1/|u0| from log(-u0) near the excluded lattice).  terms counts the
+    series terms summed over both halves.  Raises DomainError for a z that
+    is not finite and SingularPointError on the excluded lattice; both name
+    sigma.
     """
     z = sigma
     if d != 1.0:  # real factors scale each part alone, which keeps signed zeros
         alpha = complex(d * alpha.real, d * alpha.imag)
         z = complex(abs(d) * z.real, abs(d) * z.imag)
     if not cmath.isfinite(z):
-        raise DomainError(f"the continuation needs a finite z, got {z}")
-    halves = _lattice_offsets(alpha, z)
-    if min(abs(u0) for u0, _, _ in halves) < LATTICE_TOL:
+        raise DomainError(f"the continuation needs a finite z = |d| sigma, got sigma = {sigma}")
+    (u1, m1, du1), (u2, m2, du2) = _lattice_offsets(alpha, z)
+    if abs(u1) < LATTICE_TOL or abs(u2) < LATTICE_TOL:
         raise SingularPointError(f"sigma = {sigma} is a singular point of the continuation")
     if r:
         # min(r, 1 - r) is exact: 1 - r is, for r >= 1/2 (Sterbenz).
-        small = min(r, 1.0 - r)
+        b = 1.0 - r
+        small = min(r, b)
         cot = math.pi / math.tan(math.pi * small)  # pi cot(pi r), up to sign
         if small != r:
             cot = -cot
         coefficients = None
-        if any(abs(u0.real) < DISC_RADIUS for u0, _, _ in halves):
+        if abs(u1.real) < DISC_RADIUS or abs(u2.real) < DISC_RADIUS:
             coefficients = _disc_coefficients(small)
-    value, terms, est = 0j, 0, 0.0
-    for (u0, m, du), sign in zip(halves, (1, -1)):
-        if not r:
-            h, n, *bounds = _offset_zero_half(u0, du)
-        else:
-            a, b, c = (r, 1.0 - r, cot) if sign > 0 else (1.0 - r, r, -cot)
-            h, n, *bounds = _lerch_half(u0, du, a, b, c, coefficients)
-            if m:  # e^{2 pi i m a}, with e^{2 pi i m (1 - r)} = e^{-2 pi i m r}
-                h *= _exp_2pi_i(r, sign * m)
-        value += h
-        terms += n
-        est += sum(bounds)
-    return value, terms, est
+        h1, n1, tail1, rounding1, conditioning1 = _lerch_half(u1, du1, r, b, cot, coefficients)
+        if m1:  # e^{2 pi i m a}, with e^{2 pi i m (1 - r)} = e^{-2 pi i m r}
+            h1 *= _exp_2pi_i(r, m1)
+        h2, n2, tail2, rounding2, conditioning2 = _lerch_half(u2, du2, b, r, -cot, coefficients)
+        if m2:
+            h2 *= _exp_2pi_i(r, -m2)
+    else:
+        h1, n1, tail1, rounding1, conditioning1 = _offset_zero_half(u1, du1)
+        h2, n2, tail2, rounding2, conditioning2 = _offset_zero_half(u2, du2)
+    # The sums start from 0j and 0.0, which turn a signed zero to +0.
+    value = 0j + h1 + h2
+    est = 0.0 + (tail1 + rounding1 + conditioning1) + (tail2 + rounding2 + conditioning2)
+    return value, n1 + n2, est
 
 
 def bilateral_exp_sum_continued_result(p: BilateralSumParams, z) -> SeriesResult:
