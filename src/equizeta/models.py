@@ -1071,13 +1071,33 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+# The keys each model takes: the schema the CLI's --params and --config expose.
+_PARAMETER_KEYS = {
+    "line": ("g", "alpha"),
+    "lattice": ("g", "alpha"),
+    "circle": ("r0", "alpha"),
+    "euclid": ("n", "a", "theta", "order", "l0", "m", "alpha_v0"),
+    "sphere2": ("theta",),
+    "sphere3": ("theta1", "theta2"),
+}
+
+
 def model_from_params(name: str, params: dict) -> tuple[FlowModel, object]:
     """Build (model, group element) from a key=value parameter map.
 
-    The schema is the one the CLI exposes: line/lattice take g and alpha,
-    circle takes r0 and alpha, euclid takes n, a, theta, order, l0, m and
-    alpha_v0, the spheres take theta resp. theta1/theta2.
+    The schema is ``_PARAMETER_KEYS``; an unknown model, then a key outside
+    the model's schema, raises DomainError.
     """
+    if name not in _PARAMETER_KEYS:
+        raise DomainError(f"unknown model {name!r}; choose {'|'.join(_PARAMETER_KEYS)}")
+    keys = _PARAMETER_KEYS[name]
+    unknown = [key for key in params if key not in keys]
+    if unknown:
+        raise DomainError(
+            f"model {name!r} takes no parameter {', '.join(map(repr, unknown))}; "
+            f"its keys are {', '.join(keys)}"
+        )
+
     def fget(key, default=None):
         if key not in params:
             if default is None:
@@ -1102,8 +1122,4 @@ def model_from_params(name: str, params: dict) -> tuple[FlowModel, object]:
         return model, EuclideanElement(l0=fget("l0"), m=fget("m", 1.0))
     if name == "sphere2":
         return Sphere2Model(), fget("theta")
-    if name == "sphere3":
-        return Sphere3Model(), (fget("theta1"), fget("theta2"))
-    raise DomainError(
-        f"unknown model {name!r}; choose line|lattice|circle|euclid|sphere2|sphere3"
-    )
+    return Sphere3Model(), (fget("theta1"), fget("theta2"))

@@ -40,8 +40,9 @@ Everything here works in double precision with explicit error tracking;
 all logarithms are principal branch.  The disc's psi(a), a in (0, 1), is
 ``_digamma``: Boost's rational approximation on [1, 2], the one Cephes and so
 scipy.special.digamma use, which gives scipy's bits without importing scipy.
-``hyp2f1`` (Gauss's 2F1) stays as a standalone function that no evaluation
-path calls.  scipy.special is imported only by the 2F1 code and by
+``hyp2f1`` (Gauss's 2F1, the route the continuation replaced) stays as a
+standalone function that no evaluation path calls: its defining series and
+the Pfaff map, nothing more.  scipy.special is imported only by
 ``bilateral_exp_sum_ewald`` (erfc and E1), so log R is evaluated without
 scipy.
 """
@@ -70,13 +71,14 @@ EWALD_ETA = math.pi
 # Hard cap on series terms before giving up (see NonConvergentError).
 TERM_CAP = 10**7
 
-# The one truncation target of the adaptive series here (2F1 and the direct bilateral sum).
+# The one truncation target of the adaptive series here (the 2F1 series and the
+# direct bilateral sum).
 SERIES_TOL = 1e-14
 
 # A point is on the excluded lattice +-alpha + 2*pi*i*Z when closer than this.
 LATTICE_TOL = 1e-10
 
-# Power-series dispatch radius shared by the direct, Pfaff and 1/z routes.
+# hyp2f1 sums its series where |z|, or |z/(z-1)| on the Pfaff route, is at most this.
 SERIES_RADIUS = 0.8
 
 # The continuation's H(u; a) takes the Hurwitz-Bernoulli disc on |Re u| <
@@ -99,11 +101,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-# The Lerch integral's 24-node rule, and for its error estimate a 16-node rule
-# on the same panels.
-_LERCH_RULES = (gauss_legendre(24), gauss_legendre(16))
 
 
 def _read_only(values) -> np.ndarray:
@@ -245,97 +242,17 @@ def _hyp2f1_series(a, b, c, z) -> SeriesResult:
     return SeriesResult(total, n + 1, float("inf"), False)
 
 
-# psi values of the log-case series are taken in blocks of this many terms.
-_PSI_BLOCK = 64
-
-
-def _hyp2f1_logcase(a, b, z) -> SeriesResult:
-    """Connection formula at 1-z for the degenerate case c = a + b.
-
-    2F1(a,b;a+b;z) = G(a+b)/(G(a)G(b)) * sum_k (a)_k (b)_k / (k!)^2
-                     * (2 psi(k+1) - psi(a+k) - psi(b+k) - log(1-z)) (1-z)^k,
-    valid for |1-z| < 1 off the cut [1, oo).
-    """
-    from scipy import special
-
-    u = 1.0 - z
-    uabs = abs(u)
-    lg = cmath.log(u)
-    pref = special.gamma(a + b) / (special.gamma(a) * special.gamma(b))
-    total = 0.0 + 0j
-    term = 1.0 + 0j
-    k = 0
-    while k < TERM_CAP:
-        j = k % _PSI_BLOCK
-        if j == 0:
-            # As Python numbers: each term's arithmetic then gives the bits
-            # numpy scalars give, without their per-operation cost.
-            ks = np.arange(k, k + _PSI_BLOCK, dtype=float)
-            psi_one = special.digamma(ks + 1.0).tolist()
-            psi_a, psi_b = special.digamma(np.stack((a + ks, b + ks))).tolist()
-        coef = 2.0 * psi_one[j] - psi_a[j] - psi_b[j] - lg
-        total += term * coef
-        term = term * (a + k) * (b + k) / ((k + 1.0) ** 2) * u
-        k += 1
-        if uabs < 1.0:
-            # psi factors grow like log k; fold a generous log factor in.
-            tail = abs(term) * (abs(coef) + 2.0) / (1.0 - uabs)
-            if tail < SERIES_TOL * max(1.0, abs(total)):
-                return SeriesResult(pref * total, k, abs(pref) * tail, True)
-    return SeriesResult(pref * total, k, float("inf"), False)
-
-
-def _lerch_phi_one(z: complex, s: complex) -> SeriesResult:
-    """Phi(z, 1, s) = sum_{n>=0} z^n / (n+s) via its Laplace integral.
-
-    Uses Phi(z,1,s) = int_0^oo e^{-s t} / (1 - z e^{-t}) dt (Re s > 0,
-    z outside [1, oo)), after shifting s up until Re(s) >= 1 so the tail
-    decays at unit rate.  Composite Gauss-Legendre panels; the integrand is
-    analytic in a strip whose width is the distance from [0, oo) to the
-    poles t = log z + 2*pi*i*Z, so short panels converge geometrically.
-    """
-    if abs(z) > 1.3:
-        raise DomainError(f"integral route needs |z| <= 1.3, got {abs(z)}")
-    shifted = 0.0 + 0j
-    nterms = 0
-    while s.real < 1.0:
-        # Phi(z,1,s) = 1/s + z*Phi(z,1,s+1); at most two shifts for s > -1.
-        shifted += z**nterms / s
-        s = s + 1.0
-        nterms += 1
-    # After the shift the prefactor of the remaining integral is z**nterms.
-    pref = z**nterms
-
-    T = max(12.0, 45.0 / s.real)
-    edges = np.arange(0.0, T + 0.5, 0.5)
-    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
-    vals = []
-    for nodes, weights in _LERCH_RULES:
-        t = half * nodes + mid
-        vals.append(complex(np.sum(half * weights * (np.exp(-s * t) / (1.0 - z * np.exp(-t))))))
-    val24, val16 = vals
-    tail = math.exp(-s.real * T) / (s.real * max(1e-3, 1.0 - abs(z) * math.exp(-T)))
-    est = abs(pref) * (abs(val24 - val16) + tail)
-    value = shifted + pref * val24
-    return SeriesResult(value, 40 * half.size + nterms, est, est <= 1e-12)
-
-
 def hyp2f1(a, b, c, z) -> SeriesResult:
-    """Gauss hypergeometric 2F1(a, b; c; z) with truncation-error tracking.
+    """Gauss hypergeometric 2F1(a, b; c; z) by its defining power series,
+    with truncation-error tracking.
 
-    Route selection: defining power series for |z| <= 0.8, the Pfaff map
-    z -> z/(z-1) when that lands inside the series disc, the 1/z connection
-    formula when |1/z| <= 0.8 (non-integer a-b), the log-form connection at
-    1-z for the degenerate case c = a+b, and a Laplace-integral evaluation
-    for the family 2F1(1, b; b+1; .) that the bilateral sums reduce to.
-    At z = 1 exactly with Re(c-a-b) > 0 it returns Gauss's sum
-    G(c)G(c-a-b)/(G(c-a)G(c-b)), certified to 128 ulp of its modulus.
-    Raises DomainError for a nonpositive-integer c and NonConvergentError
-    on the singular locus z = 1 (when Re(c-a-b) <= 0) or when no route
-    covers the argument, as for 0 < |z-1| < SERIES_TOL off the log case.
+    Routes: z = 0 exactly; the terminating series for a nonpositive-integer
+    a or b, at any z; the series for |z| <= SERIES_RADIUS; and the Pfaff map
+    z -> z/(z-1) when that lands inside the series disc.  Raises DomainError
+    for a nonpositive-integer c, and NonConvergentError on the singular
+    locus z = 1 (when Re(c-a-b) <= 0) or when no route covers the argument,
+    z = 1 itself included.
     """
-    from scipy import special
-
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _is_nonpositive_integer(c):
         raise DomainError(f"2F1 undefined for nonpositive integer c = {c}")
@@ -343,51 +260,13 @@ def hyp2f1(a, b, c, z) -> SeriesResult:
         return SeriesResult(1.0 + 0j, 1, 0.0, True)
     if abs(z - 1.0) < SERIES_TOL and (c - a - b).real <= 0:
         raise NonConvergentError(f"2F1 singular at z = 1 for c-a-b = {c - a - b}")
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        # Polynomial: the series terminates regardless of |z|.
+    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b) or abs(z) <= SERIES_RADIUS:
+        # Inside the disc, or a polynomial, which terminates at any |z|.
         return _hyp2f1_series(a, b, c, z)
-    if z == 1.0:
-        # Gauss's sum (Re(c-a-b) > 0 here); rgamma vanishes at the poles of
-        # G(c-a) and G(c-b).
-        value = complex(
-            special.gamma(c) * special.gamma(c - a - b) * special.rgamma(c - a) * special.rgamma(c - b)
-        )
-        return SeriesResult(value, 1, 128 * sys.float_info.epsilon * abs(value), True)
-
-    if abs(z) <= SERIES_RADIUS:
-        return _hyp2f1_series(a, b, c, z)
-
-    zp = z / (z - 1.0)
-    if abs(zp) <= SERIES_RADIUS:
-        return _hyp2f1_series(a, c - b, c, zp).scaled((1.0 - z) ** (-a))
-
-    if abs(z) >= 1.0 / SERIES_RADIUS:
-        ab = a - b
-        if abs(ab.imag) < 1e-13 and abs(ab.real - round(ab.real)) < 1e-13:
-            raise NonConvergentError(
-                "1/z connection formula needs non-integer a-b"
-            )
-        g = special.gamma
-        t1 = _hyp2f1_series(a, a - c + 1, a - b + 1, 1.0 / z)
-        t2 = _hyp2f1_series(b, b - c + 1, b - a + 1, 1.0 / z)
-        c1 = g(c) * g(b - a) / (g(b) * g(c - a)) * (-z) ** (-a)
-        c2 = g(c) * g(a - b) / (g(a) * g(c - b)) * (-z) ** (-b)
-        return SeriesResult(
-            c1 * t1.value + c2 * t2.value,
-            t1.terms_used + t2.terms_used,
-            abs(c1) * t1.est_error + abs(c2) * t2.est_error,
-            t1.converged and t2.converged,
-        )
-
-    if abs(c - a - b) < 1e-12 and abs(1.0 - z) <= SERIES_RADIUS:
-        return _hyp2f1_logcase(a, b, z)
-
-    # Remaining gap (arguments near the unit circle with argument in roughly
-    # (0.82, 1.35)): only the Lerch-reducible family is supported there.
-    for one, s in ((a, b), (b, a)):
-        if abs(one - 1.0) < 1e-13 and abs(c - s - 1.0) < 1e-13:
-            return _lerch_phi_one(z, s).scaled(s)
-
+    if z != 1.0:
+        zp = z / (z - 1.0)
+        if abs(zp) <= SERIES_RADIUS:
+            return _hyp2f1_series(a, c - b, c, zp).scaled((1.0 - z) ** (-a))
     raise NonConvergentError(
         f"no evaluation route covers 2F1({a}, {b}; {c}; {z})"
     )
@@ -683,8 +562,10 @@ def bilateral_exp_sum_resummed(
     Forms the symmetric partial sums S_N over n in [-N, N], drops the
     transient first half, and applies three rounds of running (Cesaro)
     averages to the trailing window: an independent oracle for boundary
-    evaluations (z on the imaginary axis, the torsion sum at z = 0), with
-    the spread against half the term count as its error estimate.
+    evaluations (z on the imaginary axis, the torsion sum at z = 0).  Its
+    est_error, max(5 |full - half|, 1e-9) from the spread against half the
+    term count, is an estimate, not a bound: the result is uncertified, and
+    no evaluation path, CLI verb or selftest reads it.
     """
     z = complex(z)
     if z.real < 0:

@@ -311,13 +311,18 @@ def torsion_log(model: FlowModel, g) -> complex:
 def torsion_log_resummed(model: FlowModel, g) -> SeriesResult:
     """Circle non-identity classes: delayed iterated averaging of the
     symmetric partial sums of the torsion series over 10^6 terms, a slow
-    third route (its est_error is at least 5e-10) that the Fried check does
-    not use."""
-    r0 = model.element(g) if isinstance(model, CircleModel) else 0.0
-    if r0 == 0.0:
+    third route that the Fried check does not use.  Its est_error, at least
+    5e-10, is an estimate, not a bound (see ``bilateral_exp_sum_resummed``).
+
+    The class is read through the protocol: an infinite spectrum of exactly
+    one family (1, r, alpha) with r != 0, the bilateral sum F(.; r, alpha).
+    """
+    families = model.families(g) if model.infinite_spectrum else []
+    if len(families) != 1 or families[0][0] != 1.0 or families[0][1] == 0.0:
         raise DomainError("resummed torsion applies to circle non-identity classes")
+    _, r, alpha = families[0]
     # Re(alpha) under UNITARY_TOL is read as 0, as the Ewald split reads it.
-    params = BilateralSumParams(r=r0, alpha=complex(0.0, _unitary(model.alpha).imag))
+    params = BilateralSumParams(r=r, alpha=complex(0.0, _unitary(alpha).imag))
     return bilateral_exp_sum_resummed(params).scaled(0.5)
 
 

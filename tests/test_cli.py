@@ -103,6 +103,21 @@ class TestEval:
     def test_unknown_model(self, capsys):
         code, out = run_cli(capsys, "eval", "--model", "torus", "--params", "g=1", "--sigma", "1")
         assert code == 1
+        # The model is checked before its keys.
+        assert json.loads(out)["message"].startswith("unknown model 'torus'")
+
+    @pytest.mark.parametrize("argv, key, keys", [
+        ("eval --model circle --params r0=0.25,alhpa=1i --sigma 1", "'alhpa'", "r0, alpha"),
+        ("fried --model euclid --params n=3,a=1,theta=2.0943951,order=3,l0=1,alpha=1i",
+         "'alpha'", "n, a, theta, order, l0, m, alpha_v0"),
+        ("eval --model line --params g=2,r0=0.25,x=1 --sigma 1", "'r0', 'x'", "g, alpha"),
+    ])
+    def test_unknown_parameter_refused(self, capsys, argv, key, keys):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 1
+        (line,) = out.splitlines()
+        model = argv.split()[2]
+        assert strict_json(line)["message"] == f"model {model!r} takes no parameter {key}; its keys are {keys}"
 
     def test_nonconvergent_exit_code(self, capsys):
         # Re(sigma) so small that the direct window breaches the term cap.
@@ -225,6 +240,16 @@ class TestEval:
         assert code == 0
         want = cmath.exp(2j - 2.0) / 4.0
         assert abs(json.loads(out)["logR_im"] - want.imag) < 1e-12
+
+    def test_config_file_unknown_key_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("r0=0.25\nalpha_v0=1i\n")
+        code, out = run_cli(capsys, "eval", "--model", "circle", "--config", str(cfg), "--sigma", "1")
+        assert code == 1
+        (line,) = out.splitlines()
+        assert strict_json(line) == {
+            "error": "ConfigError", "code": 1,
+            "message": "model 'circle' takes no parameter 'alpha_v0'; its keys are r0, alpha"}
 
     @pytest.mark.parametrize("model, params, name, value", [
         ("euclid", "n=3,a=1,theta=2.0943951,order=3,l0=2,m=1.5", "m", "1.5"),

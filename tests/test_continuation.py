@@ -35,6 +35,7 @@ from equizeta import (
     ruelle_log_direct,
     series,
     validate_model,
+    zeta,
 )
 from equizeta.selftest import run_selftest
 from equizeta.series import BilateralSumParams, bilateral_exp_sum_continued_result
@@ -428,6 +429,24 @@ def test_no_evaluation_path_calls_hyp2f1(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
     results = [res for res in run_selftest(seed=1) if res.name != "series/hyp2f1-at-zero"]
+    assert results and all(res.passed for res in results), [r for r in results if not r.passed]
+
+
+def test_nothing_reads_the_resummation_oracle(monkeypatch):
+    # Its est_error is an estimate, not a bound: no CLI output or selftest verdict may rest on it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("bilateral_exp_sum_resummed called")
+
+    monkeypatch.setattr(series, "bilateral_exp_sum_resummed", refuse)
+    monkeypatch.setattr(zeta, "bilateral_exp_sum_resummed", refuse)
+    monkeypatch.delenv("EQUIZETA_TOL", raising=False)
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+    for record in golden:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(record["argv"]))
+        assert (code, out.getvalue()) == (record["code"], record["stdout"]), record["argv"]
+    results = run_selftest(seed=1)
     assert results and all(res.passed for res in results), [r for r in results if not r.passed]
 
 

@@ -850,6 +850,21 @@ class TestModelFromParams:
         with pytest.raises(DomainError):
             model_from_params("sphere3", {"theta1": "1"})
 
+    @pytest.mark.parametrize("name, params", [
+        ("line", {"g": "2", "r0": "0.25"}),
+        ("lattice", {"g": "2", "theta": "1"}),
+        ("circle", {"r0": "0.25", "alhpa": "1i"}),
+        ("euclid", {"n": "3", "theta": "2.0943951", "order": "3", "l0": "1", "alpha": "1i"}),
+        ("sphere2", {"theta": "1", "alpha": "0"}),
+        ("sphere3", {"theta1": "1", "theta2": "2", "theta": "3"}),
+    ])
+    def test_unknown_key_refused(self, name, params):
+        from equizeta import model_from_params
+
+        (key,) = set(params) - set(models._PARAMETER_KEYS[name])
+        with pytest.raises(DomainError, match=f"^model '{name}' takes no parameter '{key}'; its keys are "):
+            model_from_params(name, params)
+
 
 class TestConjugationInvariance:
     def test_spectrum_invariant(self):

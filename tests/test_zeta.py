@@ -12,6 +12,7 @@ from equizeta import (
     DomainError,
     EuclideanElement,
     EuclideanLatticeModel,
+    FlowModel,
     IntegerLatticeModel,
     LineModel,
     NonConvergentError,
@@ -29,7 +30,8 @@ from equizeta import (
     torsion_log,
     torsion_log_resummed,
 )
-from equizeta.series import BilateralSumParams, bilateral_exp_sum_continued_result
+from equizeta import zeta
+from equizeta.series import BilateralSumParams, SeriesResult, bilateral_exp_sum_continued_result
 from equizeta.zeta import AtomicMeasure
 
 TWO_PI = 2.0 * math.pi
@@ -433,11 +435,27 @@ class TestTorsion:
 
     @pytest.mark.parametrize("model, g", [
         (LineModel(alpha=1j), 2.0), (CircleModel(alpha=1j), 0.0),
+        (IntegerLatticeModel(alpha=1j), 2.0), (euclid_model(alpha_v0=1j), EuclideanElement(l0=1)),
+        (Sphere2Model(), 1.0), (Sphere2Model(), TWO_PI), (Sphere3Model(), (1.0, math.sqrt(2.0))),
     ])
     def test_resummed_route_only_on_circle_non_identity_classes(self, model, g):
         message = "^resummed torsion applies to circle non-identity classes$"
         with pytest.raises(DomainError, match=message):
             torsion_log_resummed(model, g)
+
+    def test_resummed_route_reads_the_family(self, monkeypatch):
+        # Offset and connection come from families(g): the model needs no alpha of its own.
+        class OneFamily(FlowModel):
+            infinite_spectrum = True
+
+            def families(self, g):
+                return [(1.0, g, 1.5j)]
+
+        seen = []
+        monkeypatch.setattr(zeta, "bilateral_exp_sum_resummed",
+                            lambda params: seen.append(params) or SeriesResult(2.0, 1, 0.0, True))
+        assert torsion_log_resummed(OneFamily(), 0.25).value == 1.0
+        assert seen == [BilateralSumParams(0.25, 1.5j)]
 
     def test_certificate_is_a_python_float(self):
         assert type(CircleModel(alpha=1j).torsion(0.25).est_error) is float
