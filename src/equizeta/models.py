@@ -5,9 +5,9 @@ Each model packages one equivariant flow: the translation flow on the line
 on Euclidean space acted on by a crystallographic motion group, and the
 geodesic flows on the 2- and 3-sphere frame bundles.  A model produces, for
 a group element g, its closed orbits: the times at which some orbit closes
-up to g, with the holonomy trace of each.  The sign of det(1-P) is +1
-throughout, and the cutoff-primitive period (the coset integral over
-conjugators folded in) is one number per model.
+up to g, with the exponent a of each holonomy trace e^a.  The sign of
+det(1-P) is +1 throughout, and the cutoff-primitive period (the coset
+integral over conjugators folded in) is one number per model.
 
 Normalization conventions folded into the stored periods:
   * line/lattice/circle: period 1 (the normalized cutoff integrates to 1);
@@ -25,9 +25,10 @@ subclasses FlowModel and implements them.
     and real ones (line g, circle r0, sphere angles, Euclidean a and theta)
     through ``_real``, which refuses a nonfinite or nonreal value
   * families(g): an infinite spectrum as families (d, r, alpha): the lengths
-    d(n + r), n in Z, holonomy e^{alpha l}, weight ``period`` [NotImplementedError]
+    d(n + r), n in Z, holonomy exponent alpha l, weight ``period`` [NotImplementedError]
   * orbits(g, window): the closed orbits with 0 < |l| <= window in any order, as
-    (lengths, holonomy traces); every sign of det(1-P) is +1 [from families]
+    (lengths, holonomy exponents a), arrays or lists; the holonomy trace is
+    e^a and every sign of det(1-P) is +1 [from families]
   * period: the folded cutoff-primitive period of every orbit [1.0]
   * validate(g): diagnostics [NotImplementedError]; infinite_spectrum [False]
   * nondegeneracy(g): (nondegenerate, witness), the one verdict the flat
@@ -37,20 +38,24 @@ subclasses FlowModel and implements them.
     [0 for a finite spectrum, summed whole; from families otherwise]
   * log_closed(g, sigma): log R as a ZetaEvaluation, by closed form or
     continuation [for a family model, the sum over families(g) of
-    series._continued_family, weighted period / 2|d|, offset 0 included;
-    DomainError for a finite spectrum]
-  * torsion(g): log of the torsion as a SeriesResult, by closed form
-    (est_error 0) or a spectral series [DomainError]
+    series._continued_family, weighted period / 2|d|, offset 0 included; for
+    a finite spectrum, the sum over orbits(g, inf) of period e^{a - |l| sigma}
+    / 2|l|, exponent folded, with a rounding bound for each term]
+  * torsion(g): log of the torsion as a SeriesResult, by closed form or a
+    spectral series [for a finite spectrum, log_closed at sigma = 0, refused
+    unless every exponent is purely imaginary; DomainError otherwise]
   * period_numeric(g, profile, quad): the cutoff-primitive period once
     ``_admissible_reach`` admits the profile; only Euclid integrates [period; finite: DomainError]
-FlowModel alone derives three views from orbits: orbit_data(g, window) (the
-spectrum as a float array and the summed sign * holonomy * period per length;
-the direct sum and the flat trace read only this), length_spectrum(g, window)
-and orbit_contributions(g, l).  All three share one orbit budget: an
-infinite spectrum is built only out to _ORBIT_BUDGET / 2 in |l|.  orbit_data
-is a sorted build (``_orbit_table``) and a window cut (``_window_cut``): a
-direct sweep builds once, at its largest window, and cuts each sigma's window
-from that build.
+The finite models (line, lattice, euclid) answer element, orbits and validate
+(and their own period_numeric); FlowModel derives the rest.  FlowModel alone
+derives three views from orbits, each holonomy the np.exp of its exponent:
+orbit_data(g, window) (the spectrum as a float array and the summed sign *
+holonomy * period per length; the direct sum and the flat trace read only
+this), length_spectrum(g, window) and orbit_contributions(g, l).  All three
+share one orbit budget: an infinite spectrum is built only out to
+_ORBIT_BUDGET / 2 in |l|.  orbit_data is a sorted build (``_orbit_table``)
+and a window cut (``_window_cut``): a direct sweep builds once, at its
+largest window, and cuts each sigma's window from that build.
 
 Eigenvalue-one and rotation-axis decisions are made only in ``rotations``.
 """
@@ -79,9 +84,10 @@ from .series import (
     BilateralSumParams,
     SeriesResult,
     ZetaEvaluation,
+    _EPS,
     _continued_family,
     _read_only,
-    _reduce_2pi,
+    _reduce_angle,
     alpha_in_two_pi_i_z,
     bilateral_exp_sum_ewald,
     gauss_legendre,
@@ -89,6 +95,7 @@ from .series import (
 
 TWO_PI = 2.0 * math.pi
 _FAMILY_TOL = 1e-10  # orbits closer than this are one atom of the spectrum
+_UNDERFLOW = 2.0**-1069  # over min(den, 1): a bound on a closed-form term that underflows
 
 # The most orbits one build may make (about 110 bytes each), as 2 per unit
 # window: the circle's density, which bounds every model's (sphere2 has
@@ -305,14 +312,14 @@ class FlowModel:
         raise NotImplementedError
 
     def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        lengths, holonomies = [], []
+        lengths, exponents = [], []
         for d, r, alpha in self.families(g):
             n = np.arange(math.floor(-window / abs(d) - r), math.ceil(window / abs(d) - r) + 1)
             family = d * (n + r)
             family = family[(family != 0) & (np.abs(family) <= window)]
             lengths.append(family)
-            holonomies.append(np.exp(alpha * family))
-        return np.concatenate(lengths), np.concatenate(holonomies)
+            exponents.append(alpha * family)
+        return np.concatenate(lengths), np.concatenate(exponents)
 
     def _check_budget(self, window: float) -> None:
         """Refuse a window in which an infinite spectrum would pass the orbit budget."""
@@ -331,14 +338,14 @@ class FlowModel:
         to this window or any smaller one."""
         # Orbits a tolerance past the window: one just outside it still merges
         # with a length just inside, as in orbit_contributions.
-        lengths, holonomies = self._orbits(g, window, _FAMILY_TOL)
+        lengths, exponents = self._orbits(g, window, _FAMILY_TOL)
         lengths = np.asarray(lengths, dtype=float)
         order = np.argsort(lengths, kind="stable")
         # 0 + sign * holonomy * period, with Python's complex operations in
         # Python's order: the floats sum(c.weight for c in orbit_contributions)
         # makes, an overflowed holonomy's nan included (Python makes it silently).
         with np.errstate(invalid="ignore"):
-            weights = 0 + 1 * np.asarray(holonomies, dtype=complex)[order] * self.period
+            weights = 0 + 1 * np.exp(np.asarray(exponents, dtype=complex)[order]) * self.period
         return lengths[order], weights
 
     @staticmethod
@@ -365,13 +372,13 @@ class FlowModel:
         return self.orbit_data(g, window)[0].tolist()
 
     def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
-        lengths, holonomies = self._orbits(g, abs(l), 1.0)
+        lengths, exponents = self._orbits(g, abs(l), 1.0)
         near = np.abs(np.asarray(lengths, dtype=float) - l) <= _FAMILY_TOL
         if not near.any():
             raise DomainError(f"l = {l} is not in the delocalised length spectrum")
         return [
             OrbitContribution(l=l, sign=1, holonomy=hol, period=self.period)
-            for hol in np.asarray(holonomies, dtype=complex)[near].tolist()
+            for hol in np.exp(np.asarray(exponents, dtype=complex)[near]).tolist()
         ]
 
     def validate(self, g) -> ModelDiagnostics:
@@ -394,9 +401,41 @@ class FlowModel:
         return total
 
     def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
-        if not self.infinite_spectrum:
-            raise DomainError(f"no closed form registered for {self!r}")
-        return self._continued(self.families(g), sigma)
+        """An infinite spectrum's families, continued (``_continued``); a finite
+        spectrum summed whole, log R = 1/2 sum period e^{a - |l| sigma} / |l|
+        over orbits(g, inf), each term t = cmath.exp(a - |l| sigma) / den,
+        den = 2|l| / period, summed from the first term (no orbit: 0).
+
+        Its est_error counts each rounding, u = eps / 2 apiece:
+          * the exponent x = a - |l| sigma: a = alpha l is off by u|a|, |l| sigma
+            by u|l||sigma|, their difference by u|x|, and a length that is
+            itself rounded (euclid's a l0) adds u to a and to |l| sigma, so
+            |dx| <= 1.5 eps S with S = |a| + |l||sigma|.  A term with
+            eps S > 1/24 is refused; below that |e^{dx} - 1| <= 1.04 |dx|;
+          * cmath.exp of the rounded x: exp, cos or sin (an ulp each) and their
+            product, 5 u (7 u past its scaling point, where it multiplies by a
+            rounded e); the period (a / k), 1/|l| of a rounded length, den and
+            the division, u each: 12 u = 6 eps at most;
+          * |t| against the computed |t_k|: a factor e^{|dx|} <= 1.07.
+        So a term is off by at most 1.07 (1.07 * 6 eps + 1.04 * 1.5 eps S)|t_k|
+        = (6.9 eps + 1.7 eps S)|t_k|, under (k0 eps + c eps S)|t_k| with
+        k0 = 8 and c = 2.  A term that underflows is off by at most
+        2^-1070 (1 + 1/den) <= 2^-1069 / min(den, 1).  Each addition rounds its
+        partial sum by u|sum| at most: eps |sum| is counted at every partial sum,
+        the first included, so one orbit or two give the shape
+        sum_k (k0 eps + c eps S_k)|t_k| + eps |value| (two with eps |t_1| to spare).
+        """
+        if self.infinite_spectrum:
+            return self._continued(self.families(g), sigma)
+        value, est_error, terms = 0j, 0.0, 0
+        for l, a in zip(*self.orbits(g, math.inf)):
+            den, size = 2.0 * abs(l) / self.period, abs(a) + abs(l) * abs(sigma)
+            if not _EPS * size <= 1.0 / 24.0:
+                raise DomainError(f"the exponent at l = {l} is past the float precision")
+            t = cmath.exp(a - abs(l) * sigma) / den
+            value, terms = value + t if terms else t, terms + 1
+            est_error += _EPS * ((8.0 + 2.0 * size) * abs(t) + abs(value)) + _UNDERFLOW / min(den, 1.0)
+        return ZetaEvaluation(sigma, value, "closed", est_error, terms)
 
     def _continued(self, families, sigma: complex) -> ZetaEvaluation:
         """The sum of (period / 2|d|) F(|d| sigma; r, d alpha) over the families
@@ -412,7 +451,15 @@ class FlowModel:
         return ZetaEvaluation(sigma, value, method, est_error, terms)
 
     def torsion(self, g) -> SeriesResult:
-        raise DomainError(f"no torsion value registered for {self!r}")
+        """A finite spectrum's log R(0) and its certificate, refused unless every
+        exponent is purely imaginary (``_unitary`` of a / l, the one unitary
+        line): Fried reads one formula twice until a spectral route."""
+        if self.infinite_spectrum:
+            raise DomainError(f"no torsion value registered for {self!r}")
+        for l, a in zip(*self.orbits(g, math.inf)):
+            _unitary(a / l)
+        ev = self.log_closed(g, 0j)
+        return SeriesResult(ev.log_R, ev.terms, ev.est_error, True)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         if not self.infinite_spectrum:
@@ -430,10 +477,6 @@ def _unitary(alpha) -> complex:
     return alpha
 
 
-def _closed(value: complex) -> SeriesResult:
-    return SeriesResult(value, 1, 0.0, True)
-
-
 @dataclass(frozen=True)
 class LineModel(FlowModel):
     """Translation flow on the line, acted on by the whole line."""
@@ -448,10 +491,9 @@ class LineModel(FlowModel):
     def element(self, g) -> float:
         return _real("line group element", g)
 
-    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
-        g = self.element(g)
-        lengths = np.array([g] if g != 0 and abs(g) <= window else [], dtype=float)
-        return lengths, np.exp(self.alpha * lengths)
+    def orbits(self, g, window: float) -> tuple[list[float], list[complex]]:
+        g = float(self.element(g))
+        return ([g], [self.alpha * g]) if g != 0 and abs(g) <= window else ([], [])
 
     def validate(self, g=None) -> ModelDiagnostics:
         return ModelDiagnostics(
@@ -461,16 +503,6 @@ class LineModel(FlowModel):
             continuation_available=True,
             laplacian_kernel_nonzero=False,
         )
-
-    def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
-        g = float(self.element(g))
-        value = cmath.exp(self.alpha * g - abs(g) * sigma) / (2.0 * abs(g)) if g else 0j
-        return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
-
-    def torsion(self, g) -> SeriesResult:
-        """log R(0) for a unitary alpha: Fried reads one formula twice until a spectral route."""
-        _unitary(self.alpha)
-        return _closed(self.log_closed(g, 0j).log_R)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         self.element(g)
@@ -529,7 +561,7 @@ class CircleModel(FlowModel):
         if r0 == 0.0:
             # (-(2 sinh(alpha/2))^2)^{-1/2} in log space equals the
             # identity-class closed form at sigma = 0.
-            return _closed(-0.5 * cmath.log(-((2.0 * cmath.sinh(alpha / 2.0)) ** 2)))
+            return SeriesResult(-0.5 * cmath.log(-((2.0 * cmath.sinh(alpha / 2.0)) ** 2)), 1, 0.0, True)
         return bilateral_exp_sum_ewald(BilateralSumParams(r=r0, alpha=alpha)).scaled(0.5)
 
 
@@ -666,10 +698,10 @@ class EuclideanLatticeModel(FlowModel):
     def period(self) -> float:
         return self.a / self.order
 
-    def orbits(self, g, window: float) -> tuple[np.ndarray, np.ndarray]:
+    def orbits(self, g, window: float) -> tuple[list[float], list[complex]]:
         l = self._axial_length(g)
-        lengths = np.array([val for val in (-l, l) if abs(val) <= window])
-        return lengths, np.full(len(lengths), np.exp(l * self.alpha_v0))
+        lengths = [val for val in (-l, l) if abs(val) <= window]
+        return lengths, [l * self.alpha_v0] * len(lengths)
 
     def validate(self, g=None) -> ModelDiagnostics:
         g = self.element(g if g is not None else EuclideanElement(l0=1))
@@ -695,18 +727,6 @@ class EuclideanLatticeModel(FlowModel):
         if l == 0:
             raise DomainError("group element must translate along the axis (l0 != 0)")
         return l
-
-    def log_closed(self, g, sigma: complex) -> ZetaEvaluation:
-        l = self._axial_length(g)
-        value = self.period * cmath.exp(
-            -abs(l) * sigma + l * self.alpha_v0
-        ) / abs(l)
-        return ZetaEvaluation(sigma, value, "closed", 0.0, 1)
-
-    def torsion(self, g) -> SeriesResult:
-        """log R(0) for a unitary alpha_v0: Fried reads one formula twice until a spectral route."""
-        _unitary(self.alpha_v0)
-        return _closed(self.log_closed(g, 0j).log_R)
 
     def period_numeric(self, g, profile: CutoffProfile, quad: QuadratureSpec) -> float:
         self._axial_length(g)
@@ -754,14 +774,16 @@ class _SphereModel(FlowModel):
         lengths with two closed orbits at each, which orbit_data merges into
         one atom and the continuation sums.  An angle in 2*pi*Z (r = 0; on
         sphere2 the identity, whose fixed set at each l in 2*pi*Z is all of
-        SO(3)) lists one family.  r and the sign of d come from the exact
-        theta = beta + 2*pi*m, so r is about 2 ulp off, relative: each term
-        e^{u(n+r)}/(n+r) of F moves by 2 ulp of (|u|(n+r) + 1) times its
-        modulus at most, inside the certificate's ROUNDING_ULPS.
-        (theta / 2pi) % 1 is an ulp off, absolute: far more at small r."""
+        SO(3)) lists one family.  r and the sign of d come from beta =
+        ``series._reduce_angle(theta)``, off by 1.6 * 2^-53 |beta| at most, so
+        r is about 2 ulp off, relative: each term e^{u(n+r)}/(n+r) of F moves
+        by 2 ulp of (|u|(n+r) + 1) times its modulus at most, inside the
+        certificate's ROUNDING_ULPS.  (theta / 2pi) % 1 is an ulp off,
+        absolute: far more at small r.  An angle past 3.6e17 is refused
+        (DomainError)."""
         families = []
         for theta in self.element(g):
-            beta, _ = _reduce_2pi(theta)
+            beta = _reduce_angle(theta)
             beta = beta if abs(beta) > 1e-12 else 0.0  # no orbit has |l| <= 1e-12
             d, r = math.copysign(TWO_PI, beta), abs(beta) / TWO_PI
             families.append((d, r, 0j))

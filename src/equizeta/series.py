@@ -60,7 +60,11 @@ import numpy as np
 from .errors import DomainError, NonConvergentError, SingularPointError
 
 TWO_PI = 2.0 * math.pi
-_TWO_PI_LO = 2.4492935982947064e-16  # 2*pi - TWO_PI
+_TWO_PI_LO = 2.4492935982947064e-16  # 2*pi - TWO_PI, 6.0e-33 over
+_TWO_PI_EXACT = Fraction("6.2831853071795864769252867665590057683943387987502")  # 2*pi to 50 digits
+# The largest sphere angle reduced (``_reduce_angle``): |m| < 2^56 turns, where
+# _reduce_2pi is within 4e-15.
+_REDUCE_2PI_RANGE = 3.6e17
 
 # The largest |Re(alpha)| of a unitary (purely imaginary) connection, for every torsion.
 UNITARY_TOL = 1e-14
@@ -325,9 +329,18 @@ def _reduce_2pi(y: float) -> tuple[float, int]:
     """y = beta + 2*pi*m with m an exact integer and |beta| <= pi + |m| * 3e-16.
 
     math.remainder by the float 2*pi is exact; the rest of 2*pi
-    (_TWO_PI_LO) is then taken off beta, so forming beta costs an ulp of pi
-    however large |y| is.  Past 2^52 the float quotient can miss m, so
-    there it is found in exact arithmetic.
+    (_TWO_PI_LO) is then taken off beta.  Past 2^52 the float quotient can
+    miss m, so there it is found in exact arithmetic.  beta is then off from
+    y - 2*pi*m by at most
+      * |m| 6.0e-33, the error of the two-part 2*pi (TWO_PI + _TWO_PI_LO);
+      * |m| 2^-53 _TWO_PI_LO = 2.7e-32 |m|, m rounded to a float past 2^53;
+      * half an ulp of m _TWO_PI_LO, 2.7e-32 |m| again, and of beta, u|beta|
+        (u = 2^-53),
+    6.0e-32 |m| + u|beta| in all.  Up to |y| = _REDUCE_2PI_RANGE = 3.6e17,
+    where |m| < 2^56 and |beta| < pi + 14.1, that is under 4e-15, a few ulps of
+    pi; past it the bound grows with |m|, and at |y| = 1e300 beta is no
+    reduction at all.  The sphere angles are refused past that range
+    (``_reduce_angle``); the circle's alpha and sigma still take any size.
     """
     if abs(y) <= math.pi:
         return y, 0
@@ -337,6 +350,30 @@ def _reduce_2pi(y: float) -> tuple[float, int]:
     else:
         m = round((Fraction(y) - Fraction(rem)) / Fraction(TWO_PI))
     return rem - m * _TWO_PI_LO, m
+
+
+def _reduce_angle(theta: float) -> float:
+    """beta = theta - 2*pi*m, m the nearest integer, off by at most 1.6 u|beta|
+    (u = 2^-53): a sphere angle, refused (DomainError) past _REDUCE_2PI_RANGE.
+
+    ``_reduce_2pi``'s beta is off by 6.0e-32 |m| + u|beta| at most inside
+    the range (see its notes), which is 1.6 u|beta| once |beta| >= 1e-15 |m|
+    and |beta| <= pi.  A smaller beta (an angle close to 2*pi*Z after many
+    turns, where that bound is not relative) or a larger one (left past pi,
+    even past 2*pi, so that r = |beta| / 2 pi would pass 1) is formed
+    exactly from _TWO_PI_EXACT, 1.2e-50 off, so by 7e-34 at most over the
+    range, and rounded once.  A beta within pi on the first route keeps its
+    bits.
+    """
+    if not abs(theta) <= _REDUCE_2PI_RANGE:
+        raise DomainError(
+            f"angle {theta!r} is past the range of the 2*pi reduction, |angle| <= {_REDUCE_2PI_RANGE:.2g}"
+        )
+    beta, m = _reduce_2pi(theta)
+    if 1e-15 * abs(m) <= abs(beta) <= math.pi:
+        return beta
+    exact = Fraction(theta)
+    return float(exact - round(exact / _TWO_PI_EXACT) * _TWO_PI_EXACT)
 
 
 def _lattice_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, float]]:

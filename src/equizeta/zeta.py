@@ -290,7 +290,10 @@ def ruelle_log_closed(model: FlowModel, g, sigma) -> ZetaEvaluation:
     """log R(sigma) by the model's closed form or continuation.
 
     The circle and spheres take their families' routes (a closed form at offset
-    0), past Re(sigma) = 0; singular points raise SingularPointError.
+    0), past Re(sigma) = 0; singular points raise SingularPointError.  Line,
+    lattice and euclid sum their orbits whole, each term e^{a - |l| sigma}
+    with its holonomy exponent folded in, and certify the rounding
+    (``FlowModel.log_closed``).
     """
     return model.log_closed(g, sigma)
 

@@ -1,12 +1,15 @@
 """CLI contract tests: verbs, formats, exit codes, determinism."""
 
 import cmath
+import functools
 import json
 import math
+import warnings
 
 import mpmath
 import pytest
 
+import oracle
 from equizeta.cli import CSV_HEADER, main, parse_complex
 
 
@@ -633,6 +636,68 @@ class TestTrace:
         )
         assert code == 0
         assert [a["l"] for a in json.loads(out)["atoms"]] == [2.0]
+
+
+class TestSphereAngles:
+    """Sphere angles far from the origin: reduced exactly up to 3.6e17, refused
+    (exit 1, one JSON line, nothing on stderr) past it."""
+
+    BIG = "8.372510751886634e+16"  # one 2*pi reduction leaves |beta| past 2*pi here
+
+    @staticmethod
+    def run_quiet(capsys, *argv):
+        """run_cli, asserting that stderr stays empty and no warning is raised."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (captured.err, caught) == ("", [])
+        return code, captured.out
+
+    @staticmethod
+    @functools.lru_cache
+    def reference(*thetas):
+        """sphere2 (or sphere3, its angles summed) log R at sigma = 1 by mpmath."""
+        return sum(float(oracle.sphere2_oracle(float(t), 1.0, 40).real) for t in thetas)
+
+    @pytest.mark.parametrize("model, params, thetas", [
+        ("sphere2", f"theta={BIG}", (BIG,)),
+        ("sphere2", "theta=3165921374885385.0", ("3165921374885385.0",)),
+        ("sphere3", f"theta1={BIG},theta2=1", (BIG, 1.0)),
+    ])
+    def test_far_angles_meet_their_certificate(self, capsys, model, params, thetas):
+        # At the first, log R read -643.64 with est_error 1.1e-12 (the oracle
+        # gives +631.09); the second, |beta| > pi with r < 1, was right and stays so.
+        code, out = self.run_quiet(
+            capsys, "eval", "--model", model, "--params", params, "--sigma", "1")
+        row = strict_json(out)
+        assert code == 0 and row["logR_im"] == 0.0
+        assert abs(row["logR_re"] - self.reference(*thetas)) <= row["est_error"]
+
+    @pytest.mark.parametrize("argv, angle", [
+        ("eval --model sphere2 --params theta=1e18 --sigma 1", "1e+18"),
+        ("eval --model sphere2 --params theta=1e300 --sigma 1", "1e+300"),
+        ("trace --model sphere2 --params theta=1e300 --window 5", "1e+300"),
+        ("eval --model sphere3 --params theta1=1,theta2=-1e300 --sigma 1", "-1e+300"),
+        ("trace --model sphere3 --params theta1=1e18,theta2=1 --window 5", "1e+18"),
+    ])
+    def test_angles_past_the_range_are_refused(self, capsys, argv, angle):
+        code, out = self.run_quiet(capsys, *argv.split())
+        assert code == 1 and len(out.splitlines()) == 1
+        assert strict_json(out) == {
+            "error": "DomainError", "code": 1,
+            "message": f"angle {angle} is past the range of the 2*pi reduction, |angle| <= 3.6e+17",
+        }
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 15: _SphereModel.families snaps a reduced angle with "
+        "|beta| <= 1e-12 to 0, so theta = 5e-13 returns the theta = 0 value"))
+    def test_angle_next_to_two_pi_z_is_not_snapped(self, capsys):
+        code, out = self.run_quiet(
+            capsys, "eval", "--model", "sphere2", "--params", "theta=5e-13", "--sigma", "1")
+        row = strict_json(out)
+        assert code == 0
+        assert abs(row["logR_re"] - self.reference(5e-13)) <= row["est_error"]
 
 
 class TestSelftestAndDeterminism:

@@ -3,9 +3,10 @@
 tests/data/cli_golden.json holds one record per command (argv, exit code,
 stdout), covering every model under eval, sweep, fried and trace and the
 exit codes 0-4.  ``selftest`` is left out because it prints timings.
-Regenerate the file only for an intended output change:
+Regenerate the file only for an intended output change.  The script reads
+the records it replays from the file, so write the new one beside it first:
 
-    PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.json
+    PYTHONPATH=src python tests/test_cli_golden.py > golden.json && mv golden.json tests/data/cli_golden.json
 """
 
 import contextlib

@@ -290,6 +290,15 @@ class TestSpheres:
         ev = route(Sphere2Model(), theta, 0.5)
         assert error(ev.log_R, sphere2_oracle(theta, 0.5)) <= ev.est_error
 
+    @pytest.mark.parametrize("route", [ruelle_log_direct, ruelle_log_closed])
+    @pytest.mark.parametrize("theta", [8.372510751886634e16, -8.372510751886634e16, 3165921374885385.0])
+    def test_far_angles(self, route, theta):
+        # _reduce_2pi leaves |beta| past 2*pi at +-8.37e16 (r past 1, log R
+        # of the wrong sign) and past pi at 3.17e15: each angle is reduced
+        # exactly, to beta = -0.00986 and 3.072.
+        ev = route(Sphere2Model(), theta, 0.3 + 2.0j)
+        assert error(ev.log_R, sphere2_oracle(theta, 0.3 + 2.0j)) <= ev.est_error
+
     @pytest.mark.parametrize("sigma", [1.0, 0.3 + 2.0j, -0.3 + 0.2j])
     @pytest.mark.parametrize("theta", [
         base + offset

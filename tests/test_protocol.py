@@ -37,15 +37,15 @@ from equizeta import (
 
 @dataclass(frozen=True)
 class ProbeModel(FlowModel):
-    """Finite spectrum {-3, 3} with holonomy e^{alpha*l}; only the orbits
-    and diagnostics are implemented, everything else is inherited."""
+    """Finite spectrum {-3, 3} with holonomy exponent alpha*l; only the
+    orbits and diagnostics are implemented, everything else is inherited."""
 
     alpha: complex = 0.1 + 0.5j
     name = "probe"
 
     def orbits(self, g, window):
         lengths = [l for l in (3.0, -3.0) if abs(l) <= window]
-        return lengths, [cmath.exp(self.alpha * l) for l in lengths]
+        return lengths, [self.alpha * l for l in lengths]
 
     def validate(self, g=None):
         return ModelDiagnostics(
@@ -92,14 +92,29 @@ class TestProbeModel:
         with pytest.raises(DomainError, match="not in the delocalised length spectrum"):
             model.orbit_contributions(None, 1.0)
 
-    def test_base_protocol_errors(self):
+    def test_closed_form_is_derived_from_the_orbits(self):
+        # 2 log R = sum over l = +-3 of e^{alpha l - 3 sigma} / 3, term by term
+        # as the derived rule forms it, with a certificate that is not 0.
         model = ProbeModel()
-        with pytest.raises(DomainError, match="no closed form registered"):
-            ruelle_log_closed(model, None, 1.0)
-        with pytest.raises(DomainError, match="no closed form registered"):
+        for sigma in (0.5, -1.0 + 2.0j, 0j):
+            ev = ruelle_log_closed(model, None, sigma)
+            terms = [cmath.exp(model.alpha * l - 3.0 * sigma) / (2.0 * 3.0 / 1.0) for l in (3.0, -3.0)]
+            assert (ev.log_R, ev.method, ev.terms) == (terms[0] + terms[1], "closed", 2)
+            assert ev.est_error > 0.0
+            direct = ruelle_log_direct(model, None, sigma, window=10.0)
+            assert abs(ev.log_R - direct.log_R) <= ev.est_error + direct.est_error
+
+    def test_base_protocol_errors(self):
+        # A finite spectrum has a closed form and a torsion; the probe's
+        # alpha is not unitary, so its torsion (and so fried) is refused.
+        model = ProbeModel()
+        with pytest.raises(DomainError, match="purely imaginary"):
             fried_residual(model, None)
-        with pytest.raises(DomainError, match="no torsion value registered"):
+        with pytest.raises(DomainError, match="purely imaginary"):
             torsion_log(model, None)
+        assert cmath.isfinite(torsion_log(ProbeModel(alpha=0.5j), None))
+        with pytest.raises(DomainError, match="no torsion value registered"):
+            torsion_log(FamilyProbeModel(), None)
         with pytest.raises(DomainError, match="resummed torsion"):
             torsion_log_resummed(model, None)
         assert not hasattr(FlowModel, "torsion_oracle")
@@ -127,11 +142,12 @@ class FamilyProbeModel(FlowModel):
 
 class TestFamilyProbeModel:
     def test_orbits_are_the_families(self):
-        lengths, holonomies = FamilyProbeModel().orbits(None, 2.0)
+        # Each orbit carries its holonomy exponent alpha * l.
+        lengths, exponents = FamilyProbeModel().orbits(None, 2.0)
         want = [(0.5 * (n + 0.25), 0.2 + 1j) for n in range(-4, 4)]
         want += [(-2.0 * (n + 0.4), -0.1j) for n in (-1, 0)]
-        assert sorted(zip(lengths.tolist(), holonomies.tolist())) == sorted(
-            (l, complex(np.exp(alpha * l))) for l, alpha in want
+        assert sorted(zip(lengths.tolist(), exponents.tolist())) == sorted(
+            (l, alpha * l) for l, alpha in want
         )
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 0.7 + 2.0j])
@@ -161,6 +177,12 @@ class TestFamilyProbeModel:
     def test_circle_and_spheres_answer_through_their_families(self):
         for cls in (CircleModel, Sphere2Model, Sphere3Model, models._SphereModel):
             assert "log_closed" not in vars(cls) and "_continued" not in vars(cls)
+
+    def test_finite_models_answer_through_their_orbits(self):
+        # Line, lattice and euclid define their orbits; FlowModel derives the
+        # closed form and the torsion from them.
+        for cls in (LineModel, IntegerLatticeModel, EuclideanLatticeModel):
+            assert "log_closed" not in vars(cls) and "torsion" not in vars(cls)
 
     def test_past_the_convergence_line_and_the_period(self):
         model = FamilyProbeModel()

@@ -282,6 +282,27 @@ class TestClosed:
         direct = ruelle_log_direct(m, EuclideanElement(l0=1), 0.7)
         assert abs(direct.log_R - ev.log_R) < 1e-14
 
+    def test_finite_terms_count_the_orbits(self):
+        # One orbit on the line, two on euclid (+-a l0), none at g = 0, where
+        # log R is an exact 0 with est_error 0.
+        assert ruelle_log_closed(LineModel(alpha=1j), 2.0, 0.5).terms == 1
+        assert ruelle_log_closed(euclid_model(), EuclideanElement(l0=2), 0.5).terms == 2
+        ev = ruelle_log_closed(LineModel(alpha=1j), 0.0, 0.5)
+        assert (ev.log_R, ev.est_error, ev.terms) == (0j, 0.0, 0)
+
+    def test_finite_term_past_the_float_precision_refused(self):
+        # |a| + |l||sigma| = 2e15: the exponent's rounding is past 1/24 of a
+        # radian, so no certificate of the linear rule holds; just inside, one does.
+        with pytest.raises(DomainError, match="l = 2.0 is past the float precision"):
+            ruelle_log_closed(LineModel(alpha=1e15j), 2.0, 1.0)
+        ev = ruelle_log_closed(LineModel(alpha=1e13j), 2.0, 1.0)
+        assert 0.0 < ev.est_error < abs(ev.log_R)
+
+    def test_underflowed_term_keeps_a_bound(self):
+        # e^{-1000} / 10 underflows to 0: the certificate still covers it.
+        ev = ruelle_log_closed(LineModel(alpha=0j), 5.0, 200.0)
+        assert ev.log_R == 0j and 0.0 < ev.est_error < 1e-300
+
     def test_circle_half_matches_direct_series(self):
         # The class r0 = 1/2 continues like any other, against the defining
         # bilateral series and, independently, the atanh identity.
@@ -394,7 +415,8 @@ class TestTorsion:
         assert abs(torsion_log(euclid_model(), EuclideanElement(l0=1)) - 1.0 / 3.0) < 1e-16
 
     def test_finite_spectra_read_torsion_off_log_r(self):
-        # log R(0) itself, bit for bit the formula e^{alpha l} * period / |l|.
+        # log R(0) itself, bit for bit the sum over the orbits of
+        # e^{alpha l} / (2|l| / period): the line's one orbit, euclid's two.
         rng = np.random.default_rng(26)
         for _ in range(200):
             alpha, g = 1j * float(rng.uniform(-50.0, 50.0)), float(rng.uniform(-20.0, 20.0))
@@ -405,8 +427,8 @@ class TestTorsion:
                     cmath.exp(alpha * n) / (2.0 * abs(n)))
                 model = euclid_model(alpha_v0=alpha, a=abs(g) or 1.0)
                 l = model.a * n
-                assert torsion_log(model, EuclideanElement(l0=n)) == (
-                    model.period * cmath.exp(l * alpha) / abs(l))
+                term = cmath.exp(l * alpha) / (2.0 * abs(l) / model.period)
+                assert torsion_log(model, EuclideanElement(l0=n)) == term + term
         assert torsion_log(LineModel(alpha=1j), 0.0) == 0j
 
     def test_alpha_conditions(self):
