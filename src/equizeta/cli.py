@@ -36,7 +36,6 @@ from .errors import (
 )
 from .models import model_from_params
 from .models import parse_complex as _parse_complex_domain
-from .selftest import run_selftest
 from .zeta import (
     _direct_evaluations,
     _trace_atoms,
@@ -320,6 +319,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # Imported here: no other verb compiles or runs the suites' module.
+    from .selftest import run_selftest
+
     results = run_selftest(seed=args.seed)
     failed = 0
     for res in results:

@@ -67,14 +67,32 @@ class RotationBlock:
         return rot2(self.theta)
 
 
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, built once per n, read-only."""
+    return _read_only(np.eye(n))
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a real vector: np.linalg.norm's float, sqrt(x . x),
+    without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
+def _refuse_non_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has a non-finite entry")
+
+
 def _check_special_orthogonal(m: np.ndarray, tol: float) -> None:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    defect = np.max(np.abs(m.T @ m - np.eye(m.shape[0])))
-    if defect > tol:
+    _refuse_non_finite(m)
+    defect = np.abs(m.T @ m - _eye(m.shape[0])).max()
+    if not defect <= tol:
         raise DomainError(f"matrix is not orthogonal within {tol} (defect {defect:.3e})")
-    if abs(np.linalg.det(m) - 1.0) > max(tol, 1e-10):
+    if not abs(np.linalg.det(m) - 1.0) <= max(tol, 1e-10):
         raise DomainError("matrix must have determinant +1")
 
 
@@ -117,9 +135,9 @@ def _axis_of(r: np.ndarray):
     if kernel_dim != 1:
         return kernel_dim, None
     # Null vector of r - I via SVD; the smallest singular vector is the axis.
-    _, _, vt = np.linalg.svd(r - np.eye(r.shape[0]))
+    _, _, vt = np.linalg.svd(r - _eye(r.shape[0]))
     v0 = vt[-1]
-    v0 = v0 / np.linalg.norm(v0)
+    v0 = v0 / _norm(v0)
     for comp in v0:
         if abs(comp) > 1e-8:
             if comp < 0:
@@ -156,8 +174,8 @@ class AxisRotation:
                 raise DomainError(f"axis given but ker(r - I) has dimension {kdim}")
             v0 = np.asarray(self.axis, dtype=float)
         if v0 is not None:
-            v0 = v0 / np.linalg.norm(v0)
-            if np.linalg.norm(m @ v0 - v0) > 1e-10:
+            v0 = v0 / _norm(v0)
+            if _norm(m @ v0 - v0) > 1e-10:
                 raise DomainError("axis is not fixed by the rotation")
         object.__setattr__(self, "axis", v0)
 
@@ -215,14 +233,14 @@ def _axis_complement(axis: tuple[float, ...]) -> np.ndarray:
     from the SVD of I - v0 v0^T, as a read-only array."""
     n = len(axis)
     v0 = np.array(axis)
-    return _read_only(np.linalg.svd(np.eye(n) - np.outer(v0, v0))[0][:, : n - 1])
+    return _read_only(np.linalg.svd(_eye(n) - np.outer(v0, v0))[0][:, : n - 1])
 
 
 def _transverse(r: AxisRotation) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (columns) orthogonal to the axis, built once per
     axis, and I - r on it."""
     basis = _axis_complement(tuple(r.axis.tolist()))
-    return basis, basis.T @ (np.eye(r.n) - r.matrix) @ basis
+    return basis, basis.T @ (_eye(r.n) - r.matrix) @ basis
 
 
 def solve_transverse(r: AxisRotation, w_prime: np.ndarray) -> np.ndarray:
@@ -231,7 +249,7 @@ def solve_transverse(r: AxisRotation, w_prime: np.ndarray) -> np.ndarray:
         raise DomainError("rotation has no distinguished axis")
     w_prime = np.asarray(w_prime, dtype=float)
     v0 = r.axis
-    if abs(float(w_prime @ v0)) > 1e-10 * max(1.0, float(np.linalg.norm(w_prime))):
+    if abs(float(w_prime @ v0)) > 1e-10 * max(1.0, _norm(w_prime)):
         raise DomainError("w_prime must be orthogonal to the rotation axis")
     basis, a = _transverse(r)
     rhs = basis.T @ w_prime
@@ -241,8 +259,8 @@ def solve_transverse(r: AxisRotation, w_prime: np.ndarray) -> np.ndarray:
             "one-dimensional-kernel invariant"
         )
     w = basis @ np.linalg.solve(a, rhs)
-    residual = np.linalg.norm((np.eye(r.n) - r.matrix) @ w - w_prime)
-    if residual > 1e-10 * max(1.0, float(np.linalg.norm(w_prime))):
+    residual = _norm((_eye(r.n) - r.matrix) @ w - w_prime)
+    if residual > 1e-10 * max(1.0, _norm(w_prime)):
         raise SingularMatrixError(f"transverse solve residual too large: {residual:.3e}")
     return w
 
@@ -254,16 +272,16 @@ def euclidean_fixed_condition(g: EuclideanMotion, l: float, x: np.ndarray, v: np
     orthogonal to v.
     """
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if abs(_norm(v) - 1.0) > 1e-10:
         raise DomainError("direction v must be a unit vector")
     x = np.asarray(x, dtype=float)
     r = g.rotation.matrix
-    if np.linalg.norm(r @ v - v) > 1e-9:
+    if _norm(r @ v - v) > 1e-9:
         return False
     w = x - float(x @ v) * v
-    lhs = (r - np.eye(g.rotation.n)) @ w
+    lhs = (r - _eye(g.rotation.n)) @ w
     rhs = l * v - g.translation
-    return bool(np.linalg.norm(lhs - rhs) <= 1e-9)
+    return _norm(lhs - rhs) <= 1e-9
 
 
 def poincare_determinant_euclidean(r: AxisRotation, l: float) -> PoincareData:
@@ -294,27 +312,61 @@ def poincare_determinant_euclidean(r: AxisRotation, l: float) -> PoincareData:
     return PoincareData(l=l, det_sign=1, det_abs=restricted)
 
 
+def _char_poly(lams: list) -> tuple[list[float], list[float]]:
+    """Real and imaginary parts of the coefficients c_0..c_n of
+    prod (x - lam) over the eigenvalues ``lams``, with np.poly's floats.
+
+    From c = (1, 0, ..., 0), each eigenvalue lam updates c_k <- c_k - lam c_{k-1}
+    for k from the top down.  The complex product is summed part by part in
+    the order numpy's convolve sums it, as a two-term complex dot:
+    Re c_k <- (Re c_k - Re c_{k-1} Re lam) + Im c_{k-1} Im lam, and
+    Im c_k <- (Im c_k - Im c_{k-1} Re lam) - Re c_{k-1} Im lam; Python's
+    complex product rounds Re(lam c) as one difference and would not give
+    np.poly's floats.  For real eigenvalues the imaginary parts stay 0.
+    """
+    re = [1.0] + [0.0] * len(lams)
+    im = [0.0] * (len(lams) + 1)
+    for i, lam in enumerate(lams, 1):
+        lr, li = lam.real, lam.imag
+        for k in range(i, 0, -1):
+            re[k], im[k] = (
+                (re[k] - re[k - 1] * lr) + im[k - 1] * li,
+                (im[k] - im[k - 1] * lr) - re[k - 1] * li,
+            )
+    return re, im
+
+
 def signed_wedge_trace(a: np.ndarray):
     """sum_j (-1)^j j tr(wedge^j A) for A with a simple eigenvalue 1.
 
-    Computed from eigenvalues via elementary symmetric polynomials; equals
-    -det((1-A) restricted to the quotient by ker(1-A)).
+    Computed from the eigenvalues: the characteristic coefficients
+    c_j = (-1)^j e_j(eigenvalues) come from the recurrence
+    c_k <- c_k - lam c_{k-1} over the eigenvalues (``_char_poly``, np.poly's
+    floats without its convolve call per eigenvalue), and (-1)^j j e_j = j c_j.
+    The sum equals -det((1-A) restricted to the quotient by ker(1-A)).  A
+    non-finite entry is refused.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
+    _refuse_non_finite(a)
     eigvals = np.linalg.eigvals(a)
     mult, _ = unit_eigenvalue_multiplicity(eigvals)
     if mult != 1:
         raise DomainError(f"eigenvalue 1 must be simple, found multiplicity {mult}")
-    # Char poly of A: coeffs[j] = (-1)^j e_j(eigvals), so (-1)^j j e_j = j coeffs[j].
-    coeffs = np.poly(eigvals)
-    total = 0.0 + 0j
+    lams = eigvals.tolist()
+    re, im = _char_poly(lams)
+    # np.poly keeps the real parts when the eigenvalues are closed under conjugation.
+    real = eigvals.dtype.kind != "c" or sorted((z.real, z.imag) for z in lams) == sorted(
+        (z.real, -z.imag) for z in lams
+    )
+    total_re = total_im = 0.0
     for j in range(1, a.shape[0] + 1):
-        total += j * coeffs[j]
-    if np.isrealobj(a) and abs(total.imag) < 1e-9 * max(1.0, abs(total.real)):
-        return float(total.real)
-    return complex(total)
+        total_re += j * re[j]
+        total_im += 0.0 if real else j * im[j]
+    if np.isrealobj(a) and abs(total_im) < 1e-9 * max(1.0, abs(total_re)):
+        return total_re
+    return complex(total_re, total_im)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +413,19 @@ def sphere_fixed_classifier(x: np.ndarray, thetas, l: float) -> SphereFixClass:
 
     a, b = x[:2, :2], x[:2, 2:]
     c, d = x[2:, :2], x[2:, 2:]
-    diag_like = max(np.max(np.abs(b)), np.max(np.abs(c))) <= 1e-9
-    antidiag_like = max(np.max(np.abs(a)), np.max(np.abs(d))) <= 1e-9
+    diag_like = max(np.abs(b).max(), np.abs(c).max()) <= 1e-9
+    antidiag_like = max(np.abs(a).max(), np.abs(d).max()) <= 1e-9
     if not (diag_like or antidiag_like):
         return NOT_PERIODIC
 
     g = block_rotation((theta1, theta2), 4)
     conj = x.T @ g @ x
-    off = max(np.max(np.abs(conj[:2, 2:])), np.max(np.abs(conj[2:, :2])))
+    off = max(np.abs(conj[:2, 2:]).max(), np.abs(conj[2:, :2]).max())
     target = rot2(l)
-    if off > 1e-8 or np.max(np.abs(conj[:2, :2] - target)) > 1e-8:
+    if off > 1e-8 or np.abs(conj[:2, :2] - target).max() > 1e-8:
         return NOT_PERIODIC
     h = conj[2:, 2:]
-    if np.max(np.abs(h.T @ h - np.eye(2))) > 1e-8 or np.linalg.det(h) < 0:
+    if np.abs(h.T @ h - _eye(2)).max() > 1e-8 or np.linalg.det(h) < 0:
         return NOT_PERIODIC
 
     kind, theta, first, second = ("type1", theta1, a, d) if diag_like else ("type2", theta2, b, c)

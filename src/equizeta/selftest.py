@@ -4,11 +4,20 @@ Each suite re-derives a structural identity of the library from scratch
 and checks it at a fixed tolerance; the pytest acceptance tests exercise
 the same identities with independent oracles.  Suites that sample random
 inputs take their generator from the caller-provided seed.
+
+A suite draws its samples in a fixed order, so a seed always yields the same
+samples and the same transcript (tests/data/selftest_transcripts.json).  The
+rotation suites draw all their samples first and run their own algebra (the
+QR factors, the conjugations, the brute-force exterior powers) once per stack
+of same-size matrices; the library function under test is still called once
+per sample, in draw order.  Nothing carries over between runs but the
+minor-index tables, which depend only on the matrix size.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import time
@@ -29,6 +38,8 @@ from .models import (
     chi_primitive_period_numeric,
 )
 from .rotations import (
+    W_MINUS,
+    W_PLUS,
     AxisRotation,
     EuclideanMotion,
     block_rotation,
@@ -151,66 +162,107 @@ def _suite_poincare_l_independence(rng):
     return "Poincare determinant independent of l across l in {0.5, 1, 7}"
 
 
-def _brute_wedge_trace(a):
-    """sum_j (-1)^j j tr(wedge^j a), each trace the sum of the principal j x j
-    minors in combinations order: one det call over the stacked minors."""
-    n = a.shape[0]
-    total = 0.0 + 0j
+def _by_size(sizes):
+    """The indices of each distinct size, in draw order."""
+    groups: dict = {}
+    for i, n in enumerate(sizes):
+        groups.setdefault(n, []).append(i)
+    return groups.values()
+
+
+@functools.cache
+def _principal_minors(n: int, j: int):
+    """Index arrays that pick the principal j x j minors, in combinations
+    order, out of a stack of n x n matrices; read-only, as they are shared."""
+    rows = np.array(list(itertools.combinations(range(n), j)))
+    rows.flags.writeable = False
+    return rows[:, :, None], rows[:, None, :]
+
+
+def _brute_wedge_traces(stack) -> list[complex]:
+    """sum_j (-1)^j j tr(wedge^j a) for each n x n matrix a of a stack, each
+    trace the sum of a's principal j x j minors in combinations order from
+    0j: one det call over the whole stack's minors per j."""
+    n = stack.shape[1]
+    totals = [0.0 + 0j] * len(stack)
     for j in range(1, n + 1):
-        rows = np.array(list(itertools.combinations(range(n), j)))
-        minors = a[rows[:, :, None], rows[:, None, :]]
-        tr = sum(np.linalg.det(minors).tolist(), 0.0 + 0j)
-        total += (-1) ** j * j * tr
-    return total
+        rows, cols = _principal_minors(n, j)
+        for i, minors in enumerate(np.linalg.det(stack[:, rows, cols]).tolist()):
+            totals[i] += (-1) ** j * j * sum(minors, 0.0 + 0j)
+    return totals
+
+
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _wedge_samples(rng, count: int) -> list[np.ndarray]:
+    """``count`` matrices q diag(d) q^T with a simple eigenvalue exactly 1,
+    n = 2..5: q the Q factor of a Gaussian matrix, |d| in [1.5, 3] with random
+    signs and d_0 = 1.  Drawn sample by sample; one QR and one product per n."""
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        # Not used; drawn so that each seed keeps the samples it has always drawn.
+        rng.normal(size=(n, n))
+        gauss = rng.normal(size=(n, n))
+        # Generator.choice([-1.0, 1.0], size=n) makes this draw.
+        d = rng.uniform(1.5, 3.0, size=n) * _SIGNS[rng.integers(0, 2, size=n)]
+        d[0] = 1.0
+        draws.append((gauss, d))
+    samples = [None] * count
+    for idx in _by_size(len(d) for _, d in draws):
+        q = np.linalg.qr(np.stack([draws[i][0] for i in idx]))[0]
+        d = np.stack([draws[i][1] for i in idx])
+        for i, m in zip(idx, (q * d[:, None, :]) @ q.swapaxes(1, 2)):
+            samples[i] = m
+    return samples
 
 
 def _suite_wedge_trace_oracle(rng):
-    checked = 0
-    while checked < 100:
-        n = int(rng.integers(2, 6))
-        m = rng.normal(size=(n, n))
-        # Condition the matrix to have a simple eigenvalue exactly 1.
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        d = rng.uniform(1.5, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
-        d[0] = 1.0
-        m = q @ np.diag(d) @ q.T
-        try:
-            fast = signed_wedge_trace(m)
-        except Exception:
-            continue
-        brute = _brute_wedge_trace(m)
-        assert abs(fast - brute) < 1e-8 * max(1.0, abs(brute)), (
-            f"wedge-trace mismatch {fast} vs {brute}"
-        )
-        checked += 1
+    checked = []
+    while len(checked) < 100:
+        # As many samples as are still missing: none is drawn past the last one checked.
+        for m in _wedge_samples(rng, 100 - len(checked)):
+            try:
+                checked.append((m, signed_wedge_trace(m)))
+            except Exception:
+                continue
+    brute = [None] * len(checked)
+    for idx in _by_size(len(m) for m, _ in checked):
+        for i, b in zip(idx, _brute_wedge_traces(np.stack([checked[i][0] for i in idx]))):
+            brute[i] = b
+    for (_, fast), b in zip(checked, brute):
+        assert abs(fast - b) < 1e-8 * max(1.0, abs(b)), f"wedge-trace mismatch {fast} vs {b}"
     return "eigenvalue route matches explicit exterior powers on 100 matrices"
-
-
-def _random_euclidean_motion(rng) -> EuclideanMotion:
-    theta = float(rng.uniform(0.4, 2.7))
-    rot = rotation_about_last_axis(3, theta)
-    return EuclideanMotion(translation=rng.normal(size=3), rotation=rot)
 
 
 def _suite_fixed_condition_equivariance(rng):
     base_rot = rotation_about_last_axis(3, 2.0 * math.pi / 3.0)
+    r = base_rot.matrix
     v0 = base_rot.axis
-    for _ in range(20):
-        l = float(rng.uniform(-3.0, 3.0)) or 1.0
-        w_prime = np.cross(v0, rng.normal(size=3))
-        g = EuclideanMotion(translation=l * v0 + w_prime, rotation=base_rot)
+    # Per sample: the period l, a vector whose cross product with v0 is the
+    # transverse translation w', and the conjugator h = (rotation about e_3 by
+    # theta, translation y).
+    draws = [
+        (float(rng.uniform(-3.0, 3.0)) or 1.0, rng.normal(size=3), float(rng.uniform(0.4, 2.7)),
+         rng.normal(size=3))
+        for _ in range(20)
+    ]
+    ls = np.array([l for l, _, _, _ in draws])
+    w_primes = np.cross(v0, np.stack([u for _, u, _, _ in draws]))
+    translations = ls[:, None] * v0 + w_primes
+    hrs = np.stack([block_rotation([theta], 3) for _, _, theta, _ in draws])
+    conj_rots = hrs @ r @ hrs.swapaxes(1, 2)
+    for (l, _, _, y), w_prime, t, hr, conj_r in zip(draws, w_primes, translations, hrs, conj_rots):
+        g = EuclideanMotion(translation=t, rotation=base_rot)
         # (r - I) x = -w_prime, i.e. (I - r) x = w_prime: the orbit basepoint.
         x = solve_transverse(base_rot, w_prime)
         assert euclidean_fixed_condition(g, l, x, v0), "base fixed condition failed"
-        h = _random_euclidean_motion(rng)
-        hr = h.rotation.matrix
-        conj_rot = AxisRotation.from_matrix(hr @ base_rot.matrix @ hr.T)
-        conj_trans = h.translation + hr @ g.translation - (
-            hr @ base_rot.matrix @ hr.T
-        ) @ h.translation
-        hg = EuclideanMotion(translation=conj_trans, rotation=conj_rot)
+        hg = EuclideanMotion(
+            translation=y + hr @ t - conj_r @ y, rotation=AxisRotation.from_matrix(conj_r)
+        )
         lhs = euclidean_fixed_condition(g, l, x, v0)
-        rhs = euclidean_fixed_condition(hg, l, h.apply(x), hr @ v0)
+        rhs = euclidean_fixed_condition(hg, l, hr @ x + y, hr @ v0)
         assert lhs == rhs, "conjugation equivariance broken"
     return "fixed condition equivariant under 20 sampled conjugators"
 
@@ -218,36 +270,43 @@ def _suite_fixed_condition_equivariance(rng):
 def _suite_classifier_consistency(rng):
     thetas = (1.0, math.sqrt(2.0))
     g = block_rotation(thetas, 4)
-    hits = 0
+    samples = []
+    gaussian = []
     for _ in range(40):
         kind = rng.integers(0, 3)
         if kind < 2:
             # kind 0: block-diagonal x (type 1); kind 1: block-antidiagonal (type 2).
             x = np.zeros((4, 4))
-            w = np.eye(2) if rng.integers(0, 2) else np.array([[0.0, 1.0], [1.0, 0.0]])
+            eps = 1 if rng.integers(0, 2) else -1
+            w = W_PLUS if eps == 1 else W_MINUS
             top, bottom = (slice(0, 2), slice(2, 4)) if kind == 0 else (slice(2, 4), slice(0, 2))
             x[:2, top] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
             x[2:, bottom] = rot2(float(rng.uniform(0, 2 * math.pi))) @ w
-            eps = 1 if np.allclose(w, np.eye(2)) else -1
             l = eps * thetas[kind] + 2.0 * math.pi * int(rng.integers(-2, 3))
         else:
-            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            if np.linalg.det(q) < 0:
-                q[:, 0] = -q[:, 0]
-            x = q
+            # A random SO(4) point: the Q factor below, its first column
+            # flipped when its determinant is -1.
+            gaussian.append(len(samples))
+            x = rng.normal(size=(4, 4))
             l = thetas[0]
-        if abs(l) < 1e-9:
-            continue
-        cls = sphere_fixed_classifier(x, thetas, l)
-        if cls.kind != "not_periodic":
-            hits += 1
-            conj = x.T @ g @ x
-            target = rot2(l)
-            assert np.max(np.abs(conj[:2, :2] - target)) < 1e-8, (
-                "classifier accepted x violating the conjugation identity"
-            )
-    assert hits >= 10, f"classifier accepted too few structured samples ({hits})"
-    return f"classifier self-consistent; {hits} structured hits verified"
+        samples.append((x, l))
+    if gaussian:
+        q = np.linalg.qr(np.stack([samples[i][0] for i in gaussian]))[0]
+        flip = np.linalg.det(q) < 0
+        q[flip, :, 0] = -q[flip, :, 0]
+        for i, x in zip(gaussian, q):
+            samples[i] = (x, samples[i][1])
+    hits = [
+        (x, l) for x, l in samples
+        if abs(l) >= 1e-9 and sphere_fixed_classifier(x, thetas, l).kind != "not_periodic"
+    ]
+    if hits:
+        xs = np.stack([x for x, _ in hits])
+        conj = xs.swapaxes(1, 2) @ g @ xs
+        gaps = np.abs(conj[:, :2, :2] - np.stack([rot2(l) for _, l in hits])).max(axis=(1, 2))
+        assert (gaps < 1e-8).all(), "classifier accepted x violating the conjugation identity"
+    assert len(hits) >= 10, f"classifier accepted too few structured samples ({len(hits)})"
+    return f"classifier self-consistent; {len(hits)} structured hits verified"
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +333,7 @@ def _suite_spectrum_symmetry(rng):
 def _suite_euclid_conjugation(rng):
     model = EuclideanLatticeModel.from_angle(3, 1.0, 2.0 * math.pi / 3.0, 3, 0j)
     g = EuclideanElement(l0=1, m=1, w_prime=model.lattice_basis()[0])
-    base_spec = model.length_spectrum(g, 10.0)
+    base_spec = np.array(model.length_spectrum(g, 10.0))
     for _ in range(20):
         conj = model.conjugate_element(
             g,
@@ -282,8 +341,10 @@ def _suite_euclid_conjugation(rng):
             gamma_coeffs=rng.integers(-3, 4, size=2).astype(float),
             j=int(rng.integers(0, 3)),
         )
-        spec = model.length_spectrum(conj, 10.0)
-        assert np.allclose(spec, base_spec, atol=1e-12), "conjugation changed the spectrum"
+        spec = np.array(model.length_spectrum(conj, 10.0))
+        # np.allclose(spec, base_spec, atol=1e-12) on finite spectra, its rtol written out.
+        close = np.abs(spec - base_spec) <= 1e-12 + 1e-5 * np.abs(base_spec)
+        assert close.all(), "conjugation changed the spectrum"
     return "Euclidean spectrum invariant under 20 sampled conjugations"
 
 

@@ -4,7 +4,11 @@ import cmath
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -705,6 +709,26 @@ class TestSelftestAndDeterminism:
         code, out = run_cli(capsys, "selftest", "--seed", "1")
         assert code == 0
         assert "suites passed" in out
+
+    PARAMS = ["--model", "circle", "--params", "r0=0.25,alpha=1i"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", *PARAMS, "--sigma", "0"],
+        ["sweep", *PARAMS, "--sigma-start", "1", "--sigma-end", "2", "--steps", "3"],
+        ["fried", *PARAMS],
+        ["trace", *PARAMS, "--window", "3"],
+        ["selftest", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_only_selftest_imports_the_suites(self, argv):
+        # A fresh interpreter's -X importtime log names equizeta.selftest for
+        # the selftest verb alone.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = (src, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "equizeta.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout
+        assert ("equizeta.selftest" in proc.stderr) == (argv[0] == "selftest")
 
     def test_output_determinism(self, capsys):
         argv = [

@@ -371,3 +371,34 @@ class TestSphereClassifier:
         bad[3, 3] = -1.0
         with pytest.raises(DomainError):
             sphere_fixed_classifier(bad, self.THETAS, 1.0)
+
+
+class TestNonFiniteRefused:
+    """A NaN or infinite entry is refused with DomainError before any linear
+    algebra runs, so no numpy warning is printed and no LinAlgError escapes;
+    a NaN would otherwise pass both orthogonality tests (each comparison is
+    False)."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_each_entry_point(self, bad):
+        for n, call in (
+            (4, lambda m: sphere_fixed_classifier(m, (1.0, 2.0), 1.0)),
+            (3, axis_and_kernel),
+            (3, AxisRotation),
+            (3, AxisRotation.from_matrix),
+            (3, signed_wedge_trace),
+            (2, signed_wedge_trace),
+        ):
+            for m in (np.full((n, n), bad), np.where(np.eye(n) > 0, bad, 0.0)):
+                with pytest.raises(DomainError, match="non-finite"):
+                    call(m)
+            one = np.eye(n)
+            one[0, -1] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                call(one)
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_wedge_input(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            signed_wedge_trace(np.array([[1.0, complex(0.0, math.inf)], [0.0, 2.0]]))
