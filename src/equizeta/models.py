@@ -343,8 +343,9 @@ class FlowModel:
         order = np.argsort(lengths, kind="stable")
         # 0 + sign * holonomy * period, with Python's complex operations in
         # Python's order: the floats sum(c.weight for c in orbit_contributions)
-        # makes, an overflowed holonomy's nan included (Python makes it silently).
-        with np.errstate(invalid="ignore"):
+        # makes, an overflowed holonomy's inf and nan included (Python makes
+        # them silently).
+        with np.errstate(over="ignore", invalid="ignore"):
             weights = 0 + 1 * np.exp(np.asarray(exponents, dtype=complex)[order]) * self.period
         return lengths[order], weights
 
@@ -376,10 +377,10 @@ class FlowModel:
         near = np.abs(np.asarray(lengths, dtype=float) - l) <= _FAMILY_TOL
         if not near.any():
             raise DomainError(f"l = {l} is not in the delocalised length spectrum")
-        return [
-            OrbitContribution(l=l, sign=1, holonomy=hol, period=self.period)
-            for hol in np.exp(np.asarray(exponents, dtype=complex)[near]).tolist()
-        ]
+        # A holonomy that overflows comes back as inf or nan, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            holonomies = np.exp(np.asarray(exponents, dtype=complex)[near]).tolist()
+        return [OrbitContribution(l=l, sign=1, holonomy=hol, period=self.period) for hol in holonomies]
 
     def validate(self, g) -> ModelDiagnostics:
         raise NotImplementedError

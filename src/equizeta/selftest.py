@@ -10,8 +10,9 @@ samples and the same transcript (tests/data/selftest_transcripts.json).  The
 rotation suites draw all their samples first and run their own algebra (the
 QR factors, the conjugations, the brute-force exterior powers) once per stack
 of same-size matrices; the library function under test is still called once
-per sample, in draw order.  Nothing carries over between runs but the
-minor-index tables, which depend only on the matrix size.
+per sample, in draw order (the classifier suite asks twice more, about an
+accepted sample at a wrong period).  Nothing carries over between runs but
+the minor-index tables, which depend only on the matrix size.
 """
 
 from __future__ import annotations
@@ -289,23 +290,32 @@ def _suite_classifier_consistency(rng):
             gaussian.append(len(samples))
             x = rng.normal(size=(4, 4))
             l = thetas[0]
-        samples.append((x, l))
+        samples.append((x, l, kind))
     if gaussian:
         q = np.linalg.qr(np.stack([samples[i][0] for i in gaussian]))[0]
         flip = np.linalg.det(q) < 0
         q[flip, :, 0] = -q[flip, :, 0]
         for i, x in zip(gaussian, q):
-            samples[i] = (x, samples[i][1])
+            samples[i] = (x, *samples[i][1:])
     hits = [
-        (x, l) for x, l in samples
+        (x, l, kind) for x, l, kind in samples
         if abs(l) >= 1e-9 and sphere_fixed_classifier(x, thetas, l).kind != "not_periodic"
     ]
     if hits:
-        xs = np.stack([x for x, _ in hits])
+        xs = np.stack([x for x, _, _ in hits])
         conj = xs.swapaxes(1, 2) @ g @ xs
-        gaps = np.abs(conj[:, :2, :2] - np.stack([rot2(l) for _, l in hits])).max(axis=(1, 2))
+        gaps = np.abs(conj[:, :2, :2] - np.stack([rot2(l) for _, l, _ in hits])).max(axis=(1, 2))
         assert (gaps < 1e-8).all(), "classifier accepted x violating the conjugation identity"
     assert len(hits) >= 10, f"classifier accepted too few structured samples ({len(hits)})"
+    # Every block-patterned sample is drawn at a true period, so the first
+    # accepted one of each pattern is asked again half a unit off it (no
+    # period of g there), where the classifier must refuse.
+    for pattern in (0, 1):
+        first = next(((x, l) for x, l, kind in hits if kind == pattern), None)
+        if first is not None:
+            assert sphere_fixed_classifier(first[0], thetas, first[1] + 0.5).kind == "not_periodic", (
+                "classifier accepted a block-patterned x at a wrong period"
+            )
     return f"classifier self-consistent; {len(hits)} structured hits verified"
 
 

@@ -34,7 +34,13 @@ one kernel: it scales one orbit family (d, r, alpha), reduces both halves
 (``_lattice_offsets``) and sends each to its route in straight-line code.
 ``_lerch_half`` takes the disc, the series, or the inversion in one call
 (the series at -u plus the jump); the disc's coefficient row B_k(a)/(k k!)
-is built once per family, already complex (``_disc_coefficients``).
+is built once per family, already complex (``_disc_coefficients``).  On
+rows of 40 to 60 numbers numpy's method wrappers cost as much as the
+arithmetic, so the kernel calls the routines they wrap: ``np.add.reduce``
+for ``.sum()``, ``np.multiply.accumulate`` over a filled ``np.empty`` row
+for ``np.full(...).cumprod()``, and ``ndarray.dot`` for ``@`` (the same
+BLAS dot or gemv).  Each is the loop or BLAS call its method runs, so the
+floats are the methods' own; tests/test_continued_kernel.py pins them.
 
 Everything here works in double precision with explicit error tracking;
 all logarithms are principal branch.  The disc's psi(a), a in (0, 1), is
@@ -167,7 +173,7 @@ class SeriesResult:
         return SeriesResult(c * self.value, self.terms_used, abs(c) * self.est_error, self.converged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ZetaEvaluation:
     """One evaluation of log R at sigma, with method and error certificate;
     every log R the library returns.  Fields hold Python numbers, whose repr
@@ -179,10 +185,16 @@ class ZetaEvaluation:
     est_error: float
     terms: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", complex(self.sigma))
-        object.__setattr__(self, "log_R", complex(self.log_R))
-        object.__setattr__(self, "est_error", float(self.est_error))
+    def __init__(self, sigma, log_R, method: str, est_error, terms: int):
+        # Each field is set once, already converted.  The record is frozen:
+        # object.__setattr__ writes it and keeps the instance's compact
+        # attribute storage, which writing to __dict__ would not.
+        setattr_ = object.__setattr__
+        setattr_(self, "sigma", complex(sigma))
+        setattr_(self, "log_R", complex(log_R))
+        setattr_(self, "method", method)
+        setattr_(self, "est_error", float(est_error))
+        setattr_(self, "terms", terms)
         if self.est_error < 0:
             raise DomainError("est_error must be nonnegative")
 
@@ -376,7 +388,7 @@ def _reduce_angle(theta: float) -> float:
     return float(exact - round(exact / _TWO_PI_EXACT) * _TWO_PI_EXACT)
 
 
-def _lattice_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, float]]:
+def _lattice_offsets(alpha: complex, z: complex) -> tuple[tuple[complex, int, float], ...]:
     """u = +alpha - z and -alpha - z, each as (u0, m, du) with
     u = u0 + 2*pi*i*m, |Im u0| <= pi and du a bound on the rounding error of u0.
 
@@ -390,13 +402,14 @@ def _lattice_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, flo
     # u0), and an ulp of each m times the rest of 2*pi, whose own remainder
     # is below 6e-33.
     shared = _EPS * (abs(beta_a) + abs(beta_z) + (abs(m_a) + abs(m_z) + 1) * _TWO_PI_LO)
-    offsets = []
-    for sign in (1, -1):
-        beta, k = _reduce_2pi(sign * beta_a - beta_z)
-        u0 = complex(sign * alpha.real - z.real, beta)
-        du = shared + 0.5 * _EPS * (abs(u0.real) + abs(beta))
-        offsets.append((u0, sign * m_a - m_z + k, du))
-    return offsets
+    # The two halves written out; negation is exact, signed zeros included.
+    beta1, k1 = _reduce_2pi(beta_a - beta_z)
+    beta2, k2 = _reduce_2pi(-beta_a - beta_z)
+    re1, re2 = alpha.real - z.real, -alpha.real - z.real
+    return (
+        (complex(re1, beta1), m_a - m_z + k1, shared + 0.5 * _EPS * (abs(re1) + abs(beta1))),
+        (complex(re2, beta2), -m_a - m_z + k2, shared + 0.5 * _EPS * (abs(re2) + abs(beta2))),
+    )
 
 
 def alpha_in_two_pi_i_z(alpha: complex) -> bool:
@@ -408,9 +421,9 @@ def _disc_coefficients(s: float) -> tuple[np.ndarray, np.ndarray]:
     """(c, moduli): B_k(s)/(k k!) for k = 1..DISC_TERMS as a complex row,
     and as a real row the summed moduli of the convolution that forms each,
     which bound its rounding.  c is cast to complex once per family, the
-    cast that a real row's ``c @ powers`` makes in every disc half, so the
+    cast that a real row's ``c.dot(powers)`` makes in every disc half, so the
     product is the same float."""
-    rows = _DISC_TABLE @ (s**_DISC_I * _INV_FACTORIAL)
+    rows = _DISC_TABLE.dot(s**_DISC_I * _INV_FACTORIAL)  # the dgemv that @ calls
     return rows[:DISC_TERMS].astype(complex), rows[DISC_TERMS:]
 
 
@@ -468,12 +481,12 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
         x = _SERIES_N + s
         t = np.exp(v * x) / x
         moduli = np.abs(t)
-        slope = float(moduli @ x)  # sum |dt/du0|
+        slope = float(moduli.dot(x))  # sum |dt/du0|
         q = math.exp(v.real)
         tail = q ** (SERIES_TERMS + s) / ((SERIES_TERMS + s) * (1.0 - q))
         # The exponent v x is rounded too: |v| x ulps of each term.
-        rounding = ROUNDING_ULPS * _EPS * (float(moduli.sum()) + abs(v) * slope)
-        value = complex(t.sum())
+        rounding = ROUNDING_ULPS * _EPS * (float(np.add.reduce(moduli)) + abs(v) * slope)
+        value = complex(np.add.reduce(t))
         if inverted:
             jump = complex(cot, math.pi if u0.imag > 0 else -math.pi)
             value += jump
@@ -481,12 +494,14 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
         return value, SERIES_TERMS, tail, rounding, du * slope
     # B_k(1 - s) = (-1)^k B_k(s): the larger offset sums its power series at -u0.
     c, c_moduli = coefficients
-    powers = np.full(DISC_TERMS, -u0 if a > b else u0).cumprod()
+    powers = np.empty(DISC_TERMS, dtype=complex)
+    powers.fill(-u0 if a > b else u0)
+    powers = np.multiply.accumulate(powers)  # the scan that cumprod runs
     # On the cut (u0 > 0 real) the side of Im u0 < 0, as the inversion's sign(0) = -1.
     log = cmath.log(complex(-u0.real, 0.0) if u0.real > 0.0 and not u0.imag else -u0)
     psi = _digamma(a)
-    value = -np.euler_gamma - log - psi - complex(c @ powers)
-    moduli = np.euler_gamma + abs(log) + abs(psi) + float(c_moduli @ np.abs(powers))
+    value = -np.euler_gamma - log - psi - complex(c.dot(powers))
+    moduli = np.euler_gamma + abs(log) + abs(psi) + float(c_moduli.dot(np.abs(powers)))
     # |B_k(a)|/k! <= 2 zeta(k)/(2 pi)^k <= 4/(2 pi)^k for k >= 2 (DLMF 24.8.1-2).
     rho = abs(u0) / TWO_PI
     tail = 4.0 * rho ** (DISC_TERMS + 1) / ((DISC_TERMS + 1) * (1.0 - rho))

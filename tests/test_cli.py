@@ -612,15 +612,37 @@ class TestTrace:
         assert code == 1
         assert "kernel classification failed" in json.loads(out)["message"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_non_finite_atom_is_a_domain_error(self, capsys):
         # The holonomy e^{800} overflows to inf; JSON has no token for it.
-        code, out = run_cli(
-            capsys, "trace", "--model", "line", "--params", "g=2,alpha=400", "--window", "5"
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(
+                capsys, "trace", "--model", "line", "--params", "g=2,alpha=400", "--window", "5"
+            )
+        assert caught == []
         assert code == 1
         assert len(out.splitlines()) == 1
         assert strict_json(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("model, params", [
+        ("circle", "r0=0.3,alpha=700+1i"),
+        ("line", "g=2,alpha=400"),
+    ])
+    def test_overflowed_holonomy_leaves_stderr_empty(self, capfd, model, params):
+        # A fresh interpreter, its stdout and stderr captured at the file
+        # descriptors: the refusal is the one JSON line, and no numpy
+        # RuntimeWarning about the overflowed exp comes before it.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = (src, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        argv = ["trace", "--model", model, "--params", params, "--window", "7"]
+        code = subprocess.run([sys.executable, "-m", "equizeta.cli", *argv], env=env).returncode
+        out, err = capfd.readouterr()
+        assert (code, err) == (1, "")
+        assert [strict_json(line) for line in out.splitlines()] == [{
+            "error": "DomainError", "code": 1,
+            "message": "the result is not a finite number; JSON cannot carry it",
+        }]
 
     @pytest.mark.parametrize("verb", [
         "trace --model line --params g=2 --window 5",

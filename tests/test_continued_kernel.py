@@ -1,32 +1,52 @@
-"""The family kernel of the continuation against the code it replaced.
+"""The continuation, kernel and every layer above it, against the code it replaced.
 
 ``series._continued_family`` writes out its two Lerch halves, takes the
 inversion inside ``_lerch_half`` and casts the disc coefficient row to
-complex once per family.  The earlier kernel, which looped over the halves,
-inverted by a recursive call and let every disc half's ``c @ powers`` cast
-a real row, is kept below as the oracle.  Every value, certificate, term
-count and refusal must have the same bits (float.hex) or the same type and
-text, on seeded inputs that reach every route on each half.
+complex once per family; its reductions, scans and dots call the ufunc
+methods and ``ndarray.dot`` that the array methods and ``@`` wrap.  The
+earlier kernel, which looped over the halves, inverted by a recursive call
+and let every disc half's ``c @ powers`` cast a real row, is kept below as
+the oracle, with the earlier ``_lattice_offsets`` (a loop over the two
+signs).  Above the kernel the earlier ``ZetaEvaluation``, ``_float_range``
+and ``FlowModel.log_closed``/``_continued`` are kept too, so the whole
+``ruelle_log_closed`` path is compared with its earlier code.  Every value,
+certificate, term count, method and refusal must have the same bits
+(float.hex) or the same type and text, on seeded inputs that reach every
+route on each half and on a replica of the continuation workload's mix.
 """
 
 import cmath
+import functools
 import itertools
 import json
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-import equizeta.models as models
-from equizeta import CircleModel, Sphere2Model, Sphere3Model, ruelle_log_closed, series
+from equizeta import (
+    CircleModel,
+    EuclideanElement,
+    EuclideanLatticeModel,
+    IntegerLatticeModel,
+    LineModel,
+    Sphere2Model,
+    Sphere3Model,
+    ruelle_log_closed,
+    series,
+)
 from equizeta.cli import CSV_HEADER, DEFAULT_TOL, main
 from equizeta.errors import DomainError, SingularPointError
+from equizeta.models import _UNDERFLOW
 from equizeta.series import (
     _DISC_I,
     _DISC_TABLE,
     _EPS,
     _INV_FACTORIAL,
     _SERIES_N,
+    _TWO_PI_LO,
     DISC_RADIUS,
     DISC_TERMS,
     LATTICE_TOL,
@@ -35,8 +55,8 @@ from equizeta.series import (
     TWO_PI,
     _digamma,
     _exp_2pi_i,
-    _lattice_offsets,
     _offset_zero_half,
+    _reduce_2pi,
 )
 
 # |Im alpha| = 1e300 leaves u0 unreduced: both kernels overflow numpy arrays on the way.
@@ -55,6 +75,22 @@ def _plain_sum(values):
 # ---------------------------------------------------------------------------
 # The oracle: the earlier kernel, verbatim but for two lines, each marked.
 # ---------------------------------------------------------------------------
+
+def old_lattice_offsets(alpha: complex, z: complex) -> list[tuple[complex, int, float]]:
+    beta_a, m_a = _reduce_2pi(alpha.imag)
+    beta_z, m_z = _reduce_2pi(z.imag)
+    # Half an ulp of each rounded sum (beta_a, beta_z, their difference and
+    # u0), and an ulp of each m times the rest of 2*pi, whose own remainder
+    # is below 6e-33.
+    shared = _EPS * (abs(beta_a) + abs(beta_z) + (abs(m_a) + abs(m_z) + 1) * _TWO_PI_LO)
+    offsets = []
+    for sign in (1, -1):
+        beta, k = _reduce_2pi(sign * beta_a - beta_z)
+        u0 = complex(sign * alpha.real - z.real, beta)
+        du = shared + 0.5 * _EPS * (abs(u0.real) + abs(beta))
+        offsets.append((u0, sign * m_a - m_z + k, du))
+    return offsets
+
 
 def old_disc_coefficients(s: float) -> np.ndarray:
     """B_k(s)/(k k!) for k = 1..DISC_TERMS in row 0, and in row 1 the
@@ -98,7 +134,7 @@ def old_continued_family(d: float, r: float, alpha: complex, sigma: complex) -> 
     if not cmath.isfinite(z):
         # Changed: the refusal names sigma (it read f"..., got {z}").
         raise DomainError(f"the continuation needs a finite z = |d| sigma, got sigma = {sigma}")
-    halves = _lattice_offsets(alpha, z)
+    halves = old_lattice_offsets(alpha, z)
     if min(abs(u0) for u0, _, _ in halves) < LATTICE_TOL:
         raise SingularPointError(f"sigma = {sigma} is a singular point of the continuation")
     if r:
@@ -122,6 +158,78 @@ def old_continued_family(d: float, r: float, alpha: complex, sigma: complex) -> 
         terms += n
         est += _plain_sum(bounds)  # Changed: sum(bounds), which 3.12 compensates.
     return value, terms, est
+
+
+# The layers above the kernel, verbatim but for the lines marked: the record,
+# the range rule of zeta.ruelle_log_closed and FlowModel's log R.
+
+@dataclass(frozen=True)
+class OldZetaEvaluation:
+    sigma: complex
+    log_R: complex
+    method: str
+    est_error: float
+    terms: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", complex(self.sigma))
+        object.__setattr__(self, "log_R", complex(self.log_R))
+        object.__setattr__(self, "est_error", float(self.est_error))
+        if self.est_error < 0:
+            raise DomainError("est_error must be nonnegative")
+
+
+def old_finite_sigma(sigma) -> complex:
+    sigma = complex(sigma)
+    if not cmath.isfinite(sigma):
+        raise DomainError("sigma must be finite")
+    return sigma
+
+
+def old_float_range(evaluate):
+    @functools.wraps(evaluate)
+    def checked(model, g, sigma, *args):
+        sigma = old_finite_sigma(sigma)
+        try:
+            ev = evaluate(model, g, sigma, *args)
+            if cmath.isfinite(ev.log_R):
+                return ev
+        except OverflowError:
+            pass
+        raise DomainError(f"log R at sigma = {sigma} overflows a float")
+
+    return checked
+
+
+def old_log_closed(self, g, sigma: complex):  # Changed: FlowModel.log_closed, self a model.
+    if self.infinite_spectrum:
+        return old_continued(self, self.families(g), sigma)  # Changed: self._continued(...).
+    value, est_error, terms = 0j, 0.0, 0
+    for l, a in zip(*self.orbits(g, math.inf)):
+        den, size = 2.0 * abs(l) / self.period, abs(a) + abs(l) * abs(sigma)
+        if not _EPS * size <= 1.0 / 24.0:
+            raise DomainError(f"the exponent at l = {l} is past the float precision")
+        t = cmath.exp(a - abs(l) * sigma) / den
+        value, terms = value + t if terms else t, terms + 1
+        est_error += _EPS * ((8.0 + 2.0 * size) * abs(t) + abs(value)) + _UNDERFLOW / min(den, 1.0)
+    return OldZetaEvaluation(sigma, value, "closed", est_error, terms)
+
+
+def old_continued(self, families, sigma: complex):  # Changed: FlowModel._continued, self a model.
+    value, est_error, terms, method = None, 0.0, 0, "closed"
+    for d, r, a in families:
+        if r:
+            method = "continuation"
+        v, n, e = old_continued_family(d, r, a, sigma)  # Changed: _continued_family.
+        c = self.period / (2.0 * abs(d))
+        value = c * v if value is None else value + c * v
+        est_error, terms = est_error + c * e, terms + n
+    return OldZetaEvaluation(sigma, value, method, est_error, terms)
+
+
+@old_float_range
+def old_ruelle_log_closed(model, g, sigma):
+    return old_log_closed(model, g, sigma)  # Changed: model.log_closed(g, sigma).
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +303,7 @@ def half_routes(d, r, alpha, sigma):
         alpha = complex(d * alpha.real, d * alpha.imag)
         sigma = complex(abs(d) * sigma.real, abs(d) * sigma.imag)
     routes = []
-    for u0, m, _ in _lattice_offsets(alpha, sigma):
+    for u0, m, _ in old_lattice_offsets(alpha, sigma):
         if not r:
             route = "offset 0"
         elif u0.real >= DISC_RADIUS:
@@ -250,7 +358,7 @@ class TestKernelBits:
             cot = cot if small == r else -cot
             new, old = series._disc_coefficients(small), old_disc_coefficients(small)
             for (u0, _, du), a, b, c in zip(
-                _lattice_offsets(alpha, sigma), (r, 1.0 - r), (1.0 - r, r), (cot, -cot)
+                old_lattice_offsets(alpha, sigma), (r, 1.0 - r), (1.0 - r, r), (cot, -cot)
             ):
                 got = series._lerch_half(u0, du, a, b, c, new)
                 want = old_lerch_half(u0, du, a, b, c, old)
@@ -299,24 +407,153 @@ def _closed_cases():
         yield model, g, sigma
 
 
-def closed_outcome(model, g, sigma):
+def closed_outcome(f, model, g, sigma):
+    """The bits and types of a record's fields, or the error's type and text."""
     try:
-        ev = ruelle_log_closed(model, g, sigma)
+        ev = f(model, g, sigma)
     except Exception as exc:  # noqa: BLE001
         return type(exc).__name__, str(exc)
-    return ev.log_R.real.hex(), ev.log_R.imag.hex(), ev.est_error.hex(), ev.terms, ev.method
+    fields = (ev.sigma, ev.log_R, ev.method, ev.est_error, ev.terms)
+    return (tuple(type(v).__name__ for v in fields), ev.sigma.real.hex(), ev.sigma.imag.hex(),
+            ev.log_R.real.hex(), ev.log_R.imag.hex(), ev.est_error.hex(), ev.terms, ev.method)
 
 
-def test_ruelle_log_closed_same_bits(monkeypatch):
-    cases = list(_closed_cases())
-    got = [closed_outcome(*case) for case in cases]
-    monkeypatch.setattr(models, "_continued_family", old_continued_family)
-    want = [closed_outcome(*case) for case in cases]
-    for case, a, b in zip(cases, got, want):
-        assert a == b, case
-    methods = {w[-1] for w in want if len(w) == 5}
+def _same_path(cases):
+    """The outcomes of the earlier path, each checked against the current one's."""
+    want = []
+    for case in cases:
+        want.append(closed_outcome(old_ruelle_log_closed, *case))
+        assert closed_outcome(ruelle_log_closed, *case) == want[-1], case
+    return want
+
+
+def test_ruelle_log_closed_same_bits():
+    want = _same_path(list(_closed_cases()))
+    methods = {w[-1] for w in want if len(w) == 8}
     assert methods == {"closed", "continuation"}
     assert any(len(w) == 2 for w in want)  # sigma = 0 on the spheres is refused
+
+
+def _lattice_distance(z: complex, alpha: complex) -> float:
+    """Distance from z to the excluded lattice +-alpha + 2*pi*i*Z."""
+    best = math.inf
+    for w in (z - alpha, z + alpha):
+        k = round(w.imag / TWO_PI)
+        for kk in (k - 1, k, k + 1):
+            best = min(best, abs(w - 1j * TWO_PI * kk))
+    return best
+
+
+def _workload_cases(n=6000):
+    """A seeded replica of the continuation workload's input mix: r0 in
+    [0.02, 0.98]; alpha imaginary in half the cases, else Re alpha in
+    [-1.5, 1.5], with Im alpha in [-6, 6]; sigma = 0 in 30% of cases,
+    imaginary (|Im| <= 8) in 20% and in the plane (|Re| <= 4, |Im| <= 8) in
+    50%; every point at least 0.05 from the excluded lattice."""
+    rng = np.random.default_rng(33)
+    sigma_kinds = ["zero"] * (3 * n // 10) + ["imag"] * (n // 5)
+    sigma_kinds += ["plane"] * (n - len(sigma_kinds))
+    rng.shuffle(sigma_kinds)
+    for i, kind in enumerate(sigma_kinds):
+        while True:
+            r0 = float(rng.uniform(0.02, 0.98))
+            alpha = complex(0.0 if i % 2 else rng.uniform(-1.5, 1.5), rng.uniform(-6.0, 6.0))
+            if kind == "zero":
+                sigma = 0j
+            elif kind == "imag":
+                sigma = complex(0.0, rng.uniform(-8.0, 8.0))
+            else:
+                sigma = complex(rng.uniform(-4.0, 4.0), rng.uniform(-8.0, 8.0))
+            if _lattice_distance(sigma, alpha) >= 0.05:
+                break
+        yield CircleModel(alpha=alpha), r0, sigma
+
+
+def test_workload_mix_same_bits():
+    want = _same_path(list(_workload_cases()))
+    assert {w[-1] for w in want} == {"continuation"}
+
+
+def test_edge_sigmas_and_finite_models_same_bits():
+    # sigma not finite, past the floats once scaled, given as a string or as
+    # a numpy scalar; the finite models' closed form through the same layers.
+    sigmas = (complex(math.inf, 0.0), complex(0.0, math.nan), complex(1.0, 1e308), "0.5", "1-2j",
+              2, np.float64(0.25), np.complex128(0.3 - 0.2j), 0j)
+    models_and_g = [
+        (CircleModel(alpha=0.5 + 1j), 0.25), (CircleModel(alpha=1j), 0.0),
+        (Sphere2Model(), 1.0), (Sphere3Model(), (1.0, 2.0)),
+        (LineModel(alpha=1j), 2.0), (IntegerLatticeModel(alpha=0.2 + 1j), -3),
+        (EuclideanLatticeModel.from_angle(3, 1.0, 2.0943951, 3, 0.25j), EuclideanElement(l0=1)),
+    ]
+    want = _same_path([(m, g, s) for m, g in models_and_g for s in sigmas])
+    assert {"DomainError"} <= {w[0] for w in want if len(w) == 2}
+
+
+@pytest.mark.parametrize("args", [
+    (0.5, 1j, "closed", 0.25, 3),
+    (np.float64(0.5), np.complex128(1 + 2j), "continuation", np.float64(0.25), 3),
+    ("1+2j", "3", "closed", "1e-16", 80),
+    (-0.0, complex(-0.0, -0.0), "closed", 0.0, 0),
+    (0.5, 1j, "closed", math.nan, 1),
+    (0.5, 1j, "closed", -1.0, 1),
+    (0.5, 1j, "closed", -0.0, 1),
+    (object(), 1j, "closed", -1.0, 1),
+    (0.5, "x", "closed", 0.25, 1),
+    (0.5, 1j, "closed", None, 1),
+])
+def test_record_same_fields_and_refusals(args):
+    def fields(cls):
+        try:
+            ev = cls(*args)
+        except Exception as exc:  # noqa: BLE001
+            return type(exc).__name__, str(exc)
+        return [(type(v).__name__, repr(v)) for v in (ev.sigma, ev.log_R, ev.method, ev.est_error, ev.terms)]
+
+    assert fields(series.ZetaEvaluation) == fields(OldZetaEvaluation)
+
+
+def test_record_stays_a_frozen_dataclass():
+    import dataclasses
+
+    ev = series.ZetaEvaluation(np.float64(0.5), 1j, "closed", 0.25, 3)
+    assert [f.name for f in dataclasses.fields(ev)] == ["sigma", "log_R", "method", "est_error", "terms"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.log_R = 0j
+    bumped = dataclasses.replace(ev, log_R=np.complex128(2j))
+    assert type(bumped.log_R) is complex and bumped.sigma == 0.5
+    assert ev == series.ZetaEvaluation(0.5, 1j, "closed", 0.25, 3) != bumped
+    assert hash(ev) == hash(series.ZetaEvaluation(0.5, 1j, "closed", 0.25, 3))
+    assert repr(ev) == "ZetaEvaluation(sigma=(0.5+0j), log_R=1j, method='closed', est_error=0.25, terms=3)"
+    with pytest.raises(DomainError, match="est_error must be nonnegative"):
+        dataclasses.replace(ev, est_error=-1.0)
+
+
+def test_record_takes_no_more_memory():
+    # A run that keeps its records (the bench holds 24,000) must not grow:
+    # each record keeps the compact attribute storage of the earlier one.
+    def per_record(cls):
+        tracemalloc.start()
+        records = [cls(0j, 1j, "continuation", 1e-16, 80) for _ in range(2000)]
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        return size / len(records)
+
+    assert per_record(series.ZetaEvaluation) <= per_record(OldZetaEvaluation)
+
+
+def test_lattice_offsets_same_bits():
+    def bits(offsets):
+        return [(u0.real.hex(), u0.imag.hex(), m, du.hex()) for u0, m, du in offsets]
+
+    checked = 0
+    for _, d, _, alpha, sigma in itertools.islice(kernel_inputs(), 12000):
+        z = complex(abs(d) * sigma.real, abs(d) * sigma.imag)
+        if d != 1.0:
+            alpha = complex(d * alpha.real, d * alpha.imag)
+        if cmath.isfinite(z):
+            assert bits(series._lattice_offsets(alpha, z)) == bits(old_lattice_offsets(alpha, z)), (alpha, z)
+            checked += 1
+    assert checked > 10000
 
 
 class TestSigmaPastTheFloats:

@@ -129,6 +129,12 @@ class TestOrbitContributions:
         with pytest.raises(DomainError):
             orbit_contributions(LineModel(), 2.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_holonomy_is_silent(self):
+        # e^{800 * 1.3} overflows: the holonomy is inf, with no numpy warning.
+        (c,) = CircleModel(alpha=800 + 1j).orbit_contributions(0.3, 1.3)
+        assert (c.holonomy.real, c.holonomy.imag) == (math.inf, math.inf)
+
     def test_identity_class_atom_symmetry(self):
         m = CircleModel(alpha=1j)
         for n in (1, 2, 5):

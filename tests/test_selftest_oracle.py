@@ -8,7 +8,9 @@ once per sample, in draw order.  The earlier suites are kept below verbatim
 as the oracle, with ``signed_wedge_trace``'s earlier np.poly route.  On
 seeded runs both must hand the library the same matrices and vectors
 (float.hex), call it as often, and report the same detail; under injected
-library faults both must fail.
+library faults both must fail.  The classifier suite then asks the
+classifier at most twice more, about an accepted x at a wrong period,
+which catches a period-blind classifier that the earlier suite passes.
 
 The module is not assertion-rewritten (PYTEST_DONT_REWRITE), so that the
 kept suites' failure details read as they read in the library.
@@ -233,16 +235,36 @@ def _run_recorded(monkeypatch, fn, seed, wrap=None):
 # Tests
 # ---------------------------------------------------------------------------
 
+def _wrong_period_calls(calls, extra):
+    """Check that each extra classifier call asks again about an x accepted
+    among ``calls``, at its period plus 0.5, and was refused; the first
+    block-diagonal and the first block-antidiagonal hit at most, in that order."""
+    hits = [(x, l, kind) for name, (x, _, l), kind in calls
+            if name == "sphere_fixed_classifier" and kind != "not_periodic"]
+    firsts = [next(hit for hit in hits if hit[2] == kind)
+              for kind in ("type1", "type2") if any(hit[2] == kind for hit in hits)]
+    assert len(extra) == len(firsts) <= 2
+    for (name, (x, _, l), kind), (hit_x, hit_l, _) in zip(extra, firsts):
+        assert (name, x, kind) == ("sphere_fixed_classifier", hit_x, "not_periodic")
+        assert float.fromhex(l) == float.fromhex(hit_l) + 0.5
+
+
 @pytest.mark.parametrize("suite", sorted(PAIRS))
 def test_same_samples_calls_and_detail(suite, monkeypatch):
+    # The classifier suite then makes at most two wrong-period calls of its
+    # own, which the earlier suite did not make.
     old, new = PAIRS[suite]
     for seed in SEEDS:
         want = _run_recorded(monkeypatch, old, seed)
         got = _run_recorded(monkeypatch, new, seed)
         assert want[0], (suite, seed, want[1])
-        assert got[1] == want[1], (suite, seed)
-        assert len(got[2]) == len(want[2]), (suite, seed)
-        assert got == want, (suite, seed)
+        assert got[:2] == want[:2], (suite, seed)
+        calls, extra = got[2][:len(want[2])], got[2][len(want[2]):]
+        assert calls == want[2], (suite, seed)
+        if suite == "classifier":
+            _wrong_period_calls(calls, extra)
+        else:
+            assert extra == [], (suite, seed)
 
 
 def test_wedge_calls_skip_as_before(monkeypatch):
@@ -296,6 +318,31 @@ def _classifier_rejects_all(name, call):
     if name != "sphere_fixed_classifier":
         return call
     return lambda x, thetas, l: rotations.NOT_PERIODIC
+
+
+def _classifier_ignores_the_period(name, call):
+    if name != "sphere_fixed_classifier":
+        return call
+
+    def accepts_block_patterns(x, thetas, l):
+        # Every block-diagonal or block-antidiagonal x is accepted, at any l.
+        for kind, first, zeros in (("type1", x[:2, :2], x[:2, 2:]), ("type2", x[:2, 2:], x[:2, :2])):
+            if np.abs(zeros).max() <= 1e-9:
+                return SphereFixClass(kind=kind, epsilon=1 if np.linalg.det(first) > 0 else -1)
+        return call(x, thetas, l)
+    return accepts_block_patterns
+
+
+def test_period_blind_classifier_fails_the_suite(monkeypatch):
+    # Every block-patterned sample is drawn at a true period, so the earlier
+    # suite passes under this fault; the wrong-period calls catch it.
+    old, new = PAIRS["classifier"]
+    for seed in range(5):
+        want = _run_recorded(monkeypatch, old, seed, _classifier_ignores_the_period)
+        got = _run_recorded(monkeypatch, new, seed, _classifier_ignores_the_period)
+        assert want[0], want
+        assert not got[0], got
+        assert got[1] == "classifier accepted a block-patterned x at a wrong period"
 
 
 BASE = block_rotation([2.0 * math.pi / 3.0], 3)
