@@ -89,10 +89,30 @@ def _check_special_orthogonal(m: np.ndarray, tol: float) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     _refuse_non_finite(m)
-    defect = np.abs(m.T @ m - _eye(m.shape[0])).max()
+    _refuse_not_special_orthogonal(np.abs(m.T @ m - _eye(m.shape[0])).max(), np.linalg.det(m), tol)
+
+
+def _check_special_orthogonal_stack(ms: np.ndarray, tol: float) -> None:
+    """``_check_special_orthogonal`` of each matrix of a float stack of
+    same-size square matrices, in order, up to the first refused one: one
+    matmul and one det call for the stack's finite matrices (the floats of
+    each matrix's own), none for the others."""
+    finite = np.isfinite(ms).all(axis=(1, 2)).tolist()
+    good = ms if all(finite) else ms[[i for i, ok in enumerate(finite) if ok]]
+    defects = np.abs(good.swapaxes(1, 2) @ good - _eye(ms.shape[1])).max(axis=(1, 2)).tolist()
+    checked = zip(defects, np.linalg.det(good).tolist())
+    for ok in finite:
+        if not ok:
+            raise DomainError("matrix has a non-finite entry")
+        _refuse_not_special_orthogonal(*next(checked), tol)
+
+
+def _refuse_not_special_orthogonal(defect: float, det: float, tol: float) -> None:
+    """The orthogonality and determinant tests of one finite matrix, from
+    its defect max |m^T m - I| and its determinant."""
     if not defect <= tol:
         raise DomainError(f"matrix is not orthogonal within {tol} (defect {defect:.3e})")
-    if not abs(np.linalg.det(m) - 1.0) <= max(tol, 1e-10):
+    if not abs(det - 1.0) <= max(tol, 1e-10):
         raise DomainError("matrix must have determinant +1")
 
 
@@ -100,9 +120,19 @@ def unit_eigenvalue_multiplicity(eigvals) -> tuple[int, float]:
     """Multiplicity of the eigenvalue 1 among ``eigvals`` (within EIG_GAP)
     and the distance from 1 of the next eigenvalue (inf if none); an
     eigenvalue in the dead band up to 1e-6 raises DomainError."""
-    # numpy forms the distances (its complex abs, not Python's); a handful of
-    # eigenvalues is then compared faster as a list.
-    dist = np.sort(np.abs(np.asarray(eigvals) - 1.0)).tolist()
+    return _unit_rule(_unit_distances(eigvals))
+
+
+def _unit_distances(eigvals) -> list:
+    """The distances |lam - 1| of the eigenvalues along the last axis, each
+    set in ascending order, as (nested) lists: numpy forms them (its complex
+    abs, not Python's); a handful of distances is then compared faster as a
+    list."""
+    return np.sort(np.abs(np.asarray(eigvals) - 1.0)).tolist()
+
+
+def _unit_rule(dist: list) -> tuple[int, float]:
+    """``unit_eigenvalue_multiplicity`` of one set of ascending distances."""
     if any(EIG_GAP < d < EIG_REJECT_BAND for d in dist):
         raise DomainError(
             "eigenvalue too close to 1 to classify reliably; refusing to coerce"
@@ -344,29 +374,57 @@ def signed_wedge_trace(a: np.ndarray):
     c_k <- c_k - lam c_{k-1} over the eigenvalues (``_char_poly``, np.poly's
     floats without its convolve call per eigenvalue), and (-1)^j j e_j = j c_j.
     The sum equals -det((1-A) restricted to the quotient by ker(1-A)).  A
-    non-finite entry is refused.
+    non-finite entry is refused.  The one-element case of
+    ``signed_wedge_traces``.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    (out,) = signed_wedge_traces(np.asarray(a)[None])
+    if isinstance(out, DomainError):
+        raise out
+    return out
+
+
+def signed_wedge_traces(stack: np.ndarray) -> list:
+    """``signed_wedge_trace`` of each matrix of a stack of same-size square
+    matrices, in order: its float or complex, or the DomainError that refuses
+    it.  A stack that is not one of square matrices is refused whole.
+
+    One eigvals call for the stack's finite matrices; then, per matrix, the
+    eigenvalue-one rule, ``_char_poly`` and the sum, as for one matrix.
+    numpy returns one dtype for the whole stack, complex if any matrix has a
+    complex eigenvalue; a real matrix's eigenvalues then carry imaginary parts
+    0, which change no float and pass np.poly's realness rule as they are.
+    """
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DomainError("expected a square matrix")
-    _refuse_non_finite(a)
-    eigvals = np.linalg.eigvals(a)
-    mult, _ = unit_eigenvalue_multiplicity(eigvals)
-    if mult != 1:
-        raise DomainError(f"eigenvalue 1 must be simple, found multiplicity {mult}")
-    lams = eigvals.tolist()
-    re, im = _char_poly(lams)
-    # np.poly keeps the real parts when the eigenvalues are closed under conjugation.
-    real = eigvals.dtype.kind != "c" or sorted((z.real, z.imag) for z in lams) == sorted(
-        (z.real, -z.imag) for z in lams
-    )
-    total_re = total_im = 0.0
-    for j in range(1, a.shape[0] + 1):
-        total_re += j * re[j]
-        total_im += 0.0 if real else j * im[j]
-    if np.isrealobj(a) and abs(total_im) < 1e-9 * max(1.0, abs(total_re)):
-        return total_re
-    return complex(total_re, total_im)
+    finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
+    out = [None if ok else DomainError("matrix has a non-finite entry") for ok in finite]
+    rows = [i for i, ok in enumerate(finite) if ok]
+    eigvals = np.linalg.eigvals(stack if len(rows) == len(stack) else stack[rows])
+    real_kind, real_input = eigvals.dtype.kind != "c", np.isrealobj(stack)
+    for i, lams, dist in zip(rows, eigvals.tolist(), _unit_distances(eigvals)):
+        try:
+            mult, _ = _unit_rule(dist)
+        except DomainError as exc:
+            out[i] = exc
+            continue
+        if mult != 1:
+            out[i] = DomainError(f"eigenvalue 1 must be simple, found multiplicity {mult}")
+            continue
+        re, im = _char_poly(lams)
+        # np.poly keeps the real parts when the eigenvalues are closed under conjugation.
+        real = real_kind or sorted((z.real, z.imag) for z in lams) == sorted(
+            (z.real, -z.imag) for z in lams
+        )
+        total_re = total_im = 0.0
+        for j in range(1, len(lams) + 1):
+            total_re += j * re[j]
+            total_im += 0.0 if real else j * im[j]
+        if real_input and abs(total_im) < 1e-9 * max(1.0, abs(total_re)):
+            out[i] = total_re
+        else:
+            out[i] = complex(total_re, total_im)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,35 +461,60 @@ def sphere_fixed_classifier(x: np.ndarray, thetas, l: float) -> SphereFixClass:
     x^T g x = diag(r(l), h) with h in SO(2), for g = diag(r(theta1),
     r(theta2)); the block-pattern shortcut only selects which branch to
     test.  Determinant +1 forces the same w_eps factor in both blocks of
-    either pattern.
+    either pattern.  The one-element case of ``sphere_fixed_classes``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (4, 4):
+    return sphere_fixed_classes(np.asarray(x, dtype=float)[None], thetas, (l,))[0]
+
+
+def sphere_fixed_classes(xs: np.ndarray, thetas, ls) -> list[SphereFixClass]:
+    """``sphere_fixed_classifier`` of each x of a stack of 4x4 matrices at
+    its period in ``ls``, all at ``thetas``, in order.  A matrix that is not
+    special orthogonal within 1e-9 is refused (DomainError), the first one in
+    order.
+
+    One matmul or det call per step for the stack: the block patterns, the
+    conjugations x^T g x and their blocks' tests for the patterned x, then
+    the sign of det(first) and the period.  Each test is the one a matrix
+    classified alone meets, on the same floats, so each x gets the same
+    class; a patterned x that fails a test is not_periodic, whatever the
+    tests after it find.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3 or xs.shape[1:] != (4, 4):
         raise DomainError("classifier expects a 4x4 matrix")
-    _check_special_orthogonal(x, 1e-9)
+    _check_special_orthogonal_stack(xs, 1e-9)
     theta1, theta2 = float(thetas[0]), float(thetas[1])
 
-    a, b = x[:2, :2], x[:2, 2:]
-    c, d = x[2:, :2], x[2:, 2:]
-    diag_like = max(np.abs(b).max(), np.abs(c).max()) <= 1e-9
-    antidiag_like = max(np.abs(a).max(), np.abs(d).max()) <= 1e-9
-    if not (diag_like or antidiag_like):
-        return NOT_PERIODIC
+    blocks = np.abs(xs).reshape(-1, 2, 2, 2, 2).max(axis=(2, 4))  # max |entry| of [[a, b], [c, d]]
+    diag_like = np.maximum(blocks[:, 0, 1], blocks[:, 1, 0]) <= 1e-9
+    antidiag_like = np.maximum(blocks[:, 0, 0], blocks[:, 1, 1]) <= 1e-9
+    out = [NOT_PERIODIC] * len(xs)
+    idx = np.flatnonzero(diag_like | antidiag_like).tolist()
+    if not idx:
+        return out
 
-    g = block_rotation((theta1, theta2), 4)
-    conj = x.T @ g @ x
-    off = max(np.abs(conj[:2, 2:]).max(), np.abs(conj[2:, :2]).max())
-    target = rot2(l)
-    if off > 1e-8 or np.abs(conj[:2, :2] - target).max() > 1e-8:
-        return NOT_PERIODIC
-    h = conj[2:, 2:]
-    if np.abs(h.T @ h - _eye(2)).max() > 1e-8 or np.linalg.det(h) < 0:
-        return NOT_PERIODIC
-
-    kind, theta, first, second = ("type1", theta1, a, d) if diag_like else ("type2", theta2, b, c)
-    eps = 1 if np.linalg.det(first) > 0 else -1
-    if not abs(math.remainder(l - eps * theta, 2.0 * math.pi)) <= 1e-9:
-        return NOT_PERIODIC
-    w = W_PLUS if eps == 1 else W_MINUS
-    return SphereFixClass(kind=kind, epsilon=eps, first=first @ w, second=second @ w)
-
+    x = xs[idx]
+    conj = x.swapaxes(1, 2) @ block_rotation((theta1, theta2), 4) @ x
+    off = np.abs(conj).reshape(-1, 2, 2, 2, 2).max(axis=(2, 4))
+    target = np.stack([rot2(ls[i]) for i in idx])
+    h = conj[:, 2:, 2:]
+    refused = (
+        (np.maximum(off[:, 0, 1], off[:, 1, 0]) > 1e-8)
+        | (np.abs(conj[:, :2, :2] - target).max(axis=(1, 2)) > 1e-8)
+        | (np.abs(h.swapaxes(1, 2) @ h - _eye(2)).max(axis=(1, 2)) > 1e-8)
+        | (np.linalg.det(h) < 0)
+    ).tolist()
+    diag = diag_like[idx][:, None, None]
+    first = np.where(diag, x[:, :2, :2], x[:, :2, 2:])
+    second = np.where(diag, x[:, 2:, 2:], x[:, 2:, :2])
+    positive = np.linalg.det(first) > 0
+    w = np.where(positive[:, None, None], W_PLUS, W_MINUS)
+    first, second = first @ w, second @ w
+    for k, (i, is_diag, is_positive) in enumerate(zip(idx, diag.ravel().tolist(), positive.tolist())):
+        if refused[k]:
+            continue
+        kind, theta = ("type1", theta1) if is_diag else ("type2", theta2)
+        eps = 1 if is_positive else -1
+        if abs(math.remainder(ls[i] - eps * theta, 2.0 * math.pi)) <= 1e-9:
+            out[i] = SphereFixClass(kind=kind, epsilon=eps, first=first[k], second=second[k])
+    return out

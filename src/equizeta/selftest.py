@@ -9,10 +9,15 @@ A suite draws its samples in a fixed order, so a seed always yields the same
 samples and the same transcript (tests/data/selftest_transcripts.json).  The
 rotation suites draw all their samples first and run their own algebra (the
 QR factors, the conjugations, the brute-force exterior powers) once per stack
-of same-size matrices; the library function under test is still called once
-per sample, in draw order (the classifier suite asks twice more, about an
-accepted sample at a wrong period).  Nothing carries over between runs but
-the minor-index tables, which depend only on the matrix size.
+of same-size matrices.  The wedge-trace and classifier suites call the
+library function under test once per stack too, through its stacked core
+(``signed_wedge_traces``, ``sphere_fixed_classes``), of which the scalar
+function is the one-element case; the classifier suite then asks the scalar
+twice more, about an accepted sample at a wrong period.  The fixed-condition
+suite still calls the library once per sample, in draw order.  The
+direct-vs-closed suite sums each case's sigma grid in one direct pass, one
+orbit build per case, as a direct sweep does.  Nothing carries over between
+runs but the minor-index tables, which depend only on the matrix size.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ from .rotations import (
     poincare_determinant_euclidean,
     rot2,
     rotation_about_last_axis,
-    signed_wedge_trace,
+    signed_wedge_traces,
     solve_transverse,
+    sphere_fixed_classes,
     sphere_fixed_classifier,
 )
 from .series import (
@@ -60,6 +66,7 @@ from .series import (
     log_one_minus,
 )
 from .zeta import (
+    _direct_evaluations,
     flat_trace_measure,
     fried_residual,
     pair_with_test_function,
@@ -196,10 +203,11 @@ def _brute_wedge_traces(stack) -> list[complex]:
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _wedge_samples(rng, count: int) -> list[np.ndarray]:
+def _wedge_samples(rng, count: int) -> list[tuple[list[int], np.ndarray]]:
     """``count`` matrices q diag(d) q^T with a simple eigenvalue exactly 1,
     n = 2..5: q the Q factor of a Gaussian matrix, |d| in [1.5, 3] with random
-    signs and d_0 = 1.  Drawn sample by sample; one QR and one product per n."""
+    signs and d_0 = 1.  Drawn sample by sample; one QR and one product per n.
+    Returns each size's stack with the draw indices of its matrices."""
     draws = []
     for _ in range(count):
         n = int(rng.integers(2, 6))
@@ -210,24 +218,24 @@ def _wedge_samples(rng, count: int) -> list[np.ndarray]:
         d = rng.uniform(1.5, 3.0, size=n) * _SIGNS[rng.integers(0, 2, size=n)]
         d[0] = 1.0
         draws.append((gauss, d))
-    samples = [None] * count
+    stacks = []
     for idx in _by_size(len(d) for _, d in draws):
         q = np.linalg.qr(np.stack([draws[i][0] for i in idx]))[0]
         d = np.stack([draws[i][1] for i in idx])
-        for i, m in zip(idx, (q * d[:, None, :]) @ q.swapaxes(1, 2)):
-            samples[i] = m
-    return samples
+        stacks.append((idx, (q * d[:, None, :]) @ q.swapaxes(1, 2)))
+    return stacks
 
 
 def _suite_wedge_trace_oracle(rng):
     checked = []
     while len(checked) < 100:
         # As many samples as are still missing: none is drawn past the last one checked.
-        for m in _wedge_samples(rng, 100 - len(checked)):
-            try:
-                checked.append((m, signed_wedge_trace(m)))
-            except Exception:
-                continue
+        drawn = [None] * (100 - len(checked))
+        for idx, stack in _wedge_samples(rng, len(drawn)):
+            for i, m, fast in zip(idx, stack, signed_wedge_traces(stack)):
+                drawn[i] = (m, fast)
+        # A refused sample is skipped, in draw order; the next round draws its replacement.
+        checked += [(m, fast) for m, fast in drawn if not isinstance(fast, Exception)]
     brute = [None] * len(checked)
     for idx in _by_size(len(m) for m, _ in checked):
         for i, b in zip(idx, _brute_wedge_traces(np.stack([checked[i][0] for i in idx]))):
@@ -297,10 +305,11 @@ def _suite_classifier_consistency(rng):
         q[flip, :, 0] = -q[flip, :, 0]
         for i, x in zip(gaussian, q):
             samples[i] = (x, *samples[i][1:])
-    hits = [
-        (x, l, kind) for x, l, kind in samples
-        if abs(l) >= 1e-9 and sphere_fixed_classifier(x, thetas, l).kind != "not_periodic"
-    ]
+    asked = [(x, l, kind) for x, l, kind in samples if abs(l) >= 1e-9]
+    classes = sphere_fixed_classes(
+        np.stack([x for x, _, _ in asked]), thetas, [l for _, l, _ in asked]
+    )
+    hits = [sample for sample, cls in zip(asked, classes) if cls.kind != "not_periodic"]
     if hits:
         xs = np.stack([x for x, _, _ in hits])
         conj = xs.swapaxes(1, 2) @ g @ xs
@@ -414,8 +423,8 @@ def _suite_direct_closed_agreement(rng):
         (EuclideanLatticeModel.from_angle(3, 1.0, 2.0 * math.pi / 3.0, 3, 1j), EuclideanElement(l0=1))
     )
     for model, g in cases:
-        for sigma in grid:
-            direct = ruelle_log_direct(model, g, sigma)
+        # ruelle_log_direct at each sigma, from one orbit build.
+        for sigma, direct in zip(grid, _direct_evaluations(model, g, grid, 1e-12)):
             closed = ruelle_log_closed(model, g, sigma)
             gap = abs(direct.log_R - closed.log_R)
             allowed = 10.0 * (direct.est_error + closed.est_error) + 1e-12

@@ -479,7 +479,11 @@ def _lerch_half(u0: complex, du: float, a: float, b: float, cot: float, coeffici
     if inverted or u0.real <= -DISC_RADIUS:
         v, s = (-u0, b) if inverted else (u0, a)
         x = _SERIES_N + s
-        t = np.exp(v * x) / x
+        # x as complex once, for the product and the quotient (each would cast it).
+        xc = x.astype(complex)
+        t = np.multiply(v, xc)
+        np.exp(t, out=t)
+        t /= xc
         moduli = np.abs(t)
         slope = float(moduli.dot(x))  # sum |dt/du0|
         q = math.exp(v.real)

@@ -109,9 +109,15 @@ def flat_trace_measure(model: FlowModel, g, window: float) -> AtomicMeasure:
     """Atomic realization of the flat-trace distribution inside the window.
 
     Coefficient at l: -sum over orbits of sign(det(1-P)) tr(rho) T; colliding
-    lengths (possible for the 3-sphere families) are merged by summing.
+    lengths (possible for the 3-sphere families) are merged by summing.  A
+    coefficient that is not a finite number (a holonomy past the floats) is
+    refused with DomainError, naming the first such atom.
     """
     lengths, coeffs = _trace_atoms(model, g, window)
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        l = float(lengths[int(finite.argmin())])
+        raise DomainError(f"the flat-trace coefficient at l = {l!r} is not a finite number")
     return AtomicMeasure(atoms=tuple(zip(lengths.tolist(), coeffs.tolist())), window=window)
 
 

@@ -1,8 +1,9 @@
 """The continuation, kernel and every layer above it, against the code it replaced.
 
 ``series._continued_family`` writes out its two Lerch halves, takes the
-inversion inside ``_lerch_half`` and casts the disc coefficient row to
-complex once per family; its reductions, scans and dots call the ufunc
+inversion inside ``_lerch_half`` (whose series casts its exponents n + a
+to complex once, for the product and the quotient) and casts the disc
+coefficient row to complex once per family; its reductions, scans and dots call the ufunc
 methods and ``ndarray.dot`` that the array methods and ``@`` wrap.  The
 earlier kernel, which looped over the halves, inverted by a recursive call
 and let every disc half's ``c @ powers`` cast a real row, is kept below as

@@ -34,7 +34,14 @@ def dict_json_trace(args) -> int:
     model, g = cli.build_model(args.model, cli.parse_params(args.params, args.config))
     if not math.isfinite(args.window):
         raise cli.ConfigError("window must be finite")
-    measure = flat_trace_measure(model, g, args.window)
+    try:
+        measure = flat_trace_measure(model, g, args.window)
+    except DomainError as exc:
+        # The library refuses a coefficient that is not finite; the verb
+        # refuses it where JSON cannot carry it.
+        if not str(exc).startswith("the flat-trace coefficient at l = "):
+            raise
+        raise DomainError("the result is not a finite number; JSON cannot carry it") from exc
     payload = {
         "atoms": [
             {"l": l, "coeff_re": c.real, "coeff_im": c.imag} for l, c in measure.atoms

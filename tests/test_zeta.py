@@ -32,7 +32,7 @@ from equizeta import (
 )
 from equizeta import zeta
 from equizeta.series import BilateralSumParams, SeriesResult, bilateral_exp_sum_continued_result
-from equizeta.zeta import AtomicMeasure
+from equizeta.zeta import AtomicMeasure, _trace_atoms
 
 TWO_PI = 2.0 * math.pi
 SPHERES = [(Sphere2Model(), 1.0), (Sphere3Model(), (1.0, math.sqrt(2.0)))]
@@ -74,6 +74,17 @@ class TestFlatTraceMeasure:
         m = EuclideanLatticeModel.from_angle(3, 1.0, 0.0, 1, 0j)
         with pytest.raises(DomainError):
             flat_trace_measure(m, EuclideanElement(l0=1), 5.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_coefficient_refused(self):
+        # e^{800 l} overflows at l = 1.3 (the first atom past l = 0.89, where
+        # e^{800 l} passes the floats): no silent (nan+nanj) atom.
+        with pytest.raises(DomainError) as refused:
+            flat_trace_measure(CircleModel(alpha=800 + 1j), 0.3, 2.0)
+        assert str(refused.value) == "the flat-trace coefficient at l = 1.3 is not a finite number"
+        lengths, coeffs = _trace_atoms(CircleModel(alpha=800 + 1j), 0.3, 2.0)
+        assert lengths.tolist() == [-1.7, -0.7, 0.3, 1.3] and not np.isfinite(coeffs[3])
+        assert np.isfinite(coeffs[:3]).all()
 
 
 class TestPairing:
