@@ -1013,8 +1013,9 @@ def _period_euclidean(
     the peak of the bench certify workload.  Sums run over cosets and then
     over shifts in order, as a row-at-a-time sum does, so the bits depend
     neither on the pruning nor on the block.  The nodes (per reach and
-    panel), the coset grid (per order and span) and the transverse basis
-    behind w (per axis) are built once and cached.
+    panel), the coset grid (per order and span) and the transverse block
+    behind w (per r^m and axis, in the rotation memo) are built once and
+    cached.
     """
     v0 = model._axis()
     rm = np.linalg.matrix_power(model.rotation.matrix, g.m)

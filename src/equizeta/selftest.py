@@ -17,7 +17,10 @@ twice more, about an accepted sample at a wrong period.  The fixed-condition
 suite still calls the library once per sample, in draw order.  The
 direct-vs-closed suite sums each case's sigma grid in one direct pass, one
 orbit build per case, as a direct sweep does.  Nothing carries over between
-runs but the minor-index tables, which depend only on the matrix size.
+runs but the minor-index tables, which depend only on the matrix size, and
+the rotation memo (``rotations.ROTATION_MEMO_SIZE`` classifications and
+transverse blocks, keyed by the matrix and axis bytes), which gives the
+floats a fresh derivation gives: no result depends on it.
 """
 
 from __future__ import annotations

@@ -895,12 +895,15 @@ class TestConjugationInvariance:
 
 
 class TestOneClassification:
-    """An AxisRotation classifies its matrix once: a model construction
-    checks orthogonality once and derives the axis once, through the
-    unchecked step behind axis_and_kernel, and a Euclidean cutoff period,
-    which gives the axis, classifies r^m once without deriving it."""
+    """An AxisRotation classifies its matrix once per distinct (matrix,
+    axis) in a process: the first model construction checks orthogonality
+    once and derives the axis once, through the unchecked step behind
+    axis_and_kernel, and a Euclidean cutoff period, which gives the axis,
+    classifies r^m once without deriving it.  A construction with the bytes
+    of an earlier one classifies nothing; a refusal is never stored."""
 
     NAMES = ("axis_and_kernel", "_axis_of", "_check_special_orthogonal")
+    NONE = dict.fromkeys(NAMES, 0)
 
     def counts(self, monkeypatch, run):
         calls = dict.fromkeys(self.NAMES, 0)
@@ -925,9 +928,19 @@ class TestOneClassification:
         return counts["axis_and_kernel"] + counts["_axis_of"]
 
     def test_from_angle(self, monkeypatch):
-        assert self.counts(monkeypatch, euclid_model) == {
-            "axis_and_kernel": 0, "_axis_of": 1, "_check_special_orthogonal": 1,
-        }
+        # The first construction classifies once, an equal-bytes repeat
+        # classifies nothing and gets the same floats, and a matrix one ulp
+        # away is classified again.
+        once = {"axis_and_kernel": 0, "_axis_of": 1, "_check_special_orthogonal": 1}
+        built = []
+        assert self.counts(monkeypatch, lambda: built.append(euclid_model())) == once
+        assert self.counts(monkeypatch, lambda: built.append(euclid_model())) == self.NONE
+        first, again = (m.rotation for m in built)
+        assert again.axis.tolist() == first.axis.tolist()
+        assert again.matrix.tobytes() == first.matrix.tobytes()
+        m = first.matrix.copy()
+        m[0, 0] = np.nextafter(m[0, 0], 2.0)
+        assert self.counts(monkeypatch, lambda: AxisRotation(matrix=m)) == once
 
     def test_public_axis_and_kernel_keeps_its_check(self, monkeypatch):
         run = lambda: rotations.axis_and_kernel(rotations.block_rotation((1.0,), 3))
@@ -945,38 +958,49 @@ class TestOneClassification:
         (rotations.block_rotation((1.0,), 3), [1.0, 0.0, 0.0], "axis is not fixed by the rotation"),
     ], ids=["square", "orthogonal", "determinant", "kernel", "axis"])
     def test_refusals(self, monkeypatch, matrix, axis, message):
-        # Every refusal of a construction comes from its one orthogonality
-        # check or its one classification, with the message it had.
+        # A refusal is never stored: every attempt runs the orthogonality
+        # check and the classification again, with the message it had.
         def run():
-            with pytest.raises(DomainError) as refused:
-                AxisRotation(matrix=matrix, axis=None if axis is None else np.array(axis))
-            assert str(refused.value) == message
+            for _ in range(2):
+                with pytest.raises(DomainError) as refused:
+                    AxisRotation(matrix=matrix, axis=None if axis is None else np.array(axis))
+                assert str(refused.value) == message
 
-        assert self.counts(monkeypatch, run)["_check_special_orthogonal"] == 1
+        assert self.counts(monkeypatch, run)["_check_special_orthogonal"] == 2
+        assert rotations._CLASSIFIED.cache_info().currsize == 0
 
     def test_period(self, monkeypatch):
-        # One kernel classification of r^m per period, and no SVD: the axis
-        # is given and the transverse basis is cached per axis.
+        # The first period classifies r^m once, with the axis given, and
+        # takes one SVD, for the transverse basis; a repeat classifies
+        # nothing and takes no SVD, and gets the same float.
         m = euclid_model()
         profile = CutoffProfile(kind="raised_cosine", radius=1.3)
-        run = lambda: chi_primitive_period_numeric(m, EuclideanElement(l0=1), chi_profile=profile)
-        run()
-        calls = {"classify": 0, "svd": 0}
+        values = []
+        run = lambda: values.append(
+            chi_primitive_period_numeric(m, EuclideanElement(l0=1), chi_profile=profile))
         rule, svd = rotations.unit_eigenvalue_multiplicity, np.linalg.svd
 
-        def classify(*args):
-            calls["classify"] += 1
-            return rule(*args)
+        def counted_run():
+            calls = {"classify": 0, "svd": 0}
 
-        def counted_svd(*args, **kwargs):
-            calls["svd"] += 1
-            return svd(*args, **kwargs)
+            def classify(*args):
+                calls["classify"] += 1
+                return rule(*args)
 
-        monkeypatch.setattr(rotations, "unit_eigenvalue_multiplicity", classify)
-        monkeypatch.setattr(models, "unit_eigenvalue_multiplicity", classify)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        assert self.calls(monkeypatch, run) == 0
-        assert calls == {"classify": 1, "svd": 0}
+            def counted_svd(*args, **kwargs):
+                calls["svd"] += 1
+                return svd(*args, **kwargs)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(rotations, "unit_eigenvalue_multiplicity", classify)
+                patched.setattr(models, "unit_eigenvalue_multiplicity", classify)
+                patched.setattr(np.linalg, "svd", counted_svd)
+                assert self.calls(patched, run) == 0
+            return calls
+
+        assert counted_run() == {"classify": 1, "svd": 1}
+        assert counted_run() == {"classify": 0, "svd": 0}
+        assert values[1].hex() == values[0].hex()
 
     def test_axis_derived_without_from_matrix(self):
         rot = AxisRotation(matrix=np.eye(3)[[1, 2, 0]])
