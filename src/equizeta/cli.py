@@ -176,8 +176,11 @@ def _atoms_text(values: np.ndarray, opening: str) -> str:
 def _emit(text: str, output: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

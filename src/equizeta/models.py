@@ -373,6 +373,8 @@ class FlowModel:
         return self.orbit_data(g, window)[0].tolist()
 
     def orbit_contributions(self, g, l: float) -> list[OrbitContribution]:
+        if not cmath.isfinite(l):
+            raise DomainError(f"l must be finite, got {l}")
         lengths, exponents = self._orbits(g, abs(l), 1.0)
         near = np.abs(np.asarray(lengths, dtype=float) - l) <= _FAMILY_TOL
         if not near.any():

@@ -19,19 +19,17 @@ What the module derives from a rotation is derived once per distinct
 orthogonality check, the eigenvalue-one rule and the checked unit axis) and
 the transverse block behind ``solve_transverse`` and
 ``poincare_determinant_euclidean`` (the basis orthogonal to the axis, I - r,
-the block on the basis and its determinant).  Each is kept in a bounded
-least-recently-used memo (ROTATION_MEMO_SIZE entries) keyed by the bytes of
-the float64 arrays it reads, so a repeat gets the floats its own derivation
-would give.  A refusal is never stored: it is derived again, with the same
-message, on every attempt.
+the block on the basis and its determinant).  Each is a
+``functools.lru_cache`` of ROTATION_MEMO_SIZE entries keyed by the bytes of
+the float64 arrays it reads, which a miss rebuilds as C-ordered arrays, so a
+repeat gets the floats its own derivation would give.  A refusal is never
+stored: it is derived again, with the same message, on every attempt.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,55 +44,6 @@ EIG_REJECT_BAND = 1e-6
 # Entries of each rotation memo: the bench certify workload meets 44-46
 # distinct (matrix, axis) keys in a run.
 ROTATION_MEMO_SIZE = 64
-
-_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
-_MISSING = object()
-
-
-class _Memo:
-    """A bounded least-recently-used memo of what is derived from a rotation.
-
-    ``lookup(key, derive)`` returns the value stored under ``key``, or
-    stores and returns ``derive()``; an exception from ``derive`` stores
-    nothing.  ``cache_info`` and ``cache_clear`` read as
-    ``functools.lru_cache``'s.  The store is locked, as lru_cache's is, so
-    threads may share it; ``derive`` runs outside the lock."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._values = collections.OrderedDict()
-        self._hits = self._misses = 0
-        self._lock = threading.Lock()
-
-    def lookup(self, key, derive):
-        with self._lock:
-            value = self._values.get(key, _MISSING)
-            if value is not _MISSING:
-                self._values.move_to_end(key)
-                self._hits += 1
-                return value
-            self._misses += 1
-        value = derive()
-        with self._lock:
-            self._values[key] = value
-            if len(self._values) > self.maxsize:
-                self._values.popitem(last=False)
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._values))
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._values.clear()
-            self._hits = self._misses = 0
-
-
-# AxisRotation's checked unit axis (or None) per (shape, matrix bytes, axis).
-_CLASSIFIED = _Memo(ROTATION_MEMO_SIZE)
-# ``_transverse``'s read-only block per (matrix bytes, axis bytes).
-_TRANSVERSE = _Memo(ROTATION_MEMO_SIZE)
 
 
 def normalize_angle(theta: float) -> float:
@@ -145,24 +94,23 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _refuse_non_finite(m: np.ndarray) -> None:
-    if not np.isfinite(m).all():
-        raise DomainError("matrix has a non-finite entry")
-
-
 def _check_special_orthogonal(m: np.ndarray, tol: float) -> None:
+    """Refuse (DomainError) a matrix that is not square or not in SO(n)
+    within ``tol``: the one-element case of ``_check_special_orthogonal_stack``."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    _refuse_non_finite(m)
-    _refuse_not_special_orthogonal(np.abs(m.T @ m - _eye(m.shape[0])).max(), np.linalg.det(m), tol)
+    _check_special_orthogonal_stack(m[None], tol)
 
 
 def _check_special_orthogonal_stack(ms: np.ndarray, tol: float) -> None:
-    """``_check_special_orthogonal`` of each matrix of a float stack of
-    same-size square matrices, in order, up to the first refused one: one
-    matmul and one det call for the stack's finite matrices (the floats of
-    each matrix's own), none for the others."""
+    """Refuse the first matrix, in order, of a float stack of same-size
+    square matrices that is empty, has a non-finite entry, has a defect
+    max |m^T m - I| past ``tol`` or a determinant off +1 by more than
+    max(tol, 1e-10).  One matmul and one det call for the stack's finite
+    matrices, none for the others."""
+    if ms.shape[1] == 0:
+        raise DomainError("expected a non-empty matrix")
     finite = np.isfinite(ms).all(axis=(1, 2)).tolist()
     good = ms if all(finite) else ms[[i for i, ok in enumerate(finite) if ok]]
     defects = np.abs(good.swapaxes(1, 2) @ good - _eye(ms.shape[1])).max(axis=(1, 2)).tolist()
@@ -170,16 +118,11 @@ def _check_special_orthogonal_stack(ms: np.ndarray, tol: float) -> None:
     for ok in finite:
         if not ok:
             raise DomainError("matrix has a non-finite entry")
-        _refuse_not_special_orthogonal(*next(checked), tol)
-
-
-def _refuse_not_special_orthogonal(defect: float, det: float, tol: float) -> None:
-    """The orthogonality and determinant tests of one finite matrix, from
-    its defect max |m^T m - I| and its determinant."""
-    if not defect <= tol:
-        raise DomainError(f"matrix is not orthogonal within {tol} (defect {defect:.3e})")
-    if not abs(det - 1.0) <= max(tol, 1e-10):
-        raise DomainError("matrix must have determinant +1")
+        defect, det = next(checked)
+        if not defect <= tol:
+            raise DomainError(f"matrix is not orthogonal within {tol} (defect {defect:.3e})")
+        if not abs(det - 1.0) <= max(tol, 1e-10):
+            raise DomainError("matrix must have determinant +1")
 
 
 def unit_eigenvalue_multiplicity(eigvals) -> tuple[int, float]:
@@ -242,24 +185,29 @@ def _axis_of(r: np.ndarray):
     return 1, v0
 
 
-def _classified_axis(m: np.ndarray, axis: np.ndarray | None):
-    """AxisRotation's classification of a float matrix: the checked unit
-    axis, given or derived, as a read-only array, or None when the kernel of
-    m - I is not one-dimensional and no axis is given."""
+def _classified_axis(shape: tuple, m_bytes: bytes, axis_key: tuple | None):
+    """AxisRotation's classification of the float64 matrix of ``shape`` with
+    C-order bytes ``m_bytes``, given the axis's (shape, bytes) ``axis_key`` or
+    None: the checked unit axis, given or derived, as a read-only array, or
+    None when the kernel of m - I is not one-dimensional and no axis is given."""
+    m = np.frombuffer(m_bytes).reshape(shape)
     _check_special_orthogonal(m, 1e-12)
-    if axis is None:
+    if axis_key is None:
         kdim, v0 = _axis_of(m)
     else:
         kdim = _kernel_dim(m)
         if kdim != 1:
             raise DomainError(f"axis given but ker(r - I) has dimension {kdim}")
-        v0 = axis
+        v0 = np.frombuffer(axis_key[1]).reshape(axis_key[0])
     if v0 is not None:
         v0 = v0 / _norm(v0)
         if _norm(m @ v0 - v0) > 1e-10:
             raise DomainError("axis is not fixed by the rotation")
         v0.flags.writeable = False
     return v0
+
+
+_CLASSIFIED = functools.lru_cache(maxsize=ROTATION_MEMO_SIZE)(_classified_axis)
 
 
 @dataclass(frozen=True)
@@ -271,11 +219,12 @@ class AxisRotation:
     once per distinct (matrix, axis) in a process, after one orthogonality
     check (1e-12): a construction whose matrix and given axis (or none) have
     the float64 bytes of an earlier one's takes that classification from a
-    bounded memo, and a refusal is never stored.  The axis is derived as
-    ``axis_and_kernel`` derives it only when it is not given, without that
-    function's second, looser check; a given axis is checked against the
-    matrix after one kernel classification by the same eigenvalue-one rule,
-    with no SVD.  Each construction holds its own writable copy of the axis.
+    ``functools.lru_cache`` (``_CLASSIFIED``), which stores no refusal.  The
+    axis is derived as ``axis_and_kernel`` derives it only when it is not
+    given, without that function's second, looser check; a given axis is
+    checked against the matrix after one kernel classification by the same
+    eigenvalue-one rule, with no SVD.  Each construction holds its own
+    writable copy of the axis.
     """
 
     matrix: np.ndarray
@@ -284,8 +233,7 @@ class AxisRotation:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         axis = None if self.axis is None else np.asarray(self.axis, dtype=float)
-        key = (m.shape, m.tobytes(), None if axis is None else (axis.shape, axis.tobytes()))
-        v0 = _CLASSIFIED.lookup(key, lambda: _classified_axis(m, axis))
+        v0 = _CLASSIFIED(m.shape, m.tobytes(), None if axis is None else (axis.shape, axis.tobytes()))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "axis", None if v0 is None else v0.copy())
 
@@ -341,19 +289,22 @@ def _transverse(r: AxisRotation) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
     """The orthonormal basis (columns) orthogonal to the axis, I - r, the
     block a = basis^T (I - r) basis and det(a), read-only, derived once per
     (matrix, axis) bytes."""
-    return _TRANSVERSE.lookup(
-        (r.matrix.tobytes(), r.axis.tobytes()), lambda: _transverse_block(r.matrix, r.axis)
-    )
+    return _TRANSVERSE(r.matrix.shape, r.matrix.tobytes(), r.axis.tobytes())
 
 
-def _transverse_block(m: np.ndarray, v0: np.ndarray) -> tuple:
-    """``_transverse`` of a matrix and its unit axis: the basis from the SVD
-    of I - v0 v0^T."""
+def _transverse_block(shape: tuple, m_bytes: bytes, axis_bytes: bytes) -> tuple:
+    """``_transverse`` of the float64 matrix and unit axis with these C-order
+    bytes: the basis from the SVD of I - v0 v0^T."""
+    m = np.frombuffer(m_bytes).reshape(shape)
+    v0 = np.frombuffer(axis_bytes)
     n = len(v0)
     basis = _read_only(np.linalg.svd(_eye(n) - np.outer(v0, v0))[0][:, : n - 1])
     i_minus_r = _read_only(_eye(n) - m)
     a = _read_only(basis.T @ i_minus_r @ basis)
     return basis, i_minus_r, a, float(np.linalg.det(a))
+
+
+_TRANSVERSE = functools.lru_cache(maxsize=ROTATION_MEMO_SIZE)(_transverse_block)
 
 
 def solve_transverse(r: AxisRotation, w_prime: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .models import (
     CircleModel,
     CutoffProfile,
@@ -508,7 +509,10 @@ SUITES = [
 
 
 def run_selftest(seed: int = 0) -> list[SuiteResult]:
-    """Run every invariant suite with a seeded generator; deterministic."""
+    """Run every invariant suite with a seeded generator; deterministic.  A
+    seed that is not a non-negative integer is refused (DomainError)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     results: list[SuiteResult] = []
     for name, fn in SUITES:
         rng = np.random.default_rng(seed)

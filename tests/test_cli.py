@@ -15,6 +15,8 @@ import pytest
 
 import oracle
 from equizeta.cli import CSV_HEADER, main, parse_complex
+from equizeta.errors import DomainError
+from equizeta.selftest import run_selftest
 
 
 def run_cli(capsys, *argv):
@@ -809,3 +811,23 @@ class TestSelftestAndDeterminism:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["method"] == "closed"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+    def test_selftest_seed_refused(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            run_selftest(seed)
+
+    @pytest.mark.parametrize("argv, error, message", [
+        (["selftest", "--seed", "-1"], "DomainError", "seed must be a non-negative integer, got -1"),
+        (["eval", *PARAMS, "--sigma", "1", "--output", "{tmp}/no-such-dir/x.json"],
+         "ConfigError", "cannot write output file: [Errno 2] No such file or directory"),
+        (["eval", *PARAMS, "--sigma", "1", "--output", "{tmp}"],
+         "ConfigError", "cannot write output file: [Errno 21] Is a directory"),
+    ], ids=["negative-seed", "missing-output-dir", "output-is-a-directory"])
+    def test_refusal_is_one_json_line(self, capsys, tmp_path, argv, error, message):
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        payload = strict_json(line)
+        assert (code, payload["code"], payload["error"], captured.err) == (1, 1, error, "")
+        assert payload["message"].startswith(message)

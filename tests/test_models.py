@@ -129,6 +129,11 @@ class TestOrbitContributions:
         with pytest.raises(DomainError):
             orbit_contributions(LineModel(), 2.0, 1.0)
 
+    @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_refused(self, l):
+        with pytest.raises(DomainError, match="l must be finite"):
+            orbit_contributions(CircleModel(alpha=1j), 0.25, l)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowed_holonomy_is_silent(self):
         # e^{800 * 1.3} overflows: the holonomy is inf, with no numpy warning.

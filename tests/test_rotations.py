@@ -399,6 +399,12 @@ class TestNonFiniteRefused:
                 call(one)
 
     @pytest.mark.filterwarnings("error")
+    def test_empty_matrix(self):
+        for call in (axis_and_kernel, AxisRotation, AxisRotation.from_matrix):
+            with pytest.raises(DomainError, match="expected a non-empty matrix"):
+                call(np.zeros((0, 0)))
+
+    @pytest.mark.filterwarnings("error")
     def test_complex_wedge_input(self):
         with pytest.raises(DomainError, match="non-finite"):
             signed_wedge_trace(np.array([[1.0, complex(0.0, math.inf)], [0.0, 2.0]]))
