@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -74,7 +75,6 @@ import numpy as np
 from .errors import DomainError, NonConvergentError, NotApplicableError
 from .rotations import (
     AxisRotation,
-    block_rotation,
     rotation_about_last_axis,
     solve_transverse,
     unit_eigenvalue_multiplicity,
@@ -283,16 +283,6 @@ def _merge(lengths: list, weights: list, inside: list) -> tuple[np.ndarray, np.n
             cluster[0] = cluster[1] = l
     kept = [c for c in clusters if c[1] is not None]
     return np.array([c[1] for c in kept], dtype=float), np.array([c[2] for c in kept], dtype=complex)
-
-
-@functools.lru_cache(maxsize=8)
-def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs i < j of a dim x dim matrix (np.triu_indices), as
-    read-only arrays built once per dimension."""
-    pairs = np.triu_indices(dim, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
 
 
 def _distinct(values: np.ndarray) -> int:
@@ -766,6 +756,8 @@ class _SphereModel(FlowModel):
         if self.dim == 3:
             return (_real("theta", g),)
         try:
+            if isinstance(g, (str, bytes, bytearray)):  # "12" would unpack as two digits
+                raise TypeError
             theta1, theta2 = g
         except (TypeError, ValueError):
             raise DomainError(f"{self.name} takes 2 rotation angles, got {g!r}") from None
@@ -797,12 +789,15 @@ class _SphereModel(FlowModel):
     def nondegeneracy(self, g=None) -> tuple[bool, str]:
         """Nondegenerate when the fixed space of Ad(g^-1) on so(dim) is the
         torus of g's rotation planes, one direction per angle: the eigenvalue
-        rule alone, with none of validate's other diagnostics."""
+        rule alone, with none of validate's other diagnostics.  Ad(g) on
+        so(dim) is the exterior square of g, so its eigenvalues are the
+        products lam_i lam_j, i < j, of g's eigenvalues e^{+-i theta} per angle
+        and, in odd dimension, 1."""
         angles = self.element(self._default_g if g is None else g)
-        # Ad(g) on so(dim) is the exterior square of g: eigenvalues lam_i lam_j, i < j.
-        lam = np.linalg.eigvals(block_rotation(angles, self.dim))
+        lam = [cmath.rect(1.0, t) for theta in angles for t in (theta, -theta)]
+        lam += [1.0] * (self.dim % 2)
         try:
-            kdim, _ = unit_eigenvalue_multiplicity(np.outer(lam, lam)[_upper_pairs(self.dim)])
+            kdim, _ = unit_eigenvalue_multiplicity([a * b for a, b in itertools.combinations(lam, 2)])
         except DomainError as exc:
             return False, f"kernel classification failed: {exc}"
         witness = (

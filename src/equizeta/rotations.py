@@ -3,9 +3,11 @@
 Covers exactly what the worked geometries need: 2x2 rotation blocks,
 axis/kernel extraction for SO(n), transverse linear solves against (I-r),
 the Euclidean closed-up-to-g condition, the block Poincare determinant,
-the signed exterior-power trace identity, and an SO(4) periodic-point
-classifier.  The closed-up condition, the determinant and the classifier
-are the oracles of the orbit data, off the evaluation path:
+the signed exterior-power trace identity (sum_j (-1)^j j tr(wedge^j A) =
+d/dt det(1 - tA) at t = 1 = -det((1-A) on the quotient by ker(1-A)), read
+from the eigenvalues), and an SO(4) periodic-point classifier.  The
+closed-up condition, the determinant and the classifier are the oracles of
+the orbit data, off the evaluation path:
 tests/test_orbit_counts.py counts the fixed-point components behind every
 orbit weight with them, and the models/orbit-signs selftest suite checks the
 sign +1 of det(1 - P).  This module is the only place that decides whether
@@ -376,40 +378,14 @@ def poincare_determinant_euclidean(r: AxisRotation, l: float) -> PoincareData:
     return PoincareData(l=l, det_sign=1, det_abs=restricted)
 
 
-def _char_poly(lams: list) -> tuple[list[float], list[float]]:
-    """Real and imaginary parts of the coefficients c_0..c_n of
-    prod (x - lam) over the eigenvalues ``lams``, with np.poly's floats.
-
-    From c = (1, 0, ..., 0), each eigenvalue lam updates c_k <- c_k - lam c_{k-1}
-    for k from the top down.  The complex product is summed part by part in
-    the order numpy's convolve sums it, as a two-term complex dot:
-    Re c_k <- (Re c_k - Re c_{k-1} Re lam) + Im c_{k-1} Im lam, and
-    Im c_k <- (Im c_k - Im c_{k-1} Re lam) - Re c_{k-1} Im lam; Python's
-    complex product rounds Re(lam c) as one difference and would not give
-    np.poly's floats.  For real eigenvalues the imaginary parts stay 0.
-    """
-    re = [1.0] + [0.0] * len(lams)
-    im = [0.0] * (len(lams) + 1)
-    for i, lam in enumerate(lams, 1):
-        lr, li = lam.real, lam.imag
-        for k in range(i, 0, -1):
-            re[k], im[k] = (
-                (re[k] - re[k - 1] * lr) + im[k - 1] * li,
-                (im[k] - im[k - 1] * lr) - re[k - 1] * li,
-            )
-    return re, im
-
-
 def signed_wedge_trace(a: np.ndarray):
     """sum_j (-1)^j j tr(wedge^j A) for A with a simple eigenvalue 1.
 
-    Computed from the eigenvalues: the characteristic coefficients
-    c_j = (-1)^j e_j(eigenvalues) come from the recurrence
-    c_k <- c_k - lam c_{k-1} over the eigenvalues (``_char_poly``, np.poly's
-    floats without its convolve call per eigenvalue), and (-1)^j j e_j = j c_j.
-    The sum equals -det((1-A) restricted to the quotient by ker(1-A)).  A
-    non-finite entry is refused.  The one-element case of
-    ``signed_wedge_traces``.
+    Since det(1 - tA) = sum_j (-t)^j tr(wedge^j A), the sum is the derivative
+    d/dt det(1 - tA) at t = 1, which the eigenvalues give as
+    -sum_i lam_i prod_{k != i} (1 - lam_k).  It equals -det((1-A) restricted
+    to the quotient by ker(1-A)).  A non-finite entry is refused.  The
+    one-element case of ``signed_wedge_traces``.
     """
     (out,) = signed_wedge_traces(np.asarray(a)[None])
     if isinstance(out, DomainError):
@@ -423,10 +399,9 @@ def signed_wedge_traces(stack: np.ndarray) -> list:
     it.  A stack that is not one of square matrices is refused whole.
 
     One eigvals call for the stack's finite matrices; then, per matrix, the
-    eigenvalue-one rule, ``_char_poly`` and the sum, as for one matrix.
-    numpy returns one dtype for the whole stack, complex if any matrix has a
-    complex eigenvalue; a real matrix's eigenvalues then carry imaginary parts
-    0, which change no float and pass np.poly's realness rule as they are.
+    eigenvalue-one rule and the derivative -sum_i lam_i prod_{k != i} (1 - lam_k).
+    A real matrix's value is a float when its imaginary part, rounding left
+    by conjugate eigenvalue pairs, is below 1e-9 max(1, |Re|).
     """
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -435,7 +410,7 @@ def signed_wedge_traces(stack: np.ndarray) -> list:
     out = [None if ok else DomainError("matrix has a non-finite entry") for ok in finite]
     rows = [i for i, ok in enumerate(finite) if ok]
     eigvals = np.linalg.eigvals(stack if len(rows) == len(stack) else stack[rows])
-    real_kind, real_input = eigvals.dtype.kind != "c", np.isrealobj(stack)
+    real_input = np.isrealobj(stack)
     for i, lams, dist in zip(rows, eigvals.tolist(), _unit_distances(eigvals)):
         try:
             mult, _ = _unit_rule(dist)
@@ -445,19 +420,14 @@ def signed_wedge_traces(stack: np.ndarray) -> list:
         if mult != 1:
             out[i] = DomainError(f"eigenvalue 1 must be simple, found multiplicity {mult}")
             continue
-        re, im = _char_poly(lams)
-        # np.poly keeps the real parts when the eigenvalues are closed under conjugation.
-        real = real_kind or sorted((z.real, z.imag) for z in lams) == sorted(
-            (z.real, -z.imag) for z in lams
+        total = -sum(
+            lam * math.prod(1.0 - mu for k, mu in enumerate(lams) if k != j)
+            for j, lam in enumerate(lams)
         )
-        total_re = total_im = 0.0
-        for j in range(1, len(lams) + 1):
-            total_re += j * re[j]
-            total_im += 0.0 if real else j * im[j]
-        if real_input and abs(total_im) < 1e-9 * max(1.0, abs(total_re)):
-            out[i] = total_re
+        if real_input and abs(total.imag) < 1e-9 * max(1.0, abs(total.real)):
+            out[i] = float(total.real)
         else:
-            out[i] = complex(total_re, total_im)
+            out[i] = complex(total)
     return out
 
 

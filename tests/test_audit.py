@@ -5,8 +5,10 @@ point: every est_error must be positive and at least the distance from log R
 to its mpmath value.  The references are computed inline, one ``exp`` a
 point, so no stored table is needed.
 
-The cell here is the finite models' closed form (line, lattice and euclid),
-``FlowModel.log_closed`` summed over their orbits.
+The cells here are the finite models (line, lattice and euclid) on two
+routes: the closed form, ``FlowModel.log_closed`` summed over their orbits,
+and the direct sum ``ruelle_log_direct``.  The direct cells miss today and
+are strict xfails, so that each fails as soon as its certificate is mended.
 """
 
 import math
@@ -21,6 +23,7 @@ from equizeta import (
     IntegerLatticeModel,
     LineModel,
     ruelle_log_closed,
+    ruelle_log_direct,
 )
 
 DPS = 40
@@ -79,24 +82,38 @@ def euclid_points(n=600, seed=33):
 
 
 CELLS = {
-    "line-closed": (line_points, _line_reference),
-    "lattice-closed": (lattice_points, _line_reference),
-    "euclid-closed": (euclid_points, _euclid_reference),
+    "line-closed": (line_points, _line_reference, ruelle_log_closed),
+    "lattice-closed": (lattice_points, _line_reference, ruelle_log_closed),
+    "euclid-closed": (euclid_points, _euclid_reference, ruelle_log_closed),
+    "line-direct": (line_points, _line_reference, ruelle_log_direct),
+    "lattice-direct": (lattice_points, _line_reference, ruelle_log_direct),
+    "euclid-direct": (euclid_points, _euclid_reference, ruelle_log_direct),
 }
+
+# The direct sum's floor 1e-15 max(1, |total|) does not count the rounding of
+# each exponent x = l alpha - |l| sigma, about eps |x| relative in e^x: some
+# points of each direct cell miss until the certificate does (ROADMAP item 2(a)).
+DIRECT_MISSES = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2(a): the direct sum's floor 1e-15 max(1, |total|) "
+    "does not count the rounding of the exponent",
+)
 
 
 def audit(cell):
     """(est_error, error) at every point of the cell, in grid order."""
-    points, reference = CELLS[cell]
+    points, reference, route = CELLS[cell]
     rows = []
     with mp.workdps(DPS):
         for model, g, sigma, args in points():
-            ev = ruelle_log_closed(model, g, sigma)
+            ev = route(model, g, sigma)
             rows.append((ev.est_error, float(abs(mp.mpc(ev.log_R) - reference(*args)))))
     return rows
 
 
-@pytest.mark.parametrize("cell", list(CELLS))
+@pytest.mark.parametrize("cell", [
+    pytest.param(cell, marks=DIRECT_MISSES) if cell.endswith("-direct") else cell for cell in CELLS
+])
 def test_every_certificate_is_a_positive_bound(cell):
     rows = audit(cell)
     misses = [(k, est, err) for k, (est, err) in enumerate(rows) if not 0.0 < est or err > est]

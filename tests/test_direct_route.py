@@ -346,6 +346,9 @@ def validate_oracle(model, g) -> ModelDiagnostics:
     )
 
 
+NEAR_ONE_OFFSETS = (0.0, 1e-12, 1e-9, 5e-9, 2e-8, 5e-7, 2e-6, 1e-3)
+
+
 def sphere_elements():
     rng = np.random.default_rng(7)
     out = [(Sphere2Model(), t) for t in (0.0, 1e-7, PI, TWO_PI, -3 * PI, 1.0)]
@@ -354,6 +357,21 @@ def sphere_elements():
         (1.0, 1.0), (1.0, -1.0), (0.0, 0.0), (1.0, 1.00000001), (PI, 1.0), (0.0, math.sqrt(2.0)),
         (1.0, 1.0 + TWO_PI))]
     out += [(Sphere3Model(), tuple(float(t) for t in rng.uniform(-10, 10, 2))) for _ in range(8)]
+    # Angles at seeded offsets from where an eigenvalue of Ad(g^-1) meets 1:
+    # sphere2 near k pi, sphere3 with theta2 near +-theta1 + 2 pi k.  No offset
+    # is 1e-8 or 1e-6, the rule's own edges, where rounding alone decides.
+    rng = np.random.default_rng(39)
+    for k in range(-3, 4):
+        for offset in NEAR_ONE_OFFSETS:
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            out.append((Sphere2Model(), k * PI + sign * offset))
+    out += [(Sphere2Model(), float(t)) for t in rng.uniform(-20, 20, 16)]
+    for theta1 in rng.uniform(-10, 10, 4).tolist():
+        for mirror in (1.0, -1.0):
+            for k in (-1, 0, 1):
+                for offset in NEAR_ONE_OFFSETS:
+                    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+                    out.append((Sphere3Model(), (theta1, mirror * theta1 + TWO_PI * k + sign * offset)))
     return out
 
 
@@ -415,13 +433,3 @@ class TestTraceGate:
         for model, g in [(CircleModel(alpha=1j), 0.25), (LineModel(), 1.0), (euclid(1j), 1)]:
             diag = model.validate(g)
             assert model.nondegeneracy(g) == (diag.nondegenerate, diag.witness)
-
-    def test_triu_indices_built_once(self, monkeypatch):
-        calls = []
-        triu = np.triu_indices
-        monkeypatch.setattr(np, "triu_indices", lambda *a: calls.append(a) or triu(*a))
-        models._upper_pairs.cache_clear()
-        for _ in range(3):
-            Sphere3Model().nondegeneracy((1.0, 2.0))
-            Sphere2Model().nondegeneracy(1.0)
-        assert sorted(calls) == [(3, 1), (4, 1)]

@@ -24,6 +24,7 @@ from equizeta import (
     chi_primitive_period_numeric,
     length_spectrum,
     orbit_contributions,
+    ruelle_log_closed,
     ruelle_log_direct,
     validate_model,
 )
@@ -799,6 +800,17 @@ class TestValidate:
             validate_model(model, g)
         with pytest.raises(DomainError):
             ruelle_log_direct(model, g, 1.0)
+
+    @pytest.mark.parametrize("g", ["12", b"12", "1,2", bytearray(b"12")], ids=repr)
+    def test_sphere3_refuses_a_string_of_two_angles(self, g):
+        # A two-character string unpacks as two characters, each float() reads
+        # ("12" would be theta = (1, 2)); it is not a pair of reals.
+        message = f"sphere3 takes 2 rotation angles, got {g!r}"
+        with pytest.raises(DomainError) as refused:
+            Sphere3Model().element(g)
+        assert str(refused.value) == message
+        with pytest.raises(DomainError, match="sphere3 takes 2 rotation angles"):
+            ruelle_log_closed(Sphere3Model(), g, 1.0)
 
     def test_sphere_rejects_nontrivial_connection(self):
         # The trivial connection is a constant: there is no alpha to set.
